@@ -123,36 +123,21 @@ fn drc_stress_instance() -> (Package, Layout) {
 }
 
 /// One point of a circuit's thread-scaling curve: the same route at a
-/// fixed worker count, with the speculative-planner counters that
-/// explain the wall-clock (commit/conflict ratio, steal traffic, and
-/// how the adaptive batch controller moved).
+/// fixed worker count.
 struct ScalePoint {
     threads: usize,
     runtime_s: f64,
     sequential_s: f64,
     layout_hash: u64,
-    commits: u64,
-    conflicts: u64,
-    steals: u64,
-    grows: u64,
-    shrinks: u64,
 }
 
 impl ScalePoint {
     fn from_route(threads: usize, wall: Duration, out: &RouteOutcome) -> Self {
-        let counter = |label: &str| {
-            out.telemetry.as_ref().map_or(0, |r| r.counter(label))
-        };
         ScalePoint {
             threads,
             runtime_s: wall.as_secs_f64(),
             sequential_s: out.timings.sequential.as_secs_f64(),
             layout_hash: out.layout.canonical_hash(),
-            commits: counter("speculative_commits"),
-            conflicts: counter("speculative_conflicts"),
-            steals: counter("pool_steals"),
-            grows: counter("speculative_batch_grows"),
-            shrinks: counter("speculative_batch_shrinks"),
         }
     }
 }
@@ -334,18 +319,11 @@ fn scaling_json(points: &[ScalePoint]) -> String {
         .map(|p| {
             format!(
                 "{{\"threads\": {}, \"runtime_s\": {:.4}, \"sequential_s\": {:.4}, \
-                 \"layout_hash\": \"{:016x}\", \"speculative_commits\": {}, \
-                 \"speculative_conflicts\": {}, \"pool_steals\": {}, \
-                 \"batch_grows\": {}, \"batch_shrinks\": {}}}",
+                 \"layout_hash\": \"{:016x}\"}}",
                 p.threads,
                 p.runtime_s,
                 p.sequential_s,
                 p.layout_hash,
-                p.commits,
-                p.conflicts,
-                p.steals,
-                p.grows,
-                p.shrinks,
             )
         })
         .collect();
@@ -362,8 +340,7 @@ fn circuit_json(r: &Row) -> String {
          \"stage_s\": {{\"preprocess\": {:.4}, \"concurrent\": {:.4}, \
          \"sequential\": {:.4}, \"lp\": {:.4}}}, \
          \"search\": {{\"searches\": {}, \"nodes_expanded\": {}, \
-         \"window_escalations\": {}, \"escalation_expansions\": {}, \"heap_peak\": {}, \
-         \"heuristic_tightenings\": {}}}, \
+         \"window_escalations\": {}, \"escalation_expansions\": {}, \"heap_peak\": {}}}, \
          \"ripup_wall_s\": {:.4}, \
          \"thread_scaling\": {}, \
          \"negotiated\": {{\"routability_pct\": {:.3}, \"wirelength_um\": {:.1}, \
@@ -393,7 +370,6 @@ fn circuit_json(r: &Row) -> String {
         r.search.window_escalations,
         r.search.escalation_expansions,
         r.search.heap_peak,
-        r.search.heuristic_tightenings,
         r.report.counter("ripup_wall_us") as f64 / 1e6,
         scaling_json(&r.scaling),
         r.neg.routability_pct,
@@ -646,7 +622,7 @@ fn main() {
         // Thread-scaling matrix: the same circuit at 1/2/4/8 workers.
         // The configured-thread point reuses the measured run above;
         // every other point routes fresh. Identical layout hashes at
-        // every count are the parallel planner's core contract — a
+        // every count are the router's determinism contract — a
         // divergence here is a bug, not a data point, so it aborts.
         let mut scaling = Vec::new();
         if scaling_on {
@@ -654,7 +630,7 @@ fn main() {
                 let point = if t == configured_threads {
                     ScalePoint::from_route(t, ours_time, &ours)
                 } else {
-                    let cfg_t = RouterConfig::default().with_threads(t).with_telemetry();
+                    let cfg_t = RouterConfig::default().with_threads(t);
                     let ts = Instant::now();
                     let out = InfoRouter::new(cfg_t).route(&pkg);
                     ScalePoint::from_route(t, ts.elapsed(), &out)
@@ -671,13 +647,10 @@ fn main() {
                 .iter()
                 .map(|p| {
                     format!(
-                        "{}t {:.2}s ({:.2}x, {}c/{}x/{}s)",
+                        "{}t {:.2}s ({:.2}x)",
                         p.threads,
                         p.sequential_s,
                         one / p.sequential_s.max(1e-9),
-                        p.commits,
-                        p.conflicts,
-                        p.steals,
                     )
                 })
                 .collect();

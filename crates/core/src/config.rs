@@ -36,15 +36,13 @@ pub struct RouterConfig {
     pub peripheral_margin: Coord,
     /// Extra cost per via in A\*, as a multiple of the via width.
     pub via_cost_factor: f64,
-    /// Worker threads for the sequential stage's speculative net planner.
-    /// `1` (the default) routes on the caller's thread; any value produces
-    /// bit-identical layouts (plans are applied in net order, and a plan
-    /// whose read set was invalidated by an earlier commit is recomputed),
-    /// so this trades CPU for wall-clock only. Forced to 1 while a fault
-    /// plan is armed at any site other than `pool.worker`, because
-    /// injected-fault trigger counts are order-sensitive (`pool.worker`
-    /// faults only kill speculative plans, which are recomputed
-    /// authoritatively, so they keep the configured count).
+    /// Worker threads for the read-only scans around the sequential
+    /// stage's per-net loop: the rip-up victim scan, negotiation victim
+    /// selection, ordering-feature scoring, and the LP constraint rows
+    /// per wire layer. Nets themselves are always searched and committed
+    /// one at a time on the caller's thread, so layouts, route journals
+    /// and telemetry counters are identical at every value; `1` (the
+    /// default) spawns no threads.
     pub threads: usize,
     /// Windowed A\*: each sequential-stage search first explores an
     /// inflated bounding box of its pad pair and escalates to the full
@@ -66,24 +64,6 @@ pub struct RouterConfig {
     ///
     /// [`RouteOutcome::telemetry`]: crate::flow::RouteOutcome::telemetry
     pub telemetry: bool,
-    /// ALT landmark count for the sequential stage's A\* heuristic: `> 0`
-    /// builds per-stage landmark distance tables (`info_tile::landmarks`)
-    /// and tightens the heuristic to the max of the geometric bound and
-    /// the landmark lower bound. `0` (the default) keeps the heuristic
-    /// purely geometric. The tightened heuristic is still admissible and
-    /// consistent, so per-net path *costs* are unchanged — but equal-cost
-    /// paths may be broken differently, so layouts are only guaranteed
-    /// identical to the `0` setting when no ties exist.
-    pub alt_landmarks: usize,
-    /// Reuse epoch-stamped edge-legality verdicts across searches (the
-    /// adjacency cache of `info_tile::space`). Lossless; `false` re-does
-    /// the clearance/crossing geometry on every enumeration (the ablation
-    /// baseline).
-    pub legality_cache: bool,
-    /// Collect traced read cells in the generation-stamped scratch arena
-    /// instead of a per-search `BTreeSet`. Identical output either way;
-    /// `false` is the ablation baseline.
-    pub search_arena: bool,
     /// Negotiated-congestion sequential routing (DESIGN.md §4h): replace
     /// the two fixed shortest-first passes with a feature-ordered
     /// convergence loop — every net routes under history + present
@@ -120,9 +100,6 @@ impl Default for RouterConfig {
             stage_budget: None,
             fault_plan: FaultPlan::none(),
             telemetry: false,
-            alt_landmarks: 0,
-            legality_cache: true,
-            search_arena: true,
             congestion_mode: false,
             retry_expansion_budget: None,
         }
@@ -159,7 +136,7 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the sequential-stage worker-thread count (0 is treated as 1).
+    /// Sets the worker-thread count (0 is treated as 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -199,27 +176,6 @@ impl RouterConfig {
         self
     }
 
-    /// Enables ALT landmark heuristics with `k` landmarks per sequential
-    /// stage (0 disables them).
-    pub fn with_alt_landmarks(mut self, k: usize) -> Self {
-        self.alt_landmarks = k;
-        self
-    }
-
-    /// Disables the edge-legality (adjacency) cache — every neighbor
-    /// enumeration re-does its clearance/crossing geometry (ablation).
-    pub fn without_legality_cache(mut self) -> Self {
-        self.legality_cache = false;
-        self
-    }
-
-    /// Collects traced read cells in a per-search `BTreeSet` instead of
-    /// the scratch arena (ablation).
-    pub fn without_search_arena(mut self) -> Self {
-        self.search_arena = false;
-        self
-    }
-
     /// Enables negotiated-congestion sequential routing (see
     /// [`RouterConfig::congestion_mode`]).
     pub fn with_congestion_mode(mut self) -> Self {
@@ -246,12 +202,6 @@ mod tests {
         assert!(!c.without_search_window().search_window);
         assert!(!c.telemetry, "telemetry is off by default");
         assert!(c.with_telemetry().telemetry);
-        assert_eq!(c.alt_landmarks, 0, "ALT landmarks are off by default");
-        assert!(c.legality_cache, "legality cache is on by default");
-        assert!(c.search_arena, "trace arena is on by default");
-        assert_eq!(c.with_alt_landmarks(8).alt_landmarks, 8);
-        assert!(!c.without_legality_cache().legality_cache);
-        assert!(!c.without_search_arena().search_arena);
         assert!(!c.congestion_mode, "negotiated congestion is off by default");
         assert!(c.with_congestion_mode().congestion_mode);
     }

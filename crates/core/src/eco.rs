@@ -646,10 +646,6 @@ pub(crate) fn reroute_delta(
                 stats.space_warm_hit = cache.stats().0 > h0;
                 stats.cells_invalidated = space.rebuild_dirty_multi(package, &layout, &dirty).len();
                 stats.space_dirty_rebuild = true;
-                // The edit only *freed* space relative to the stage the ALT
-                // tables were built for, so they may overestimate and break
-                // admissibility; fall back to the geometric heuristic.
-                space.set_landmarks(None);
                 space
             }
             (Some(cache), false) => {
@@ -658,7 +654,7 @@ pub(crate) fn reroute_delta(
                 stats.space_warm_hit = cache.stats().0 > h0;
                 space
             }
-            (None, _) => build_stage_space(uni, &layout, cfg, &tel),
+            (None, _) => build_stage_space(uni, &layout, cfg),
         };
 
         // Re-attach stashed geometry: a fresh net whose pad pair matches a

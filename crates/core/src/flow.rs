@@ -41,9 +41,7 @@ pub struct StageTimings {
     /// Stage 5: LP-based layout optimization (all passes).
     pub lp: Duration,
     /// Aggregate A\* search statistics of the sequential stage (nodes
-    /// expanded, window escalations, open-list peak). Totals include
-    /// discarded speculative plans, so they can vary with `threads`;
-    /// the routed layout never does.
+    /// expanded, window escalations, open-list peak).
     pub search: info_tile::SearchStats,
 }
 
@@ -321,14 +319,11 @@ impl InfoRouter {
         diagnostics.faults_fired = ctx.faults_fired();
         diagnostics.timings = timings;
 
-        // Search-layer counters come from the authoritative stage totals
-        // (they are thread-variant, like SearchStats itself; the journal
-        // above is not).
+        // Search-layer counters come from the stage totals.
         tel.count(Counter::Searches, seq.search.searches);
         tel.count(Counter::NodesExpanded, seq.search.nodes_expanded);
         tel.count(Counter::WindowEscalations, seq.search.window_escalations);
         tel.count(Counter::EscalationExpansions, seq.search.escalation_expansions);
-        tel.count(Counter::HeuristicTightenings, seq.search.heuristic_tightenings);
 
         // --- Verification.
         let t5 = Instant::now();

@@ -159,7 +159,7 @@ pub fn generate(package: &Package, items: &ItemModel) -> Vec<Separation> {
     generate_threaded(package, items, 1)
 }
 
-/// [`generate`] with the per-layer loop run on the work-stealing pool.
+/// [`generate`] with the per-layer loop run on `threads` workers.
 /// Each layer's constraints are pure in `(package, items)` and the
 /// per-layer lists are flattened in layer order, so the output is
 /// byte-identical to the serial build at every thread count.

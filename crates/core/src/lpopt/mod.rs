@@ -156,10 +156,9 @@ pub fn optimize_seeded(
     if items.points.is_empty() {
         return report;
     }
-    // Constraint generation is pure per layer, so it shares the
-    // sequential stage's thread policy (and its work-stealing pool).
-    let base =
-        constraints::generate_threaded(package, &items, crate::sequential::effective_threads(cfg));
+    // Constraint generation is pure per layer, so it runs on
+    // `cfg.threads` workers.
+    let base = constraints::generate_threaded(package, &items, cfg.threads);
 
     // Net components from constraint coupling.
     let nets: BTreeSet<NetId> = items.routes.iter().map(|r| r.net).collect();

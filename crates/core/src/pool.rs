@@ -1,121 +1,16 @@
-//! Work-stealing scoped worker pool (std::thread only — the workspace
-//! builds offline, so no rayon) used by the sequential stage's
-//! speculative parallel planner, the rip-up victim scan, and the LP
+//! Order-preserving scoped parallel map (std::thread only — the workspace
+//! builds offline, so no rayon) used by the rip-up victim scan, the
+//! negotiation victim selection, the ordering-feature scoring, and the LP
 //! constraint generator.
 //!
-//! ## Why stealing instead of a shared counter
-//!
-//! The previous pool handed out items one at a time from a single shared
-//! `AtomicUsize`, which serializes every claim on one contended cache
-//! line and costs one RMW per item even when items are microseconds
-//! long. Here the items are pre-split into one contiguous range per
-//! worker; a worker pops from the *front* of its own range (one
-//! uncontended CAS) and, only when its range runs dry, steals the *back
-//! half* of the largest remaining victim range. Steal granularity halves
-//! with each steal, so the tail of a skewed batch — one net whose A\*
-//! search dwarfs its batchmates is the normal case, not the exception —
-//! spreads across workers at logarithmic cost instead of idling them.
-//!
-//! Determinism is unaffected by scheduling: callers must make `f` a pure
-//! function of `(index, item)`, and results are returned in item order
-//! regardless of which worker computed them.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// What one `parallel_map` call observed, for telemetry: how many times
-/// a worker ran out of local work and successfully stole a range.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Successful steals (a worker took the back half of another's
-    /// remaining range). 0 on single-threaded runs.
-    pub steals: u64,
-}
-
-impl PoolStats {
-    /// Accumulates another call's stats into this one.
-    pub fn absorb(&mut self, other: PoolStats) {
-        self.steals += other.steals;
-    }
-}
-
-/// A half-open index range `[start, end)` packed into one atomic word
-/// (start in the high 32 bits), so pops and steals are single CASes.
-struct Range(AtomicU64);
-
-const fn pack(start: u32, end: u32) -> u64 {
-    ((start as u64) << 32) | end as u64
-}
-
-const fn unpack(v: u64) -> (u32, u32) {
-    ((v >> 32) as u32, v as u32)
-}
-
-impl Range {
-    fn new(start: u32, end: u32) -> Self {
-        Range(AtomicU64::new(pack(start, end)))
-    }
-
-    /// Claims the front element of the range, if any.
-    fn pop_front(&self) -> Option<usize> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (start, end) = unpack(cur);
-            if start >= end {
-                return None;
-            }
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(start + 1, end),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some(start as usize),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Steals the back half of the range (at least one item) when it
-    /// holds two or more items; a single remaining item is left to its
-    /// owner — stealing it would just move the cache miss.
-    fn steal_back_half(&self) -> Option<(u32, u32)> {
-        let mut cur = self.0.load(Ordering::Acquire);
-        loop {
-            let (start, end) = unpack(cur);
-            if end.saturating_sub(start) < 2 {
-                return None;
-            }
-            let keep = start + (end - start).div_ceil(2);
-            match self.0.compare_exchange_weak(
-                cur,
-                pack(start, keep),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return Some((keep, end)),
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Items currently left in the range.
-    fn remaining(&self) -> u32 {
-        let (start, end) = unpack(self.0.load(Ordering::Acquire));
-        end.saturating_sub(start)
-    }
-
-    /// Publishes a stolen range as this worker's own (valid only when the
-    /// worker's range is empty, which is the only time the owner writes).
-    fn publish(&self, start: u32, end: u32) {
-        self.0.store(pack(start, end), Ordering::Release);
-    }
-}
+//! Every caller maps a handful of roughly uniform items, so the items are
+//! split into one contiguous chunk per worker and no load balancing is
+//! attempted. Determinism is unaffected by scheduling: callers must make
+//! `f` a pure function of `(index, item)`, and results are returned in
+//! item order regardless of which worker computed them.
 
 /// Applies `f` to every item on up to `threads` OS threads and returns
-/// the results in item order. Work is split into per-worker ranges with
-/// back-half stealing, so item-to-thread assignment is nondeterministic —
-/// callers must make `f` a pure function of `(index, item)` for the
-/// output to be deterministic. With `threads <= 1` (or fewer than two
+/// the results in item order. With `threads <= 1` (or fewer than two
 /// items) everything runs on the caller's thread and no threads are
 /// spawned.
 ///
@@ -127,96 +22,38 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    parallel_map_stats(items, threads, f).0
-}
-
-/// [`parallel_map`] that also reports what the pool did (steal counts).
-pub fn parallel_map_stats<T, R, F>(items: &[T], threads: usize, f: F) -> (Vec<R>, PoolStats)
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
     let workers = threads.min(items.len());
     if workers <= 1 {
-        let out = items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-        return (out, PoolStats::default());
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    assert!(items.len() <= u32::MAX as usize, "range packing holds 32-bit indices");
-    // Pre-split: worker w owns [w * per, ...), remainder spread over the
-    // first ranges so no worker starts more than one item ahead.
-    let n = items.len() as u32;
-    let per = n / workers as u32;
-    let extra = n % workers as u32;
-    let mut cut = 0u32;
-    let ranges: Vec<Range> = (0..workers as u32)
-        .map(|w| {
-            let len = per + u32::from(w < extra);
-            let r = Range::new(cut, cut + len);
-            cut += len;
-            r
-        })
-        .collect();
-    let mut slots: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    let mut stats = PoolStats::default();
+    let chunk = items.len().div_ceil(workers);
+    let f = &f;
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let ranges = &ranges;
-                let f = &f;
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .enumerate()
+            .map(|(c, part)| {
                 scope.spawn(move || {
-                    let mut out: Vec<(usize, R)> = Vec::new();
-                    let mut steals = 0u64;
-                    loop {
-                        // Drain the local range first.
-                        while let Some(i) = ranges[w].pop_front() {
-                            out.push((i, f(i, &items[i])));
-                        }
-                        // Empty: steal the back half of the fullest
-                        // victim. Largest-first keeps steal sizes — and
-                        // therefore rebalancing quality — as high as the
-                        // remaining work allows.
-                        let victim = (0..ranges.len())
-                            .filter(|&v| v != w)
-                            .max_by_key(|&v| ranges[v].remaining())
-                            .filter(|&v| ranges[v].remaining() > 0);
-                        let Some(v) = victim else { break };
-                        match ranges[v].steal_back_half() {
-                            Some((start, end)) => {
-                                steals += 1;
-                                // Publish so other starved workers can
-                                // re-steal from this chunk in turn.
-                                ranges[w].publish(start, end);
-                            }
-                            // Lost the race (or the victim drained to a
-                            // single item); rescan for another victim.
-                            None => continue,
-                        }
-                    }
-                    (out, steals)
+                    let base = c * chunk;
+                    part.iter().enumerate().map(|(i, t)| f(base + i, t)).collect::<Vec<R>>()
                 })
             })
             .collect();
+        let mut out = Vec::with_capacity(items.len());
         for h in handles {
             match h.join() {
-                Ok((results, steals)) => {
-                    stats.steals += steals;
-                    for (i, r) in results {
-                        slots[i] = Some(r);
-                    }
-                }
+                Ok(part) => out.extend(part),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
-    });
-    let out = slots.into_iter().map(|r| r.expect("every index claimed exactly once")).collect();
-    (out, stats)
+        out
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_in_item_order() {
@@ -257,47 +94,5 @@ mod tests {
         for c in &claims {
             assert_eq!(c.load(Ordering::Relaxed), 3, "once per parallel_map call");
         }
-    }
-
-    #[test]
-    fn skewed_items_spread_across_workers() {
-        // One item 1000x the cost of its batchmates, placed at the front
-        // of the first worker's range: back-half stealing must let other
-        // workers drain the rest (this deadlocks or serializes if steals
-        // are broken, and the test would then blow its time budget).
-        let items: Vec<u64> = (0..64).map(|i| if i == 0 { 200_000 } else { 200 }).collect();
-        let (out, stats) = parallel_map_stats(&items, 4, |_, &spin| {
-            let mut acc = 0u64;
-            for k in 0..spin {
-                acc = acc.wrapping_add(std::hint::black_box(k));
-            }
-            acc
-        });
-        assert_eq!(out.len(), 64);
-        // With a skewed front item on 4 workers at least one steal must
-        // happen (worker 0 is pinned on item 0 while its range holds 15
-        // more items).
-        assert!(stats.steals > 0, "expected steals on a skewed batch: {stats:?}");
-    }
-
-    #[test]
-    fn range_pop_and_steal_are_exclusive() {
-        let r = Range::new(0, 10);
-        let mut popped = Vec::new();
-        while let Some(i) = r.pop_front() {
-            popped.push(i);
-            if popped.len() == 3 {
-                // Steal the back half of the remaining 7: [start+4, 10).
-                let (s, e) = r.steal_back_half().expect("7 items remain");
-                assert_eq!((s, e), (7, 10));
-            }
-        }
-        assert_eq!(popped, vec![0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(r.remaining(), 0);
-        assert!(r.steal_back_half().is_none());
-        // A single-item range is never stolen.
-        let one = Range::new(5, 6);
-        assert!(one.steal_back_half().is_none());
-        assert_eq!(one.pop_front(), Some(5));
     }
 }

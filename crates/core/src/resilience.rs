@@ -305,19 +305,11 @@ pub enum FaultSite {
     /// In a job-server worker, at job start: arms a deterministic
     /// mid-search cancel trip on the job's token instead of failing.
     ServeCancel,
-    /// Inside a speculative pool worker, before planning one net. Only
-    /// reachable with `threads > 1`: a fired fault kills that worker's
-    /// plan, which the commit loop recomputes through the exact
-    /// single-threaded path — so unlike every other site, arming this
-    /// one does *not* force the flow single-threaded (the layout is
-    /// thread-invariant by the speculative-commit contract, not by
-    /// trigger-count ordering).
-    PoolWorker,
 }
 
 impl FaultSite {
     /// Number of distinct sites.
-    pub const COUNT: usize = 10;
+    pub const COUNT: usize = 9;
 
     /// Every site, in flow order (service-layer sites last).
     pub const ALL: [FaultSite; FaultSite::COUNT] = [
@@ -330,7 +322,6 @@ impl FaultSite {
         FaultSite::ServeParse,
         FaultSite::ServeWorker,
         FaultSite::ServeCancel,
-        FaultSite::PoolWorker,
     ];
 
     /// Stable dotted name (`lp.factorize`, `astar.expand`, …).
@@ -345,7 +336,6 @@ impl FaultSite {
             FaultSite::ServeParse => "serve.parse",
             FaultSite::ServeWorker => "serve.worker",
             FaultSite::ServeCancel => "serve.cancel",
-            FaultSite::PoolWorker => "pool.worker",
         }
     }
 
@@ -365,7 +355,6 @@ impl FaultSite {
             FaultSite::ServeParse => 6,
             FaultSite::ServeWorker => 7,
             FaultSite::ServeCancel => 8,
-            FaultSite::PoolWorker => 9,
         }
     }
 }
@@ -442,18 +431,6 @@ impl FaultPlan {
     /// True when no directive is armed.
     pub fn is_empty(&self) -> bool {
         self.directives.iter().all(Option::is_none)
-    }
-
-    /// True when every armed directive sits at an order-insensitive site
-    /// (currently only [`FaultSite::PoolWorker`]): such plans don't need
-    /// the single-thread fallback, because a fired worker fault only
-    /// discards a speculative plan that the commit loop recomputes
-    /// authoritatively.
-    pub fn order_insensitive(&self) -> bool {
-        self.directives
-            .iter()
-            .flatten()
-            .all(|d| d.site == FaultSite::PoolWorker)
     }
 }
 

@@ -6,7 +6,7 @@
 //! exactly as the paper updates its routing graph after each net.
 
 use crate::config::RouterConfig;
-use crate::pool::{parallel_map, parallel_map_stats};
+use crate::pool::parallel_map;
 use crate::resilience::{panic_message, FaultSite, FlowCtx, RouterError, Stage};
 use info_geom::{x_arch_len, Rect};
 use info_model::{Layout, NetId, Package};
@@ -31,9 +31,7 @@ pub struct SequentialResult {
     /// fault) rather than geometry; each such failure cost exactly that
     /// net. Every net here also appears in `failed`.
     pub recovered: Vec<(NetId, RouterError)>,
-    /// Aggregate A\* statistics over every search this stage ran,
-    /// including discarded speculative plans — so the totals can vary
-    /// with `threads` even though the routed layout never does.
+    /// Aggregate A\* statistics over every search this stage ran.
     pub search: astar::SearchStats,
     /// Convergence statistics of the negotiated-congestion front
     /// (`Some` exactly when [`RouterConfig::congestion_mode`] is set).
@@ -42,8 +40,7 @@ pub struct SequentialResult {
 
 /// Convergence statistics of the negotiated-congestion front (DESIGN.md
 /// §4h). All fields are deterministic at every thread count: iteration
-/// outcomes derive from the committed layout, never from speculative
-/// scheduling.
+/// outcomes derive from the committed layout only.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NegotiationStats {
     /// Iterations the convergence loop ran (at least 1, at most
@@ -135,38 +132,16 @@ pub fn space_config(package: &Package, cfg: &RouterConfig) -> SpaceConfig {
     sc.cells_x = cfg.global_cells;
     sc.cells_y = cfg.global_cells;
     sc.via_cost = cfg.via_cost_factor * package.rules().via_width as f64;
-    sc.adjacency_cache = cfg.legality_cache;
     sc
 }
 
-/// Builds the stage-start routing space, with ALT landmark tables
-/// installed when configured.
-///
-/// ALT tables over the stage-start graph are admissible for the whole
-/// stage because the stage only adds blockage relative to this state
-/// (rip-up never restores below it). Snapshots and restores share the
-/// tables through the `Arc`; a panic-path rebuild drops them, which only
-/// weakens the heuristic back to geometric.
+/// Builds the stage-start routing space.
 pub(crate) fn build_stage_space(
     package: &Package,
     layout: &Layout,
     cfg: &RouterConfig,
-    tel: &Sink,
 ) -> RoutingSpace {
-    let mut space = RoutingSpace::build(package, layout, space_config(package, cfg));
-    if cfg.alt_landmarks > 0 {
-        // Each landmark's Dijkstra fills a disjoint table slice, so the
-        // threaded build is bit-identical to the serial one (which is why
-        // the warm-space cache key can keep ignoring `threads`).
-        let lm = info_tile::Landmarks::build_threaded(
-            &space,
-            cfg.alt_landmarks,
-            effective_threads(cfg),
-        );
-        space.set_landmarks(Some(std::sync::Arc::new(lm)));
-        tel.count(Counter::LandmarkRebuilds, 1);
-    }
-    space
+    RoutingSpace::build(package, layout, space_config(package, cfg))
 }
 
 /// Routes `nets` sequentially over the tile graph, committing into
@@ -181,11 +156,10 @@ pub(crate) fn build_stage_space(
 /// continues. A tripped stage budget (or an interrupt on the flow's
 /// cancel token) leaves the remaining nets in `failed` and `skipped`.
 ///
-/// With `warm` set, the stage-start [`RoutingSpace`] (landmarks
-/// installed) is fetched from — or, on a miss, built once and installed
-/// into — the shared cache, so repeat jobs on the same circuit skip the
-/// build. A cached clone is bit-identical to a fresh build, so the
-/// routed layout is unaffected.
+/// With `warm` set, the stage-start [`RoutingSpace`] is fetched from —
+/// or, on a miss, built once and installed into — the shared cache, so
+/// repeat jobs on the same circuit skip the build. A cached clone is
+/// bit-identical to a fresh build, so the routed layout is unaffected.
 #[allow(clippy::too_many_arguments)]
 pub fn route_sequential(
     package: &Package,
@@ -198,7 +172,7 @@ pub fn route_sequential(
 ) -> SequentialResult {
     let mut space = match warm {
         Some(cache) => cache.get_or_build(package, layout, cfg, tel),
-        None => build_stage_space(package, layout, cfg, tel),
+        None => build_stage_space(package, layout, cfg),
     };
     route_sequential_in_space(package, layout, nets, cfg, ctx, &mut space, tel)
 }
@@ -218,17 +192,10 @@ pub(crate) fn route_sequential_in_space(
     tel: &Sink,
 ) -> SequentialResult {
     let mut result = SequentialResult::default();
-    let mut retry: Vec<NetId> = Vec::new();
-    let threads = effective_threads(cfg);
-    // One controller for the whole stage: the conflict rate the legacy
-    // front observes seeds the batch size the negotiated queue starts
-    // from (and vice versa on re-entry), so a congested circuit doesn't
-    // re-learn its contention level at every pass boundary.
-    let mut batcher = BatchController::new(threads);
+    let threads = cfg.threads.max(1);
     let mut stats = astar::SearchStats::default();
-    // Nodes the *authoritative* failed attempt of each net expanded (the
-    // committed sequential search, never a discarded speculative one), so
-    // the rip-up ordering below is identical at every `threads` setting.
+    // Nodes the failed attempt of each net expanded, for the rip-up
+    // ordering below.
     let mut fail_expansions: BTreeMap<NetId, u64> = BTreeMap::new();
 
     let negotiated = cfg.congestion_mode
@@ -239,7 +206,6 @@ pub(crate) fn route_sequential_in_space(
             cfg,
             ctx,
             threads,
-            &mut batcher,
             &mut *space,
             &mut stats,
             tel,
@@ -251,110 +217,32 @@ pub(crate) fn route_sequential_in_space(
     // batch both passes run over empty lists. A *declined* negotiated
     // front (mass-failure bail) restored the stage-entry layout, so the
     // legacy front runs in full, exactly as if congestion mode were off.
-    let mut order: Vec<NetId> = if negotiated { Vec::new() } else { nets.to_vec() };
-    order.sort_by(|&x, &y| {
+    // Each pass retries the previous pass's geometric failures.
+    let mut todo: Vec<NetId> = if negotiated { Vec::new() } else { nets.to_vec() };
+    todo.sort_by(|&x, &y| {
         let d = |id: NetId| {
             let n = package.net(id);
             x_arch_len(package.pad(n.a).center, package.pad(n.b).center)
         };
         d(x).total_cmp(&d(y)).then(x.cmp(&y))
     });
-
-    for pass in 0..2 {
-        let todo = if pass == 0 { std::mem::take(&mut order) } else { std::mem::take(&mut retry) };
-        let journal_pass = if pass == 0 { Pass::First } else { Pass::Retry };
-        if threads > 1 {
-            route_pass_speculative(
-                package,
-                layout,
-                &mut *space,
-                &todo,
-                cfg,
-                ctx,
-                threads,
-                &mut batcher,
-                &mut stats,
-                tel,
-                &mut |id, attempt| match attempt {
-                    Attempt::Deadline => {
-                        result.failed.push(id);
-                        result.skipped.push(id);
-                    }
-                    Attempt::Routed(draft) => {
-                        tel.record(draft.to_record(id, journal_pass, Vec::new()));
-                        result.routed.push(id);
-                    }
-                    Attempt::Failed(draft) => {
-                        tel.record(draft.to_record(id, journal_pass, Vec::new()));
-                        if draft.was_cancelled() {
-                            // The search was aborted, not refuted: no
-                            // retry (the interrupt is sticky), and the
-                            // net counts as skipped for anytime status.
-                            result.failed.push(id);
-                            result.skipped.push(id);
-                            return;
-                        }
-                        fail_expansions.insert(id, draft.expansions);
-                        if pass == 0 {
-                            retry.push(id);
-                        } else {
-                            result.failed.push(id);
-                        }
-                    }
-                    Attempt::Internal(e) => {
-                        result.recovered.push((id, e));
-                        result.failed.push(id);
-                    }
-                },
-            );
-            continue;
-        }
-        for id in todo {
-            if ctx.interrupted() {
-                result.failed.push(id);
-                result.skipped.push(id);
-                continue;
-            }
-            match guarded_route_net(package, layout, &mut *space, id, cfg, ctx, &mut stats, tel) {
-                Ok((draft, Some(_))) => {
-                    tel.record(draft.to_record(id, journal_pass, Vec::new()));
-                    result.routed.push(id);
-                }
-                Ok((draft, None)) => {
-                    tel.record(draft.to_record(id, journal_pass, Vec::new()));
-                    if draft.was_cancelled() {
-                        result.failed.push(id);
-                        result.skipped.push(id);
-                        continue;
-                    }
-                    fail_expansions.insert(id, draft.expansions);
-                    if pass == 0 {
-                        retry.push(id);
-                    } else {
-                        result.failed.push(id);
-                    }
-                }
-                Err(e) => {
-                    result.recovered.push((id, e));
-                    result.failed.push(id);
-                }
-            }
-        }
+    for pass in [Pass::First, Pass::Retry] {
+        let tally = route_pass(package, layout, &mut *space, &todo, cfg, ctx, pass, &mut stats, tel);
+        result.routed.extend(tally.routed);
+        result.file_aborts(tally.internal, tally.skipped);
+        fail_expansions.extend(tally.failed.iter().copied());
+        todo = tally.failed.into_iter().map(|(id, _)| id).collect();
     }
+    result.failed.extend(todo);
 
     // Pass 3: bounded rip-up-and-reroute. A net that failed both passes
     // is usually boxed in by an earlier commit; evicting nearby nets and
     // re-routing everything often resolves it. Nets with the highest
-    // detour rate — authoritative failed-attempt expansions per unit of
-    // pad-pair X-architecture distance — go first: they searched hardest
-    // relative to their size, so they are the most congestion-bound and
-    // benefit most from picking their victims before the layout tightens
-    // further. This pass always runs sequentially, so the order is
-    // deterministic at every `threads` setting.
-    for _round in 0..1 {
-        if result.failed.is_empty() {
-            break;
-        }
+    // detour rate — failed-attempt expansions per unit of pad-pair
+    // X-architecture distance — go first: they searched hardest relative
+    // to their size, so they are the most congestion-bound and benefit
+    // most from picking their victims before the layout tightens further.
+    if !result.failed.is_empty() {
         let mut boxed_in = std::mem::take(&mut result.failed);
         let rate = |id: NetId| {
             let n = package.net(id);
@@ -401,7 +289,7 @@ pub(crate) fn route_sequential_in_space(
                 }
                 Err(payload) => {
                     *layout = snapshot;
-                    *space = RoutingSpace::build(package, layout, space_config(package, cfg));
+                    *space = build_stage_space(package, layout, cfg);
                     result.recovered.push((
                         id,
                         RouterError::Panic {
@@ -431,7 +319,6 @@ pub(crate) fn route_sequential_in_space(
             cfg,
             ctx,
             threads,
-            &mut batcher,
             &mut *space,
             &mut stats,
             tel,
@@ -450,95 +337,9 @@ pub(crate) fn route_sequential_in_space(
     result
 }
 
-/// Worker threads the sequential stage actually uses. A fault plan with
-/// order-sensitive sites forces single-threaded routing: [`FlowCtx::check`]
-/// trigger counts depend on the exact order sites are passed, which
-/// speculative planning (each plan passes `astar.expand` once, invalidated
-/// plans twice) would perturb. Plans armed only at `pool.worker` keep the
-/// configured thread count — that site exists precisely to kill
-/// speculative workers, whose deaths the commit loop absorbs by
-/// recomputing through the single-threaded path.
-pub(crate) fn effective_threads(cfg: &RouterConfig) -> usize {
-    if cfg.fault_plan.is_empty() || cfg.fault_plan.order_insensitive() {
-        cfg.threads.max(1)
-    } else {
-        1
-    }
-}
-
-/// Adaptive batch sizing for the speculative planner, driven by the
-/// observed conflict rate: a conflict (a plan discarded stale because an
-/// earlier commit in its batch rebuilt a cell it read, or a worker
-/// error) means planning work was thrown away *and* the recompute ran
-/// serially, so under contention smaller batches waste less; when every
-/// plan lands clean the batch can grow and amortize pool dispatch over
-/// more nets. Batch composition cannot change the routed layout — the
-/// commit loop applies plans in net order and re-plans anything stale —
-/// so the controller only moves wall time, never bytes.
-struct BatchController {
-    size: usize,
-    min: usize,
-    max: usize,
-}
-
-impl BatchController {
-    /// Shrink when more than 1 in 4 plans conflicted…
-    const HIGH: f64 = 0.25;
-    /// …grow when fewer than 1 in 16 did.
-    const LOW: f64 = 0.0625;
-
-    fn new(threads: usize) -> Self {
-        let t = threads.max(1);
-        BatchController { size: t * 2, min: t, max: t * 8 }
-    }
-
-    /// Nets to plan in the next batch.
-    fn batch(&self) -> usize {
-        self.size
-    }
-
-    /// Feeds one completed batch's conflict count back into the size.
-    fn observe(&mut self, batch_len: usize, conflicts: usize, tel: &Sink) {
-        if batch_len == 0 {
-            return;
-        }
-        let rate = conflicts as f64 / batch_len as f64;
-        if rate > Self::HIGH {
-            let next = (self.size / 2).max(self.min);
-            if next < self.size {
-                tel.count(Counter::SpeculativeBatchShrinks, 1);
-            }
-            self.size = next;
-        } else if rate < Self::LOW {
-            let next = (self.size * 2).min(self.max);
-            if next > self.size {
-                tel.count(Counter::SpeculativeBatchGrows, 1);
-            }
-            self.size = next;
-        }
-    }
-}
-
-/// How one net's attempt ended, for the speculative executor's caller.
-enum Attempt {
-    /// The stage deadline tripped before this net was attempted.
-    Deadline,
-    /// Committed into the layout.
-    Routed(AttemptDraft),
-    /// Geometric failure; the draft carries the nodes the authoritative
-    /// attempt expanded (a fresh plan's own count, or the sequential
-    /// recompute's for a stale one — either way the numbers the
-    /// single-threaded loop would have recorded).
-    Failed(AttemptDraft),
-    /// Internal failure (caught panic); costs exactly this net.
-    Internal(RouterError),
-}
-
-/// Everything the route journal needs about one *authoritative* attempt.
-/// Drafts are computed where the search ran but recorded only at commit
-/// points — the speculative executor's in-net-order emit, the sequential
-/// loop, and the rip-up pass — so the journal is identical at every
-/// thread count (discarded speculative plans never produce a record).
+/// Everything the route journal needs about one attempt. Drafts are
+/// computed where the search ran and recorded by the caller — the per-net
+/// pass loop or the rip-up pass, which substitutes a victim's failure.
 #[derive(Debug, Clone, Copy)]
 struct AttemptDraft {
     windowed: bool,
@@ -587,143 +388,10 @@ fn search_failure_reason(f: astar::SearchFailure, escalated: bool) -> FailureRea
     }
 }
 
-/// Routes one pass of nets with speculative parallel planning, reporting
-/// each net's outcome — in net order — through `emit`.
-///
-/// Determinism argument: outcomes are identical to the single-threaded
-/// loop because commits happen on this thread, in net order, and a
-/// speculative plan is applied only when every global cell it read is
-/// untouched by earlier commits of its batch. Untouched cells keep both
-/// their tile *content* and their tile *ids* (rebuilds never renumber
-/// other cells), so re-planning against the committed state would
-/// reproduce the speculative plan bit for bit — including A\*'s
-/// tile-id heap tie-breaks. Stale or panicked plans are recomputed
-/// through the exact single-threaded path.
-#[allow(clippy::too_many_arguments)]
-fn route_pass_speculative(
-    package: &Package,
-    layout: &mut Layout,
-    space: &mut RoutingSpace,
-    todo: &[NetId],
-    cfg: &RouterConfig,
-    ctx: &FlowCtx,
-    threads: usize,
-    batcher: &mut BatchController,
-    stats: &mut astar::SearchStats,
-    tel: &Sink,
-    emit: &mut dyn FnMut(NetId, Attempt),
-) {
-    let mut start = 0;
-    while start < todo.len() {
-        let batch = &todo[start..(start + batcher.batch()).min(todo.len())];
-        start += batch.len();
-        // Plan read-only against the batch-start state on the
-        // work-stealing pool. Worker panics (injected ones included — the
-        // `pool.worker` fault site lives here) are converted to errors and
-        // re-raised through the sequential recompute path below, which
-        // owns the rollback.
-        let (plans, pool_stats): (Vec<Result<PlanOutcome, RouterError>>, _) =
-            parallel_map_stats(batch, threads, |_, &id| {
-                catch_unwind(AssertUnwindSafe(|| {
-                    ctx.check(FaultSite::PoolWorker)?;
-                    plan_net(package, layout, space, id, cfg, ctx)
-                }))
-                .unwrap_or_else(|payload| {
-                    Err(RouterError::Panic {
-                        stage: Stage::Sequential,
-                        message: panic_message(payload.as_ref()),
-                    })
-                })
-            });
-        tel.count(Counter::PoolSteals, pool_stats.steals);
-        // Every plan's search ran, so every plan's search counts — even
-        // ones discarded as stale below (this is why aggregate totals are
-        // thread-variant). Absorbed in batch order for reproducibility at
-        // a fixed thread count.
-        for p in plans.iter().filter_map(|p| p.as_ref().ok()) {
-            stats.absorb(&p.search);
-        }
-        // Commit in net order; track which cells each commit rebuilt.
-        let mut dirty: BTreeSet<(usize, usize)> = BTreeSet::new();
-        let mut all_dirty = false;
-        let mut attempted = 0usize;
-        let mut conflicts = 0usize;
-        for (&id, plan) in batch.iter().zip(plans) {
-            if ctx.interrupted() {
-                emit(id, Attempt::Deadline);
-                continue;
-            }
-            let fresh = match &plan {
-                Ok(p) if !all_dirty => p.read_cells.iter().all(|c| !dirty.contains(c)),
-                _ => false,
-            };
-            attempted += 1;
-            if fresh {
-                tel.count(Counter::SpeculativeCommits, 1);
-            } else {
-                conflicts += 1;
-                tel.count(Counter::SpeculativeConflicts, 1);
-            }
-            let attempt = if fresh {
-                match plan.expect("fresh implies planned") {
-                    PlanOutcome { real: None, draft, .. } => Attempt::Failed(draft),
-                    PlanOutcome { real: Some(real), draft, .. } => {
-                        let commit = catch_unwind(AssertUnwindSafe(|| {
-                            commit_plan(package, layout, space, id, real, ctx)
-                        }));
-                        match commit {
-                            Ok(Ok(rebuilt)) => {
-                                tel.count(Counter::CellsRebuilt, rebuilt.len() as u64);
-                                dirty.extend(rebuilt);
-                                Attempt::Routed(draft)
-                            }
-                            Ok(Err(e)) => Attempt::Internal(e),
-                            Err(payload) => {
-                                // Same rollback as `guarded_route_net`.
-                                layout.remove_net(id);
-                                *space = RoutingSpace::build(
-                                    package,
-                                    layout,
-                                    space_config(package, cfg),
-                                );
-                                all_dirty = true;
-                                Attempt::Internal(RouterError::Panic {
-                                    stage: Stage::Sequential,
-                                    message: panic_message(payload.as_ref()),
-                                })
-                            }
-                        }
-                    }
-                }
-            } else {
-                match guarded_route_net(package, layout, space, id, cfg, ctx, stats, tel) {
-                    Ok((draft, Some(rebuilt))) => {
-                        dirty.extend(rebuilt);
-                        Attempt::Routed(draft)
-                    }
-                    Ok((draft, None)) => Attempt::Failed(draft),
-                    Err(e) => {
-                        // The panic path rebuilt the whole space, which
-                        // renumbers every tile id.
-                        all_dirty = true;
-                        Attempt::Internal(e)
-                    }
-                }
-            };
-            emit(id, attempt);
-        }
-        batcher.observe(attempted, conflicts, tel);
-    }
-}
-
-/// What one per-net attempt produced: the journal draft plus, when the
-/// net committed, the global cells the commit rebuilt.
-type AttemptResult = Result<(AttemptDraft, Option<Vec<(usize, usize)>>), RouterError>;
-
 /// One per-net attempt under a panic guard. On a caught panic the net's
 /// (possibly partial) geometry is removed and the routing space rebuilt,
-/// so the failure costs exactly this net. `Ok(Some(cells))` reports which
-/// global cells the commit rebuilt.
+/// so the failure costs exactly this net. `Ok((_, true))` means the net
+/// committed.
 #[allow(clippy::too_many_arguments)]
 fn guarded_route_net(
     package: &Package,
@@ -734,7 +402,7 @@ fn guarded_route_net(
     ctx: &FlowCtx,
     stats: &mut astar::SearchStats,
     tel: &Sink,
-) -> AttemptResult {
+) -> Result<(AttemptDraft, bool), RouterError> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         try_route_net(package, layout, space, id, cfg, ctx, stats, tel)
     }));
@@ -742,13 +410,81 @@ fn guarded_route_net(
         Ok(r) => r,
         Err(payload) => {
             layout.remove_net(id);
-            *space = RoutingSpace::build(package, layout, space_config(package, cfg));
+            *space = build_stage_space(package, layout, cfg);
             Err(RouterError::Panic {
                 stage: Stage::Sequential,
                 message: panic_message(payload.as_ref()),
             })
         }
     }
+}
+
+/// What one pass of the per-net loop produced, each list in attempt
+/// order.
+#[derive(Default)]
+struct PassTally {
+    routed: Vec<NetId>,
+    /// Geometric failures, with the nodes each failed search expanded.
+    failed: Vec<(NetId, u64)>,
+    /// Nets never attempted, or whose search was cancelled, because the
+    /// flow was interrupted.
+    skipped: Vec<NetId>,
+    /// Internal failures (caught panic, injected fault).
+    internal: Vec<(NetId, RouterError)>,
+}
+
+impl SequentialResult {
+    /// Files a pass's internal failures and interrupted nets as failed.
+    fn file_aborts(&mut self, internal: Vec<(NetId, RouterError)>, skipped: Vec<NetId>) {
+        for (id, e) in internal {
+            self.recovered.push((id, e));
+            self.failed.push(id);
+        }
+        for id in skipped {
+            self.failed.push(id);
+            self.skipped.push(id);
+        }
+    }
+}
+
+/// Routes `todo` one net at a time, in order, journaling each attempt
+/// under `pass` — the per-net loop shared by the legacy passes and every
+/// negotiated iteration. Once the flow is interrupted the remaining nets
+/// are skipped; a cancelled search counts as skipped too (it was aborted,
+/// not refuted).
+#[allow(clippy::too_many_arguments)]
+fn route_pass(
+    package: &Package,
+    layout: &mut Layout,
+    space: &mut RoutingSpace,
+    todo: &[NetId],
+    cfg: &RouterConfig,
+    ctx: &FlowCtx,
+    pass: Pass,
+    stats: &mut astar::SearchStats,
+    tel: &Sink,
+) -> PassTally {
+    let mut t = PassTally::default();
+    for &id in todo {
+        if ctx.interrupted() {
+            t.skipped.push(id);
+            continue;
+        }
+        match guarded_route_net(package, layout, space, id, cfg, ctx, stats, tel) {
+            Ok((draft, committed)) => {
+                tel.record(draft.to_record(id, pass, Vec::new()));
+                if committed {
+                    t.routed.push(id);
+                } else if draft.was_cancelled() {
+                    t.skipped.push(id);
+                } else {
+                    t.failed.push((id, draft.expansions));
+                }
+            }
+            Err(e) => t.internal.push((id, e)),
+        }
+    }
+    t
 }
 
 /// Per-segment rects of a net's geometry, not its bounding hull: a long
@@ -763,76 +499,6 @@ pub(crate) fn net_geometry_rects(layout: &Layout, n: NetId, out: &mut Vec<Rect>)
     for v in layout.vias_of(n) {
         out.push(Rect::new(v.center, v.center));
     }
-}
-
-/// What one negotiated iteration produced. `failed` carries the
-/// authoritative expansion counts (the same numbers the legacy front
-/// feeds the rip-up ordering).
-struct PassTally {
-    routed: Vec<NetId>,
-    failed: BTreeMap<NetId, u64>,
-    skipped: Vec<NetId>,
-    internal: Vec<(NetId, RouterError)>,
-}
-
-/// Runs one negotiated iteration over `todo` — the same per-net machinery
-/// as the legacy passes (speculative planning above one thread, the
-/// guarded loop otherwise), journaled as [`Pass::Negotiated`].
-#[allow(clippy::too_many_arguments)]
-fn run_negotiated_pass(
-    package: &Package,
-    layout: &mut Layout,
-    space: &mut RoutingSpace,
-    todo: &[NetId],
-    cfg: &RouterConfig,
-    ctx: &FlowCtx,
-    threads: usize,
-    batcher: &mut BatchController,
-    stats: &mut astar::SearchStats,
-    tel: &Sink,
-) -> PassTally {
-    let mut t = PassTally {
-        routed: Vec::new(),
-        failed: BTreeMap::new(),
-        skipped: Vec::new(),
-        internal: Vec::new(),
-    };
-    let mut emit = |id: NetId, attempt: Attempt| match attempt {
-        Attempt::Deadline => t.skipped.push(id),
-        Attempt::Routed(draft) => {
-            tel.record(draft.to_record(id, Pass::Negotiated, Vec::new()));
-            t.routed.push(id);
-        }
-        Attempt::Failed(draft) => {
-            tel.record(draft.to_record(id, Pass::Negotiated, Vec::new()));
-            if draft.was_cancelled() {
-                t.skipped.push(id);
-            } else {
-                t.failed.insert(id, draft.expansions);
-            }
-        }
-        Attempt::Internal(e) => t.internal.push((id, e)),
-    };
-    if threads > 1 {
-        route_pass_speculative(
-            package, layout, space, todo, cfg, ctx, threads, batcher, stats, tel, &mut emit,
-        );
-    } else {
-        for &id in todo {
-            if ctx.interrupted() {
-                emit(id, Attempt::Deadline);
-                continue;
-            }
-            let attempt =
-                match guarded_route_net(package, layout, space, id, cfg, ctx, stats, tel) {
-                    Ok((draft, Some(_))) => Attempt::Routed(draft),
-                    Ok((draft, None)) => Attempt::Failed(draft),
-                    Err(e) => Attempt::Internal(e),
-                };
-            emit(id, attempt);
-        }
-    }
-    t
 }
 
 /// Rebuilds the present-congestion counts from the committed stage nets:
@@ -919,8 +585,8 @@ fn select_victims(
     threads: usize,
 ) -> BTreeSet<NetId> {
     // Each failed net's corridor scan is pure in (package, layout), so
-    // the per-net victim lists are computed on the work-stealing pool;
-    // the union below is a BTreeSet, so merge order cannot matter.
+    // the per-net victim lists are computed in parallel; the union below
+    // is a BTreeSet, so merge order cannot matter.
     let failed: Vec<NetId> = failed.collect();
     let per_net: Vec<Vec<NetId>> = parallel_map(&failed, threads, |_, &id| {
         let n = package.net(id);
@@ -963,9 +629,8 @@ fn select_victims(
 ///
 /// Determinism: iteration decisions (failure set, contested cells,
 /// victims, re-queue order) read only the committed layout and the
-/// authoritative failure records — state `route_pass_speculative` already
-/// keeps identical at every thread count — so the negotiated layout and
-/// the iteration count are thread-invariant too.
+/// failure records of the serial per-net loop, so the negotiated layout
+/// and the iteration count are thread-invariant.
 ///
 /// Returns `false` when the front *declined* (mass-failure bail): the
 /// layout is restored to its stage-entry state, the result lists are
@@ -978,7 +643,6 @@ fn route_negotiated_front(
     cfg: &RouterConfig,
     ctx: &FlowCtx,
     threads: usize,
-    batcher: &mut BatchController,
     space: &mut RoutingSpace,
     stats: &mut astar::SearchStats,
     tel: &Sink,
@@ -1013,23 +677,13 @@ fn route_negotiated_front(
         neg.iterations += 1;
         tel.count(Counter::NegotiationIterations, 1);
         let iter_t0 = std::time::Instant::now();
-        let tally = run_negotiated_pass(
-            package, layout, space, &queue, cfg, ctx, threads, batcher, stats, tel,
-        );
-        for (id, e) in tally.internal {
-            result.recovered.push((id, e));
-            result.failed.push(id);
-        }
+        let tally =
+            route_pass(package, layout, space, &queue, cfg, ctx, Pass::Negotiated, stats, tel);
         aborted |= !tally.skipped.is_empty();
-        for id in tally.skipped {
-            result.failed.push(id);
-            result.skipped.push(id);
-        }
+        result.file_aborts(tally.internal, tally.skipped);
         routed.extend(tally.routed.iter().copied());
-        for (&id, &exp) in &tally.failed {
-            fail_expansions.insert(id, exp);
-        }
-        last_failed = tally.failed;
+        fail_expansions.extend(tally.failed.iter().copied());
+        last_failed = tally.failed.into_iter().collect();
 
         let contested = contested_cells(package, space, last_failed.keys().copied());
         neg.final_overuse = contested.len() as u32;
@@ -1116,7 +770,7 @@ fn route_negotiated_front(
         // internal errors stay in `recovered` (they happened), but their
         // nets get their normal legacy attempts.
         *layout = entry;
-        *space = build_stage_space(package, layout, cfg, tel);
+        *space = build_stage_space(package, layout, cfg);
         result.routed.clear();
         result.failed.clear();
         result.skipped.clear();
@@ -1157,7 +811,6 @@ fn negotiate_endgame(
     cfg: &RouterConfig,
     ctx: &FlowCtx,
     threads: usize,
-    batcher: &mut BatchController,
     space: &mut RoutingSpace,
     stats: &mut astar::SearchStats,
     tel: &Sink,
@@ -1241,9 +894,8 @@ fn negotiate_endgame(
         tel.count(Counter::NegotiationReroutes, requeue.len() as u64);
         reroutes += requeue.len() as u64;
         let queue = crate::ordering::feature_order_threaded(package, space, &requeue, fail_expansions, threads);
-        let tally = run_negotiated_pass(
-            package, layout, space, &queue, cfg, ctx, threads, batcher, stats, tel,
-        );
+        let tally =
+            route_pass(package, layout, space, &queue, cfg, ctx, Pass::Negotiated, stats, tel);
         for (id, e) in tally.internal {
             result.recovered.push((id, e));
             failed.insert(id, 0);
@@ -1251,10 +903,8 @@ fn negotiate_endgame(
         aborted |= !tally.skipped.is_empty();
         skipped.extend(tally.skipped.iter().copied());
         routed.extend(tally.routed.iter().copied());
-        for (&id, &exp) in &tally.failed {
-            fail_expansions.insert(id, exp);
-        }
-        failed = tally.failed;
+        fail_expansions.extend(tally.failed.iter().copied());
+        failed = tally.failed.into_iter().collect();
         history_totals.push(space.congestion().map_or(0.0, |m| m.total_history()));
         tel.record_span("negotiation_endgame_iteration", iter_t0.elapsed().as_secs_f64());
 
@@ -1275,7 +925,7 @@ fn negotiate_endgame(
         *layout = best_layout;
         routed = best_routed;
         failed = best_failed;
-        *space = build_stage_space(package, layout, cfg, tel);
+        *space = build_stage_space(package, layout, cfg);
     } else {
         space.set_congestion(None);
     }
@@ -1333,8 +983,8 @@ fn ripup_and_reroute(
     // past the eviction cutoff.
     //
     // The per-candidate scan is read-only and pure per net, so it runs
-    // on the work-stealing pool; eviction trials and commits below stay
-    // strictly serial, in ranked order, which keeps the layout
+    // in parallel; eviction trials and commits below stay strictly
+    // serial, in ranked order, which keeps the layout
     // thread-invariant (the ranking itself is order-independent: results
     // come back in candidate order and the sort key is deterministic).
     let scan_layout: &Layout = layout;
@@ -1407,13 +1057,13 @@ fn ripup_and_reroute(
         let attempt: Result<(bool, AttemptDraft), RouterError> = (|| {
             let (draft, committed) =
                 try_route_net(package, layout, space, id, cfg, ctx, stats, tel)?;
-            if committed.is_none() {
+            if !committed {
                 return Ok((false, draft));
             }
             for &v in &victims {
                 let (vdraft, vcommitted) =
                     try_route_net(package, layout, space, v, cfg, ctx, stats, tel)?;
-                if vcommitted.is_none() {
+                if !vcommitted {
                     return Ok((false, AttemptDraft { outcome: vdraft.outcome, ..draft }));
                 }
             }
@@ -1439,77 +1089,38 @@ fn ripup_and_reroute(
     Ok(false)
 }
 
-/// What a read-only planning attempt produced, plus every global cell it
-/// read — tiles and via sites touched by A\*, and the cells covering the
-/// proposal's clearance halo (which bound the layout geometry the
-/// crossing and clearance checks depend on). The speculative executor
-/// applies `real` only while this read set is disjoint from the cells
-/// rebuilt by earlier commits in the same batch.
-struct PlanOutcome {
-    /// The validated realization, or `None` on geometric failure.
-    real: Option<realize::RealizedNet>,
-    /// Sorted global cells the plan read.
-    read_cells: Vec<(usize, usize)>,
-    /// Statistics of this plan's one A\* search.
-    search: astar::SearchStats,
-    /// The journal draft of this attempt (recorded only if the plan is
-    /// applied, or recomputed, at an authoritative commit point).
-    draft: AttemptDraft,
-}
-
-/// Adds `cells` and their one-cell ring to `read` (neighbor enumeration
-/// in the tile space reads at most the 4-adjacent cells of a tile).
-fn extend_ring<I: IntoIterator<Item = (usize, usize)>>(
-    read: &mut BTreeSet<(usize, usize)>,
-    cells: I,
-    space: &RoutingSpace,
-) {
-    let (nx, ny) = (space.config().cells_x, space.config().cells_y);
-    for (cx, cy) in cells {
-        for dy in [-1i64, 0, 1] {
-            for dx in [-1i64, 0, 1] {
-                let (x, y) = (cx as i64 + dx, cy as i64 + dy);
-                if x >= 0 && y >= 0 && (x as usize) < nx && (y as usize) < ny {
-                    read.insert((x as usize, y as usize));
-                }
-            }
-        }
-    }
-}
-
-/// Plans one net without mutating anything: A\* search, realization,
-/// turn-rule validation, crossing rejection, clearance trial — everything
-/// [`try_route_net`] checks before its commit, in the same order.
-fn plan_net(
+/// Attempts one net: A\* search, realization, turn-rule validation,
+/// crossing rejection and clearance trial, then — when all pass — commits
+/// the geometry and rebuilds the dirty part of the space.
+///
+/// `Ok((_, false))` is a geometric failure (no path / realization
+/// rejected) — the normal retry path. `Err` is an internal failure
+/// (injected fault); both fault checks run before any mutation, so an
+/// `Err` leaves the layout untouched.
+#[allow(clippy::too_many_arguments)]
+fn try_route_net(
     package: &Package,
-    layout: &Layout,
-    space: &RoutingSpace,
+    layout: &mut Layout,
+    space: &mut RoutingSpace,
     id: NetId,
     cfg: &RouterConfig,
     ctx: &FlowCtx,
-) -> Result<PlanOutcome, RouterError> {
+    stats: &mut astar::SearchStats,
+    tel: &Sink,
+) -> Result<(AttemptDraft, bool), RouterError> {
     let net = package.net(id);
     let src = (package.pad_layer(net.a), package.pad(net.a).center);
     let dst = (package.pad_layer(net.b), package.pad(net.b).center);
     ctx.check(FaultSite::AstarExpand)?;
     let opts = astar::SearchOptions {
         windowed: cfg.search_window,
-        arena: cfg.search_arena,
         expansion_budget: cfg.retry_expansion_budget,
         ..Default::default()
     };
     let mut search = astar::SearchStats::default();
-    let (found, trace) = astar::route_traced_cancellable(
-        space,
-        id,
-        src,
-        dst,
-        opts,
-        Some(ctx.token()),
-        &mut search,
-    );
-    let mut read = BTreeSet::new();
-    extend_ring(&mut read, trace, space);
+    let found =
+        astar::route_cancellable(space, id, src, dst, opts, Some(ctx.token()), &mut search);
+    stats.absorb(&search);
     let escalated = search.window_escalations > 0;
     let draft = move |outcome: AttemptOutcome| AttemptDraft {
         windowed: opts.windowed,
@@ -1517,39 +1128,24 @@ fn plan_net(
         expansions: search.nodes_expanded,
         outcome,
     };
-    let reject = |read: BTreeSet<(usize, usize)>, reason: FailureReason| {
-        Ok(PlanOutcome {
-            real: None,
-            read_cells: read.into_iter().collect(),
-            search,
-            draft: draft(AttemptOutcome::Failed(reason)),
-        })
-    };
+    let reject = |reason: FailureReason| Ok((draft(AttemptOutcome::Failed(reason)), false));
     let found = match found {
         Ok(found) => found,
-        Err(f) => return reject(read, search_failure_reason(f, escalated)),
+        Err(f) => return reject(search_failure_reason(f, escalated)),
     };
     let Some(real) = realize::realize(&found, src, dst) else {
-        return reject(read, FailureReason::RealizeRejected);
+        return reject(FailureReason::RealizeRejected);
     };
-    // The remaining checks read layout geometry near the proposal: any
-    // route that could cross it, or any shape that could violate spacing
-    // against it, has a point inside this halo — so its cells complete
-    // the read set.
-    if let Some(b) = real.bbox() {
-        let margin = space.config().clearance + space.config().via_width;
-        read.extend(space.cells_touching(b.inflate(margin)));
-    }
     // Validate the realization before committing.
     if real.routes.iter().any(|(_, pl)| pl.validate().is_err()) {
-        return reject(read, FailureReason::RealizeRejected);
+        return reject(FailureReason::RealizeRejected);
     }
     // Reject hard crossings against foreign nets (the tile path should
     // avoid them; realization corner cases can still clip a boundary).
     for (layer, pl) in &real.routes {
         for r in layout.routes_on(*layer) {
             if r.net != id && pl.crosses(&r.path) {
-                return reject(read, FailureReason::CrossingRejected);
+                return reject(FailureReason::CrossingRejected);
             }
         }
     }
@@ -1558,27 +1154,9 @@ fn plan_net(
     let proposal =
         crate::trial::Proposal { routes: real.routes.clone(), vias: real.vias.clone() };
     if !crate::trial::clearance_ok(package, layout, id, &proposal) {
-        return reject(read, FailureReason::ClearanceRejected);
+        return reject(FailureReason::ClearanceRejected);
     }
-    Ok(PlanOutcome {
-        real: Some(real),
-        read_cells: read.into_iter().collect(),
-        search,
-        draft: draft(AttemptOutcome::Routed { f: found.f_accept, g: found.g_accept }),
-    })
-}
 
-/// Commits a validated plan: adds its geometry to the layout and rebuilds
-/// the dirty cells of the space, returning them. The fault check runs
-/// before any mutation, so an `Err` leaves the layout untouched.
-fn commit_plan(
-    package: &Package,
-    layout: &mut Layout,
-    space: &mut RoutingSpace,
-    id: NetId,
-    real: realize::RealizedNet,
-    ctx: &FlowCtx,
-) -> Result<Vec<(usize, usize)>, RouterError> {
     ctx.check(FaultSite::TileViaInsert)?;
     // Dirty rects per wire segment and via, not the geometry's bounding
     // hull — rebuild cost is per touched cell, and a diagonal route's
@@ -1592,41 +1170,16 @@ fn commit_plan(
     for (at, _, _) in &real.vias {
         dirty.push(Rect::new(*at, *at));
     }
+    let routed = draft(AttemptOutcome::Routed { f: found.f_accept, g: found.g_accept });
     for (layer, pl) in real.routes {
         layout.add_route(id, layer, pl);
     }
     for (at, top, bot) in real.vias {
         layout.add_via(id, at, package.rules().via_width, top, bot, false);
     }
-    Ok(space.rebuild_dirty_multi(package, layout, &dirty))
-}
-
-/// Attempts one net; on success commits geometry and rebuilds the dirty
-/// part of the space, returning the rebuilt cells.
-///
-/// `Ok(None)` is a geometric failure (no path / realization rejected) —
-/// the normal retry path. `Err` is an internal failure (injected fault);
-/// both fault checks run before any mutation, so an `Err` leaves the
-/// layout untouched.
-#[allow(clippy::too_many_arguments)]
-fn try_route_net(
-    package: &Package,
-    layout: &mut Layout,
-    space: &mut RoutingSpace,
-    id: NetId,
-    cfg: &RouterConfig,
-    ctx: &FlowCtx,
-    stats: &mut astar::SearchStats,
-    tel: &Sink,
-) -> AttemptResult {
-    let outcome = plan_net(package, layout, space, id, cfg, ctx)?;
-    stats.absorb(&outcome.search);
-    let Some(real) = outcome.real else {
-        return Ok((outcome.draft, None));
-    };
-    let rebuilt = commit_plan(package, layout, space, id, real, ctx)?;
+    let rebuilt = space.rebuild_dirty_multi(package, layout, &dirty);
     tel.count(Counter::CellsRebuilt, rebuilt.len() as u64);
-    Ok((outcome.draft, Some(rebuilt)))
+    Ok((routed, true))
 }
 
 #[cfg(test)]
@@ -1711,60 +1264,6 @@ mod tests {
             let got = route_with_threads(threads);
             assert_eq!(got, baseline, "threads={threads} diverged from threads=1");
         }
-    }
-
-    #[test]
-    fn fault_plan_forces_single_thread() {
-        use crate::resilience::{FaultDirective, FaultKind, FaultPlan, FaultSite};
-        let cfg = RouterConfig::default()
-            .with_threads(8)
-            .with_fault_plan(FaultPlan::single(FaultSite::AstarExpand));
-        assert_eq!(effective_threads(&cfg), 1);
-        assert_eq!(effective_threads(&RouterConfig::default().with_threads(8)), 8);
-        // A pool-worker-only plan is order-insensitive: the configured
-        // thread count survives, which is what lets the thread-scaling
-        // fault tests actually run multi-threaded.
-        let pool_only = RouterConfig::default()
-            .with_threads(8)
-            .with_fault_plan(FaultPlan::single_panic(FaultSite::PoolWorker));
-        assert_eq!(effective_threads(&pool_only), 8);
-        // Mixing in any other site re-arms the single-thread fallback.
-        let mixed = RouterConfig::default().with_threads(8).with_fault_plan(
-            FaultPlan::single_panic(FaultSite::PoolWorker).with(FaultDirective {
-                site: FaultSite::LpFactorize,
-                kind: FaultKind::Error,
-                skip: 0,
-                fires: 1,
-            }),
-        );
-        assert_eq!(effective_threads(&mixed), 1);
-    }
-
-    #[test]
-    fn batch_controller_tracks_conflict_rate() {
-        let tel = Sink::disabled();
-        let mut b = BatchController::new(4);
-        assert_eq!(b.batch(), 8);
-        // Clean batches grow the size up to threads * 8…
-        b.observe(8, 0, &tel);
-        assert_eq!(b.batch(), 16);
-        b.observe(16, 0, &tel);
-        b.observe(32, 1, &tel); // 1/32 < LOW still grows
-        assert_eq!(b.batch(), 32);
-        b.observe(32, 0, &tel);
-        assert_eq!(b.batch(), 32, "clamped at threads * 8");
-        // …heavy conflicts halve it down to the thread count…
-        b.observe(32, 16, &tel);
-        assert_eq!(b.batch(), 16);
-        b.observe(16, 15, &tel);
-        b.observe(8, 8, &tel);
-        b.observe(4, 4, &tel);
-        assert_eq!(b.batch(), 4, "clamped at threads");
-        // …and a moderate rate holds steady.
-        b.observe(4, 1, &tel); // 0.25 is not > HIGH
-        assert_eq!(b.batch(), 4);
-        b.observe(0, 0, &tel); // empty batch is a no-op
-        assert_eq!(b.batch(), 4);
     }
 
     #[test]

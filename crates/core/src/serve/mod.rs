@@ -477,9 +477,6 @@ fn parse_config(v: &Json) -> Result<(RouterConfig, Option<Duration>, bool), Rout
         if let Some(n) = int_field(c, "threads", 1, 64)? {
             cfg.threads = n as usize;
         }
-        if let Some(n) = int_field(c, "alt_landmarks", 0, 64)? {
-            cfg.alt_landmarks = n as usize;
-        }
         if let Some(b) = bool_field(c, "lp")? {
             cfg.lp_enabled = b;
         }

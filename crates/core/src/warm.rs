@@ -1,7 +1,7 @@
 //! Shared warm-start cache for the sequential stage's routing space.
 //!
 //! Building the stage-start [`RoutingSpace`] — partitioning, tile
-//! splitting, via-site insertion, ALT landmark tables — is pure in
+//! splitting, via-site insertion — is pure in
 //! (package, layout, space configuration), and for repeat jobs on the
 //! same circuit the layout at the sequential stage's start is identical
 //! (the earlier stages are deterministic). A [`WarmSpaceCache`] shared
@@ -12,8 +12,7 @@
 //!
 //! - the key captures *every* input the build reads: a fingerprint of
 //!   the package text, the layout's canonical hash at stage start, and
-//!   each [`RouterConfig`] field that flows into [`space_config`] or the
-//!   landmark build;
+//!   each [`RouterConfig`] field that flows into [`space_config`];
 //! - `RoutingSpace: Clone` is bit-identical (snapshot/restore in the
 //!   rip-up pass already depends on this), so a warm start routes the
 //!   same layout, byte for byte, as a cold one.
@@ -50,12 +49,8 @@ struct WarmKey {
     layout_hash: u64,
     global_cells: usize,
     via_cost_bits: u64,
-    legality_cache: bool,
-    // `threads` is deliberately absent: the build's output is
-    // bit-identical at every thread count (the landmark tables are
-    // per-landmark independent — see `Landmarks::build_threaded`), so
-    // jobs running at different thread counts share one entry.
-    alt_landmarks: usize,
+    // `threads` is deliberately absent: the build is serial, so jobs
+    // running at different thread counts share one entry.
 }
 
 pub(crate) fn fnv1a(text: &str) -> u64 {
@@ -74,8 +69,6 @@ impl WarmKey {
             layout_hash: layout.canonical_hash(),
             global_cells: cfg.global_cells,
             via_cost_bits: (cfg.via_cost_factor * package.rules().via_width as f64).to_bits(),
-            legality_cache: cfg.legality_cache,
-            alt_landmarks: cfg.alt_landmarks,
         }
     }
 }
@@ -170,7 +163,7 @@ impl WarmSpaceCache {
         st.building.push(key.clone());
         drop(st);
         let _guard = BuildingGuard { cache: self, key: &key };
-        let space = crate::sequential::build_stage_space(package, layout, cfg, tel);
+        let space = crate::sequential::build_stage_space(package, layout, cfg);
         // The deep clone that becomes the cached entry is made *before*
         // the lock: cloning a dense space takes real time, and holding
         // the cache mutex across it would stall every concurrent lookup
@@ -267,13 +260,13 @@ mod tests {
     #[test]
     fn thread_count_does_not_split_the_cache() {
         // Jobs at different thread counts must share one warm entry: the
-        // stage-start build (landmark tables included) is bit-identical
-        // at every thread count, so `threads` stays out of the key.
+        // stage-start build is bit-identical at every thread count, so
+        // `threads` stays out of the key.
         let pkg = tiny_package();
         let layout = Layout::new(&pkg);
         let cache = WarmSpaceCache::new(4);
         let tel = Sink::disabled();
-        let base = RouterConfig::default().with_global_cells(6).with_alt_landmarks(3);
+        let base = RouterConfig::default().with_global_cells(6);
         let _ = cache.get_or_build(&pkg, &layout, &base.with_threads(1), &tel);
         let _ = cache.get_or_build(&pkg, &layout, &base.with_threads(8), &tel);
         assert_eq!(cache.stats(), (1, 1), "threads=8 must hit the threads=1 entry");

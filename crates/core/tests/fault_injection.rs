@@ -36,10 +36,6 @@ fn config_for(site: FaultSite) -> RouterConfig {
     let cfg = RouterConfig::default().with_global_cells(10);
     match site {
         FaultSite::AstarExpand | FaultSite::TileViaInsert => cfg.without_concurrent(),
-        // The pool-worker check lives inside the speculative planner, which
-        // only runs above one thread and only over nets the concurrent
-        // stage left to the sequential stage.
-        FaultSite::PoolWorker => cfg.without_concurrent().with_threads(4),
         _ => cfg,
     }
 }
@@ -139,11 +135,6 @@ fn check_site(site: FaultSite, kind: FaultKind) {
                 "{site}: per-net fault not attributed"
             );
         }
-        // ...a pool-worker fault only kills a speculative plan, which is
-        // recomputed authoritatively, so there is nothing to attribute
-        // beyond the fired count asserted above (the thread-matrix
-        // equivalence claims live in tests/thread_scaling.rs).
-        FaultSite::PoolWorker => {}
         // Service-layer sites never fire inside `route()`; they are
         // exercised by the serve fault suite (tests/serve_faults.rs).
         FaultSite::ServeParse | FaultSite::ServeWorker | FaultSite::ServeCancel => {
@@ -210,16 +201,6 @@ fn error_fault_at_tile_via_insert_is_isolated() {
 #[test]
 fn panic_fault_at_tile_via_insert_is_isolated() {
     check_site(FaultSite::TileViaInsert, FaultKind::Panic);
-}
-
-#[test]
-fn error_fault_at_pool_worker_is_isolated() {
-    check_site(FaultSite::PoolWorker, FaultKind::Error);
-}
-
-#[test]
-fn panic_fault_at_pool_worker_is_isolated() {
-    check_site(FaultSite::PoolWorker, FaultKind::Panic);
 }
 
 #[test]

@@ -8,13 +8,12 @@
 //! nothing — layouts are byte-identical either way because no recorded
 //! value ever feeds back into routing decisions.
 //!
-//! Determinism contract: the **journal** is emitted only at authoritative
-//! commit points of the sequential flow (plans are committed in net
-//! order), so its contents are identical at every thread count.
-//! **Counters** and **histograms** absorb discarded speculative work too,
-//! so their totals may vary with `threads` — but they are monotonic:
-//! nothing ever decrements them, not even a rip-up snapshot restore.
-//! **Spans** are wall-clock measurements and inherently run-variant.
+//! Determinism contract: the sequential flow routes one net at a time,
+//! so the **journal**, the **counters** and the **histograms** are
+//! identical at every thread count (the one wall-clock counter,
+//! `ripup_wall_us`, aside). Counters are monotonic: nothing ever
+//! decrements them, not even a rip-up snapshot restore. **Spans** are
+//! wall-clock measurements and inherently run-variant.
 //!
 //! This crate deliberately has zero dependencies (net ids are plain
 //! `u32`, cells plain tuples) so every workspace crate can depend on it
@@ -160,7 +159,7 @@ pub struct AttemptRecord {
 /// `label` must stay in sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// A\* entry points taken (includes discarded speculative plans).
+    /// A\* entry points taken.
     Searches,
     /// Nodes expanded across all searches.
     NodesExpanded,
@@ -188,20 +187,15 @@ pub enum Counter {
     LpPasses,
     /// LP crossing-repair iterations across all passes.
     LpIterations,
-    /// ALT landmark table (re)builds (one per sequential stage when
-    /// landmarks are enabled).
-    LandmarkRebuilds,
     /// Adjacency/edge-legality cache hits (epoch-stamped verdict reused).
     LegalityCacheHits,
     /// Adjacency/edge-legality cache misses (geometry work re-done).
     LegalityCacheMisses,
-    /// Nodes where the ALT landmark bound beat the geometric heuristic.
-    HeuristicTightenings,
     /// Wall-clock microseconds spent inside pass-3 rip-up-and-reroute
     /// trials (snapshot, eviction, re-route, and restore included).
     RipupWallUs,
     /// Sequential-stage routing spaces served from the warm shared cache
-    /// (repeat jobs on the same circuit skip the build + landmark work).
+    /// (repeat jobs on the same circuit skip the build).
     WarmSpaceHits,
     /// Sequential-stage routing spaces built cold (and, when a warm
     /// cache is attached, deposited into it).
@@ -214,24 +208,11 @@ pub enum Counter {
     /// Nets re-queued by the negotiation driver — evicted victims plus
     /// still-failed nets — summed over every iteration after the first.
     NegotiationReroutes,
-    /// Speculative plans applied fresh (read-cell set disjoint from the
-    /// batch's earlier commits; the parallel work paid off).
-    SpeculativeCommits,
-    /// Speculative plans discarded stale and recomputed sequentially
-    /// (read-cell conflict, worker error, or interrupt replay).
-    SpeculativeConflicts,
-    /// Adaptive batch-controller growth steps (conflict rate low).
-    SpeculativeBatchGrows,
-    /// Adaptive batch-controller shrink steps (conflict rate high).
-    SpeculativeBatchShrinks,
-    /// Work-stealing pool steals (a starved worker took the back half of
-    /// another worker's remaining range).
-    PoolSteals,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 22] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -246,21 +227,14 @@ impl Counter {
         Counter::ConcurrentSkipped,
         Counter::LpPasses,
         Counter::LpIterations,
-        Counter::LandmarkRebuilds,
         Counter::LegalityCacheHits,
         Counter::LegalityCacheMisses,
-        Counter::HeuristicTightenings,
         Counter::RipupWallUs,
         Counter::WarmSpaceHits,
         Counter::WarmSpaceMisses,
         Counter::NegotiationIterations,
         Counter::NegotiationOveruse,
         Counter::NegotiationReroutes,
-        Counter::SpeculativeCommits,
-        Counter::SpeculativeConflicts,
-        Counter::SpeculativeBatchGrows,
-        Counter::SpeculativeBatchShrinks,
-        Counter::PoolSteals,
     ];
 
     /// Stable snake_case label.
@@ -280,21 +254,14 @@ impl Counter {
             Counter::ConcurrentSkipped => "concurrent_skipped",
             Counter::LpPasses => "lp_passes",
             Counter::LpIterations => "lp_iterations",
-            Counter::LandmarkRebuilds => "landmark_rebuilds",
             Counter::LegalityCacheHits => "legality_cache_hits",
             Counter::LegalityCacheMisses => "legality_cache_misses",
-            Counter::HeuristicTightenings => "heuristic_tightenings",
             Counter::RipupWallUs => "ripup_wall_us",
             Counter::WarmSpaceHits => "warm_space_hits",
             Counter::WarmSpaceMisses => "warm_space_misses",
             Counter::NegotiationIterations => "negotiation_iterations",
             Counter::NegotiationOveruse => "negotiation_overuse",
             Counter::NegotiationReroutes => "negotiation_reroutes",
-            Counter::SpeculativeCommits => "speculative_commits",
-            Counter::SpeculativeConflicts => "speculative_conflicts",
-            Counter::SpeculativeBatchGrows => "speculative_batch_grows",
-            Counter::SpeculativeBatchShrinks => "speculative_batch_shrinks",
-            Counter::PoolSteals => "pool_steals",
         }
     }
 }

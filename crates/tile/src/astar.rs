@@ -36,13 +36,10 @@
 
 use crate::bucket::BucketQueue;
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
-use crate::landmarks::Landmarks;
 use crate::space::{PlanarEdge, RoutingSpace, TileId};
 use info_geom::{x_arch_len, Point, Rect};
 use info_model::{NetId, WireLayer};
 use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// One step of a tile path.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,9 +98,7 @@ pub enum SearchFailure {
     Cancelled,
 }
 
-/// Aggregate statistics of one or more searches. Totals can vary with the
-/// thread count (speculative plans that are discarded still searched);
-/// authoritative per-net numbers come from the sequential commit path.
+/// Aggregate statistics of one or more searches.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Public search entry points taken.
@@ -119,9 +114,6 @@ pub struct SearchStats {
     pub escalation_expansions: u64,
     /// Largest open-list population observed.
     pub heap_peak: u64,
-    /// Heuristic evaluations where the ALT landmark lower bound beat the
-    /// geometric bound (zero when landmarks are not installed).
-    pub heuristic_tightenings: u64,
 }
 
 impl SearchStats {
@@ -132,7 +124,6 @@ impl SearchStats {
         self.window_escalations += other.window_escalations;
         self.escalation_expansions += other.escalation_expansions;
         self.heap_peak = self.heap_peak.max(other.heap_peak);
-        self.heuristic_tightenings += other.heuristic_tightenings;
     }
 }
 
@@ -145,10 +136,6 @@ pub struct SearchOptions {
     pub windowed: bool,
     /// Allow layer changes through candidate via sites.
     pub allow_vias: bool,
-    /// Collect the traced read-cell set in the generation-stamped scratch
-    /// arena instead of a per-search `BTreeSet` (identical output either
-    /// way; `false` is the ablation/differential baseline).
-    pub arena: bool,
     /// Per-run expansion budget override; `None` uses [`MAX_EXPANSIONS`].
     /// A windowed search and its escalation each get one budget, so a
     /// doomed search costs at most twice this. Tests shrink it to make
@@ -160,7 +147,7 @@ pub struct SearchOptions {
 
 impl Default for SearchOptions {
     fn default() -> Self {
-        SearchOptions { windowed: true, allow_vias: true, arena: true, expansion_budget: None }
+        SearchOptions { windowed: true, allow_vias: true, expansion_budget: None }
     }
 }
 
@@ -189,62 +176,31 @@ pub fn route_with(
 ) -> Option<AstarResult> {
     let mut stats = SearchStats::default();
     let opts = SearchOptions { allow_vias, ..SearchOptions::default() };
-    search(space, net, src, dst, opts, None, false, &mut stats).0.ok()
+    route_opts(space, net, src, dst, opts, &mut stats)
 }
 
-/// [`route`] that additionally reports the global cells the search read:
-/// the terminals' cells plus the cell of every tile reached by the search
-/// frontier. Neighbor enumeration only examines the 4-adjacent cells of a
-/// reached tile, so the returned set expanded by one cell ring covers
-/// everything whose tiles, wires, or via sites could influence the result
-/// — the read set the speculative parallel router checks against commits.
-/// (Edges pruned by the search window are covered by the same ring: their
-/// source tile's cell is always traced, and `pruned_min_f` depends on
-/// nothing else outside the window.)
-pub fn route_traced(
-    space: &RoutingSpace,
-    net: NetId,
-    src: (WireLayer, Point),
-    dst: (WireLayer, Point),
-) -> (Option<AstarResult>, Vec<(usize, usize)>) {
-    let mut stats = SearchStats::default();
-    route_traced_opts(space, net, src, dst, SearchOptions::default(), &mut stats)
-}
-
-/// [`route_traced`] with explicit [`SearchOptions`], accumulating search
+/// [`route`] with explicit [`SearchOptions`], accumulating search
 /// statistics into `stats`.
-pub fn route_traced_opts(
+pub fn route_opts(
     space: &RoutingSpace,
     net: NetId,
     src: (WireLayer, Point),
     dst: (WireLayer, Point),
     opts: SearchOptions,
     stats: &mut SearchStats,
-) -> (Option<AstarResult>, Vec<(usize, usize)>) {
-    let (result, cells) = route_traced_fallible(space, net, src, dst, opts, stats);
-    (result.ok(), cells)
+) -> Option<AstarResult> {
+    route_cancellable(space, net, src, dst, opts, None, stats).ok()
 }
 
-/// [`route_traced_opts`] that reports *why* a failed search failed (the
-/// telemetry journal's search-level failure taxonomy).
-pub fn route_traced_fallible(
-    space: &RoutingSpace,
-    net: NetId,
-    src: (WireLayer, Point),
-    dst: (WireLayer, Point),
-    opts: SearchOptions,
-    stats: &mut SearchStats,
-) -> (Result<AstarResult, SearchFailure>, Vec<(usize, usize)>) {
-    search(space, net, src, dst, opts, None, true, stats)
-}
-
-/// [`route_traced_fallible`] observing a [`CancelToken`]: the expansion
-/// loop checkpoints the token every [`CHECK_INTERVAL`] expansions and
-/// aborts with [`SearchFailure::Cancelled`] when it trips, so a deadline
-/// or an explicit cancel lands mid-search in bounded time instead of at
-/// the next per-net boundary. With `cancel = None` (or a quiet token)
-/// the search is bit-identical to the uncancellable entry points.
-pub fn route_traced_cancellable(
+/// [`route_opts`] that reports *why* a failed search failed (the
+/// telemetry journal's search-level failure taxonomy) and observes a
+/// [`CancelToken`]: the expansion loop checkpoints the token every
+/// [`CHECK_INTERVAL`] expansions and aborts with
+/// [`SearchFailure::Cancelled`] when it trips, so a deadline or an
+/// explicit cancel lands mid-search in bounded time instead of at the
+/// next per-net boundary. With `cancel = None` (or a quiet token) the
+/// search is bit-identical to [`route_opts`].
+pub fn route_cancellable(
     space: &RoutingSpace,
     net: NetId,
     src: (WireLayer, Point),
@@ -252,8 +208,13 @@ pub fn route_traced_cancellable(
     opts: SearchOptions,
     cancel: Option<&CancelToken>,
     stats: &mut SearchStats,
-) -> (Result<AstarResult, SearchFailure>, Vec<(usize, usize)>) {
-    search(space, net, src, dst, opts, cancel, true, stats)
+) -> Result<AstarResult, SearchFailure> {
+    SCRATCH.with(|cell| {
+        let mut s = cell.borrow_mut();
+        let s = &mut *s;
+        s.ensure(space);
+        search(s, space, net, src, dst, opts, cancel, stats)
+    })
 }
 
 /// Sentinel for "no parent" in the scratch parent array.
@@ -293,79 +254,6 @@ struct SearchScratch {
     /// Edges the windowed run pruned, kept so an escalation can re-inject
     /// them instead of restarting the search from scratch.
     pruned: Vec<PrunedEdge>,
-    /// ALT landmark tables of the current space plus the target's
-    /// stage-start node, resolved once per search (`None` = geometric
-    /// heuristic only).
-    alt: Option<(Arc<Landmarks>, u32)>,
-    /// Cumulative count of heuristic evaluations the ALT bound tightened
-    /// (searches record their delta into [`SearchStats`]).
-    tightenings: u64,
-    /// Stamped arena for the traced read-cell set (see [`TraceArena`]).
-    trace: TraceArena,
-}
-
-/// Generation-stamped read-cell collector: the allocation-free
-/// replacement for the per-search `BTreeSet` trace. `insert` is O(1)
-/// (stamp check + push), and the sorted, deduplicated output matches the
-/// tree's exactly.
-#[derive(Default)]
-struct TraceArena {
-    gen: u32,
-    stamp: Vec<u32>,
-    cells_x: usize,
-    touched: Vec<(usize, usize)>,
-}
-
-impl TraceArena {
-    /// Starts a fresh trace over a `cells_x × cells_y` cell grid.
-    fn begin(&mut self, cells_x: usize, cells_y: usize) {
-        let n = cells_x * cells_y;
-        if self.stamp.len() < n {
-            self.stamp.resize(n, 0);
-        }
-        self.cells_x = cells_x;
-        if self.gen == u32::MAX {
-            self.stamp.iter_mut().for_each(|s| *s = 0);
-            self.gen = 1;
-        } else {
-            self.gen += 1;
-        }
-        self.touched.clear();
-    }
-
-    #[inline]
-    fn insert(&mut self, cell: (usize, usize)) {
-        let i = cell.1 * self.cells_x + cell.0;
-        if self.stamp[i] != self.gen {
-            self.stamp[i] = self.gen;
-            self.touched.push(cell);
-        }
-    }
-
-    /// The touched cells, sorted ascending (the arena keeps its storage).
-    fn take_sorted(&mut self) -> Vec<(usize, usize)> {
-        self.touched.sort_unstable();
-        self.touched.clone()
-    }
-}
-
-/// Where a search records the global cells it reads: the scratch arena on
-/// the hot path, a plain tree on the ablation baseline.
-enum TraceSink<'a> {
-    Tree(&'a mut BTreeSet<(usize, usize)>),
-    Arena(&'a mut TraceArena),
-}
-
-impl TraceSink<'_> {
-    #[inline]
-    fn insert(&mut self, cell: (usize, usize)) {
-        match self {
-            TraceSink::Tree(t) => {
-                t.insert(cell);
-            }
-            TraceSink::Arena(a) => a.insert(cell),
-        }
-    }
 }
 
 /// One edge the windowed run refused to relax because its target cell was
@@ -401,9 +289,6 @@ impl SearchScratch {
             nbr: Vec::new(),
             vnbr: Vec::new(),
             pruned: Vec::new(),
-            alt: None,
-            tightenings: 0,
-            trace: TraceArena::default(),
         }
     }
 
@@ -456,10 +341,8 @@ impl SearchScratch {
 
     /// The consistent heuristic, memoized per tile: straight-line
     /// X-architecture length to the target plus the via penalty of the
-    /// remaining layer hops, tightened by the ALT landmark lower bound
-    /// when tables are installed (the max of two consistent heuristics is
-    /// consistent). A cached value is valid only for the same entry point
-    /// (re-entries at a new point recompute and re-cache).
+    /// remaining layer hops. A cached value is valid only for the same
+    /// entry point (re-entries at a new point recompute and re-cache).
     #[inline]
     fn h(&mut self, tile: u32, p: Point, layer: WireLayer, dst: &(WireLayer, Point), via_cost: f64) -> f64 {
         let i = tile as usize;
@@ -467,16 +350,7 @@ impl SearchScratch {
             return self.h_val[i];
         }
         let hops = layer.index().abs_diff(dst.0.index()) as f64;
-        let mut v = x_arch_len(p, dst.1) + hops * via_cost;
-        if let Some((lm, dst_node)) = &self.alt {
-            if let Some(node) = lm.node_at(layer.index(), p) {
-                let alt = lm.lower_bound(node, *dst_node);
-                if alt > v {
-                    v = alt;
-                    self.tightenings += 1;
-                }
-            }
-        }
+        let v = x_arch_len(p, dst.1) + hops * via_cost;
         self.h_stamp[i] = self.h_gen;
         self.h_entry[i] = p;
         self.h_val[i] = v;
@@ -530,51 +404,8 @@ enum RunOutcome {
     Cancelled,
 }
 
-#[allow(clippy::too_many_arguments)] // internal; the public surface is route_traced_cancellable
+#[allow(clippy::too_many_arguments)] // internal; the public surface is route_cancellable
 fn search(
-    space: &RoutingSpace,
-    net: NetId,
-    src: (WireLayer, Point),
-    dst: (WireLayer, Point),
-    opts: SearchOptions,
-    cancel: Option<&CancelToken>,
-    want_trace: bool,
-    stats: &mut SearchStats,
-) -> (Result<AstarResult, SearchFailure>, Vec<(usize, usize)>) {
-    SCRATCH.with(|cell| {
-        let mut s = cell.borrow_mut();
-        let s = &mut *s;
-        s.ensure(space);
-        let tight0 = s.tightenings;
-        // The arena lives in the scratch; take it out for the duration of
-        // the search so the sink can borrow it alongside `s`.
-        let mut arena = std::mem::take(&mut s.trace);
-        let mut tree = BTreeSet::new();
-        let mut sink = if !want_trace {
-            None
-        } else if opts.arena {
-            let cfg = space.config();
-            arena.begin(cfg.cells_x, cfg.cells_y);
-            Some(TraceSink::Arena(&mut arena))
-        } else {
-            Some(TraceSink::Tree(&mut tree))
-        };
-        let result = search_inner(s, space, net, src, dst, opts, cancel, sink.as_mut(), stats);
-        stats.heuristic_tightenings += s.tightenings - tight0;
-        let cells = if !want_trace {
-            Vec::new()
-        } else if opts.arena {
-            arena.take_sorted()
-        } else {
-            tree.into_iter().collect()
-        };
-        s.trace = arena;
-        (result, cells)
-    })
-}
-
-#[allow(clippy::too_many_arguments)] // internal; the public surface is route_traced_opts
-fn search_inner(
     s: &mut SearchScratch,
     space: &RoutingSpace,
     net: NetId,
@@ -582,7 +413,6 @@ fn search_inner(
     dst: (WireLayer, Point),
     opts: SearchOptions,
     cancel: Option<&CancelToken>,
-    mut trace: Option<&mut TraceSink<'_>>,
     stats: &mut SearchStats,
 ) -> Result<AstarResult, SearchFailure> {
     // A tripped token stops the search before any work; post-trip
@@ -592,14 +422,6 @@ fn search_inner(
     }
     if !opts.allow_vias && src.0 != dst.0 {
         return Err(SearchFailure::BlockedTerminal);
-    }
-    if let Some(t) = trace.as_deref_mut() {
-        if let Some(c) = space.cell_of(src.1) {
-            t.insert(c);
-        }
-        if let Some(c) = space.cell_of(dst.1) {
-            t.insert(c);
-        }
     }
     let (Some(src_tile), Some(dst_tile)) =
         (space.tile_at(src.0, src.1, net), space.tile_at(dst.0, dst.1, net))
@@ -611,13 +433,6 @@ fn search_inner(
 
     {
         s.retune_h((space.revision(), dst.0, dst.1, space.config().via_cost.to_bits()));
-        // Resolve the ALT target node once per search (`None` keeps the
-        // heuristic purely geometric). Sharing the h-cache key is sound:
-        // `set_landmarks` bumps the space revision, so cached values can
-        // never mix with/without-table heuristics.
-        s.alt = space
-            .landmarks()
-            .and_then(|lm| lm.node_at(dst.0.index(), dst.1).map(|b| (Arc::clone(lm), b)));
         s.queue.reset_peak();
         let via_cost = space.config().via_cost;
         // A cross-layer search that never enumerates a single via
@@ -651,7 +466,6 @@ fn search_inner(
                 budget,
                 Some((&mut pruned_min_f, &mut pruned)),
                 cancel,
-                trace.as_deref_mut(),
                 stats,
                 &mut saw_via,
             );
@@ -682,7 +496,7 @@ fn search_inner(
                     stats.window_escalations += 1;
                     let before = stats.nodes_expanded;
                     for e in &pruned {
-                        inject_pruned(s, space, e, trace.as_deref_mut());
+                        inject_pruned(s, e);
                     }
                     if matches!(outcome, RunOutcome::Found { .. }) {
                         // The destination's queue entry was consumed by
@@ -705,7 +519,6 @@ fn search_inner(
                         budget,
                         None,
                         cancel,
-                        trace.as_deref_mut(),
                         stats,
                         &mut saw_via,
                     );
@@ -739,7 +552,6 @@ fn search_inner(
             budget,
             None,
             cancel,
-            trace,
             stats,
             &mut saw_via,
         ) {
@@ -781,17 +593,9 @@ fn seed_source(
 /// Re-injects one pruned edge into the live search state, through the same
 /// relax condition `run` uses (improvements win; stale entries are caught
 /// by the pop-time check).
-fn inject_pruned(
-    s: &mut SearchScratch,
-    space: &RoutingSpace,
-    e: &PrunedEdge,
-    trace: Option<&mut TraceSink<'_>>,
-) {
+fn inject_pruned(s: &mut SearchScratch, e: &PrunedEdge) {
     let to = e.to as usize;
     if s.stamp[to] != s.gen || e.g < s.g[to] - 1e-9 {
-        if let Some(t) = trace {
-            t.insert(space.tile(TileId(e.to)).cell);
-        }
         s.stamp[to] = s.gen;
         s.g[to] = e.g;
         s.entry[to] = e.entry;
@@ -817,7 +621,6 @@ fn run(
     budget: usize,
     mut pruned_sink: Option<(&mut f64, &mut Vec<PrunedEdge>)>,
     cancel: Option<&CancelToken>,
-    mut trace: Option<&mut TraceSink<'_>>,
     stats: &mut SearchStats,
     saw_via: &mut bool,
 ) -> RunOutcome {
@@ -838,9 +641,6 @@ fn run(
         let f_popped = f64::from_bits(fbits);
         let node_g = s.g[ti];
         let node_entry = s.entry[ti];
-        if let Some(t) = trace.as_deref_mut() {
-            t.insert(space.tile(tid).cell);
-        }
         let layer = space.tile(tid).layer;
         let node_cell = space.tile(tid).cell;
         // Stale heap entry?
@@ -935,9 +735,6 @@ fn run(
                 continue;
             }
             if s.stamp[to] != s.gen || g2 < s.g[to] - 1e-9 {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.insert(space.tile(e.to).cell);
-                }
                 s.stamp[to] = s.gen;
                 s.g[to] = g2;
                 s.entry[to] = cross;
@@ -986,9 +783,6 @@ fn run(
                 continue;
             }
             if s.stamp[to] != s.gen || g2 < s.g[to] - 1e-9 {
-                if let Some(t) = trace.as_deref_mut() {
-                    t.insert(space.tile(to_tile).cell);
-                }
                 s.stamp[to] = s.gen;
                 s.g[to] = g2;
                 s.entry[to] = site;
@@ -1032,7 +826,6 @@ mod tests {
             min_thickness: 4_000,
             via_width: 5_000,
             via_cost: 20_000.0,
-            adjacency_cache: true,
         }
     }
 
@@ -1155,20 +948,13 @@ mod tests {
         let dst = (WireLayer(1), Point::new(300_000, 300_000));
         let mut ws = SearchStats::default();
         let mut fs = SearchStats::default();
-        let (win, _) = route_traced_opts(
+        let win = route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut ws);
+        let full = route_opts(
             &space,
             NetId(0),
             src,
             dst,
-            SearchOptions { windowed: true, allow_vias: true, arena: true, expansion_budget: None },
-            &mut ws,
-        );
-        let (full, _) = route_traced_opts(
-            &space,
-            NetId(0),
-            src,
-            dst,
-            SearchOptions { windowed: false, allow_vias: true, arena: true, expansion_budget: None },
+            SearchOptions { windowed: false, ..SearchOptions::default() },
             &mut fs,
         );
         let win = win.expect("windowed route");

@@ -18,7 +18,6 @@ pub mod bucket;
 pub mod cancel;
 pub mod cell_graph;
 pub mod congestion;
-pub mod landmarks;
 pub mod mcmf;
 pub mod partition;
 pub mod realize;
@@ -29,6 +28,5 @@ pub use bucket::BucketQueue;
 pub use cancel::CancelToken;
 pub use cell_graph::{CellGraph, MstEdge};
 pub use congestion::CongestionMap;
-pub use landmarks::Landmarks;
 pub use partition::{line_extension_partition, merge_cells};
 pub use space::{RoutingSpace, SpaceConfig, TileId, TileNode};

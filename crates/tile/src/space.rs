@@ -91,11 +91,6 @@ pub struct SpaceConfig {
     pub via_width: Coord,
     /// Extra path cost charged per via, in nm of equivalent wirelength.
     pub via_cost: f64,
-    /// Reuse epoch-stamped net-agnostic adjacency lists across neighbor
-    /// enumerations (see [`AdjCache`]). Lossless; `false` re-does the
-    /// boundary/crossing geometry on every enumeration (the ablation
-    /// baseline).
-    pub adjacency_cache: bool,
 }
 
 impl SpaceConfig {
@@ -110,7 +105,6 @@ impl SpaceConfig {
             min_thickness: r.min_spacing + r.wire_width,
             via_width: r.via_width,
             via_cost: 4.0 * r.via_width as f64,
-            adjacency_cache: true,
         }
     }
 }
@@ -207,16 +201,11 @@ pub struct RoutingSpace {
     /// Monotone state tag: two spaces with equal revisions are identical.
     /// Search-side caches (the per-target heuristic cache) key on it.
     revision: u64,
-    /// ALT landmark tables for the current sequential stage (see
-    /// [`crate::landmarks`]); `None` keeps the heuristic purely
-    /// geometric. Snapshots and restores share the tables by `Arc` —
-    /// they stay valid for the whole stage by blockage monotonicity.
-    alt: Option<Arc<crate::landmarks::Landmarks>>,
     /// Negotiated-congestion cost layers (see [`crate::congestion`]);
     /// `None` keeps edge costs purely geometric. Boxed and owned by
-    /// value — unlike the landmarks, these fields are *mutable* stage
-    /// state, and the rip-up pass's snapshot/restore-by-value must
-    /// capture them (an `Arc` would alias mutations across snapshots).
+    /// value: these fields are *mutable* stage state, and the rip-up
+    /// pass's snapshot/restore-by-value must capture them (an `Arc`
+    /// would alias mutations across snapshots).
     congestion: Option<Box<crate::congestion::CongestionMap>>,
 }
 
@@ -298,7 +287,6 @@ impl RoutingSpace {
             adj_epoch: vec![0; ncells * layers],
             epoch_counter: 0,
             revision: REVISION.fetch_add(1, Ordering::Relaxed),
-            alt: None,
             congestion: None,
         };
         let mut scratch = GeomScratch::build(package, layout, layers);
@@ -331,20 +319,6 @@ impl RoutingSpace {
     /// outside the space key their validity on it.
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    /// Installs (or clears) the stage's ALT landmark tables. Bumps the
-    /// revision so heuristic caches keyed on it cannot mix values
-    /// computed with and without the tables.
-    pub fn set_landmarks(&mut self, lm: Option<Arc<crate::landmarks::Landmarks>>) {
-        self.alt = lm;
-        self.revision = REVISION.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The stage's ALT landmark tables, when installed.
-    #[inline]
-    pub fn landmarks(&self) -> Option<&Arc<crate::landmarks::Landmarks>> {
-        self.alt.as_ref()
     }
 
     /// Installs (or clears) the negotiated-congestion cost layers. Bumps
@@ -919,22 +893,6 @@ impl RoutingSpace {
     /// only the per-net passability filter and wire subtraction run here.
     pub fn planar_neighbors_into(&self, id: TileId, net: NetId, out: &mut Vec<PlanarEdge>) {
         out.clear();
-        if !self.cfg.adjacency_cache {
-            // Ablation baseline: rebuild the geometry every time (counted
-            // as a miss so the hit rate reads 0%).
-            self.adjacency.lock().misses += 1;
-            let raw = self.build_raw_edges(id);
-            let min_t = self.cfg.min_thickness as f64;
-            for e in &raw {
-                if !self.tile(e.to).passable_for(net) {
-                    continue;
-                }
-                if let Some(crossing) = open_from_covered(e.seg, &e.covered, net, min_t) {
-                    out.push(PlanarEdge { to: e.to, crossing });
-                }
-            }
-            return;
-        }
         let epoch = {
             let t = self.tile(id);
             let (cx, cy) = t.cell;
@@ -1212,7 +1170,6 @@ mod tests {
             min_thickness: 4_000,
             via_width: 5_000,
             via_cost: 20_000.0,
-            adjacency_cache: true,
         }
     }
 

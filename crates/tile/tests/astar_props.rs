@@ -60,7 +60,6 @@ fn cfg() -> SpaceConfig {
         min_thickness: 4_000,
         via_width: 5_000,
         via_cost: 20_000.0,
-        adjacency_cache: true,
     }
 }
 
@@ -170,13 +169,10 @@ proptest! {
         let (src, dst) = terminals(&pkg);
         let mut ws = astar::SearchStats::default();
         let mut fs = astar::SearchStats::default();
-        let (win, _) = astar::route_traced_opts(
+        let win = astar::route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut ws);
+        let full = astar::route_opts(
             &space, NetId(0), src, dst,
-            SearchOptions { windowed: true, allow_vias: true, arena: true, expansion_budget: None }, &mut ws,
-        );
-        let (full, _) = astar::route_traced_opts(
-            &space, NetId(0), src, dst,
-            SearchOptions { windowed: false, allow_vias: true, arena: true, expansion_budget: None }, &mut fs,
+            SearchOptions { windowed: false, ..SearchOptions::default() }, &mut fs,
         );
         match (win, full) {
             (None, None) => {}
@@ -261,9 +257,9 @@ proptest! {
         let (src, dst) = terminals(&pkg);
         for windowed in [true, false] {
             let mut stats = astar::SearchStats::default();
-            let (got, _) = astar::route_traced_opts(
+            let got = astar::route_opts(
                 &space, NetId(0), src, dst,
-                SearchOptions { windowed, allow_vias: true, arena: true, expansion_budget: None }, &mut stats,
+                SearchOptions { windowed, ..SearchOptions::default() }, &mut stats,
             );
             prop_assert!(got.is_none(), "fenced net must be unroutable (seed {})", seed);
         }
@@ -312,20 +308,13 @@ fn forced_escalation_is_cost_identical_and_cheaper() {
     let (src, dst) = terminals(&pkg);
     let mut ws = astar::SearchStats::default();
     let mut fs = astar::SearchStats::default();
-    let (win, _) = astar::route_traced_opts(
+    let win = astar::route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut ws);
+    let full = astar::route_opts(
         &space,
         NetId(0),
         src,
         dst,
-        SearchOptions { windowed: true, allow_vias: true, arena: true, expansion_budget: None },
-        &mut ws,
-    );
-    let (full, _) = astar::route_traced_opts(
-        &space,
-        NetId(0),
-        src,
-        dst,
-        SearchOptions { windowed: false, allow_vias: true, arena: true, expansion_budget: None },
+        SearchOptions { windowed: false, ..SearchOptions::default() },
         &mut fs,
     );
     let win = win.expect("detour route exists around the wall ends");
@@ -359,19 +348,11 @@ fn forced_escalation_is_deterministic() {
     let (src, dst) = terminals(&pkg);
     let run_once = || {
         let mut st = astar::SearchStats::default();
-        let (r, cells) = astar::route_traced_opts(
-            &space,
-            NetId(0),
-            src,
-            dst,
-            SearchOptions { windowed: true, allow_vias: true, arena: true, expansion_budget: None },
-            &mut st,
-        );
-        (r.expect("route").steps, st, cells)
+        let r = astar::route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut st);
+        (r.expect("route").steps, st)
     };
-    let (steps1, st1, cells1) = run_once();
-    let (steps2, st2, cells2) = run_once();
+    let (steps1, st1) = run_once();
+    let (steps2, st2) = run_once();
     assert_eq!(steps1, steps2);
     assert_eq!(st1, st2);
-    assert_eq!(cells1, cells2);
 }

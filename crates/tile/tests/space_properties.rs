@@ -51,7 +51,6 @@ fn cfg() -> SpaceConfig {
         min_thickness: 4_000,
         via_width: 5_000,
         via_cost: 20_000.0,
-        adjacency_cache: true,
     }
 }
 

@@ -22,7 +22,7 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         info-rdl route <netlist-file> [--global-cells N] [--threads N] [--alt-landmarks N]\n                 \
+         info-rdl route <netlist-file> [--global-cells N] [--threads N]\n                 \
          [--no-lp] [--no-concurrent] [--deadline-ms N] [--net-status]\n  \
          info-rdl eco <netlist-file> [--remove NET]... [--add PADA:PADB]...\n                 \
          [--re-pair NET:PADA:PADB]... [route options]\n  \
@@ -67,10 +67,6 @@ fn cmd_route(args: &[String]) -> ExitCode {
             },
             "--threads" => match parse_num(a, it.next()) {
                 Some(n) => cfg.threads = (n as usize).max(1),
-                None => return usage(),
-            },
-            "--alt-landmarks" => match parse_num(a, it.next()) {
-                Some(n) => cfg.alt_landmarks = n as usize,
                 None => return usage(),
             },
             "--deadline-ms" => match parse_num(a, it.next()) {
@@ -218,10 +214,6 @@ fn cmd_eco(args: &[String]) -> ExitCode {
             },
             "--threads" => match parse_num(a, it.next()) {
                 Some(n) => cfg.threads = (n as usize).max(1),
-                None => return usage(),
-            },
-            "--alt-landmarks" => match parse_num(a, it.next()) {
-                Some(n) => cfg.alt_landmarks = n as usize,
                 None => return usage(),
             },
             "--no-lp" => cfg.lp_enabled = false,

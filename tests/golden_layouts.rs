@@ -175,8 +175,8 @@ fn golden_layouts_match() {
 }
 
 /// threads=4 must produce byte-identical layouts to threads=1 on every
-/// golden circuit (hash compare) — the determinism contract of the
-/// speculative parallel planner.
+/// golden circuit (hash compare) — the router's thread-count
+/// determinism contract.
 #[test]
 fn thread_matrix_layouts_identical() {
     for (name, pkg) in circuits() {

@@ -69,56 +69,6 @@ fn windowed_search_matches_full_graph_on_golden_circuits() {
     }
 }
 
-/// The allocation-free trace arena is a drop-in replacement for the
-/// `BTreeSet` trace sink: routing every golden circuit with the arena
-/// disabled must reproduce the default layouts bit for bit.
-#[test]
-fn trace_arena_is_lossless_on_golden_circuits() {
-    for (name, pkg) in circuits() {
-        let arena = route(&pkg, RouterConfig::default());
-        let tree = route(&pkg, RouterConfig::default().without_search_arena());
-        assert_eq!(
-            arena.layout.canonical_hash(),
-            tree.layout.canonical_hash(),
-            "{name}: arena trace sink changed the layout"
-        );
-        assert_eq!(arena.failed, tree.failed, "{name}: routability differs");
-        assert_eq!(
-            arena.timings.search.nodes_expanded, tree.timings.search.nodes_expanded,
-            "{name}: the sink must not influence the search itself"
-        );
-    }
-}
-
-/// ALT landmark tables strengthen the heuristic but never change a path
-/// cost (admissible + consistent); on the golden circuits they do not
-/// even change a tie-break, so the layouts must stay bit-identical to
-/// the ALT-off run — and thread-invariant with the tables installed.
-#[test]
-fn alt_landmarks_preserve_golden_layouts_across_threads() {
-    for (name, pkg) in circuits() {
-        let off = route(&pkg, RouterConfig::default());
-        let alt = route(&pkg, RouterConfig::default().with_alt_landmarks(6));
-        assert_eq!(
-            alt.layout.canonical_hash(),
-            off.layout.canonical_hash(),
-            "{name}: ALT changed the layout"
-        );
-        assert_eq!(alt.failed, off.failed, "{name}: routability differs under ALT");
-        assert_eq!(
-            alt.stats.total_wirelength_um.to_bits(),
-            off.stats.total_wirelength_um.to_bits(),
-            "{name}: wirelength differs under ALT"
-        );
-        let par = route(&pkg, RouterConfig::default().with_alt_landmarks(6).with_threads(4));
-        assert_eq!(
-            alt.layout.canonical_hash(),
-            par.layout.canonical_hash(),
-            "{name}: ALT layout differs across thread counts"
-        );
-    }
-}
-
 /// The detour-rate-reordered rip-up queue stays deterministic across
 /// thread counts: the authoritative failed-attempt expansion counts that
 /// drive the ordering are thread-invariant by construction, so threads=1

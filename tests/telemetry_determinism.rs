@@ -2,10 +2,10 @@
 //!
 //! Locks down the three contracts the telemetry subsystem makes:
 //!
-//! 1. The per-net route journal is part of the deterministic output:
-//!    threads=1 and threads=4 produce identical journals on every golden
-//!    circuit, because records are emitted only at authoritative commit
-//!    points (discarded speculative plans never journal).
+//! 1. The per-net route journal, every counter and the search statistics
+//!    are part of the deterministic output: threads=1 and threads=4
+//!    produce identical ones on every golden circuit, because nets are
+//!    searched and committed one at a time whatever the thread count.
 //! 2. Telemetry is observation-only: the routed layout is byte-identical
 //!    (canonical hash) with telemetry on and off.
 //! 3. Counters are monotonic: a rip-up trial that fails and restores the
@@ -15,7 +15,7 @@
 
 use info_rdl::generators::{build_dense, dense_spec};
 use info_rdl::model::Package;
-use info_rdl::{InfoRouter, RouterConfig, TelemetryReport};
+use info_rdl::{InfoRouter, RouteOutcome, RouterConfig, TelemetryReport};
 
 /// The six golden circuits from `tests/golden_layouts.rs`, same specs.
 fn golden_circuits() -> Vec<(&'static str, Package)> {
@@ -38,17 +38,24 @@ fn mk(idx: usize, io: usize, bumps: usize, seed: u64) -> Package {
     build_dense(spec, false)
 }
 
-fn route_with_telemetry(pkg: &Package, threads: usize, cells: usize) -> TelemetryReport {
+fn route_telemetry_on(pkg: &Package, threads: usize, cells: usize) -> RouteOutcome {
     let cfg = RouterConfig::default()
         .with_global_cells(cells)
         .with_threads(threads)
         .with_telemetry();
-    InfoRouter::new(cfg).route(pkg).telemetry.expect("telemetry enabled")
+    InfoRouter::new(cfg).route(pkg)
 }
 
-/// Journal records are emitted only at authoritative commit points, so the
-/// journal — order, contents, victims, outcomes — must be identical no
-/// matter how many speculative worker threads raced to produce the plans.
+fn route_with_telemetry(pkg: &Package, threads: usize, cells: usize) -> TelemetryReport {
+    route_telemetry_on(pkg, threads, cells).telemetry.expect("telemetry enabled")
+}
+
+/// Counters that measure wall-clock time rather than work.
+const WALL_CLOCK_COUNTERS: [&str; 1] = ["ripup_wall_us"];
+
+/// Threads only parallelize read-only scans, so the journal — order,
+/// contents, victims, outcomes — every work counter, and the search
+/// statistics must be identical at every thread count.
 #[test]
 fn journal_identical_across_thread_counts() {
     let mut circuits = golden_circuits();
@@ -58,11 +65,25 @@ fn journal_identical_across_thread_counts() {
     circuits.push(("g3_congested", mk(2, 16, 48, 23)));
     for (name, pkg) in circuits {
         let cells = if name == "g3_congested" { 10 } else { 14 };
-        let seq = route_with_telemetry(&pkg, 1, cells);
-        let par = route_with_telemetry(&pkg, 4, cells);
+        let seq_out = route_telemetry_on(&pkg, 1, cells);
+        let par_out = route_telemetry_on(&pkg, 4, cells);
+        assert_eq!(
+            seq_out.timings.search, par_out.timings.search,
+            "{name}: search statistics differ between threads=1 and threads=4"
+        );
+        let seq = seq_out.telemetry.expect("telemetry enabled");
+        let par = par_out.telemetry.expect("telemetry enabled");
         assert_eq!(
             seq.journal, par.journal,
             "{name}: route journal differs between threads=1 and threads=4"
+        );
+        let work = |r: &TelemetryReport| -> Vec<(&'static str, u64)> {
+            r.counters.iter().copied().filter(|(l, _)| !WALL_CLOCK_COUNTERS.contains(l)).collect()
+        };
+        assert_eq!(
+            work(&seq),
+            work(&par),
+            "{name}: telemetry counters differ between threads=1 and threads=4"
         );
         if name == "g3_congested" {
             assert!(

@@ -1,23 +1,17 @@
 //! Thread-scaling determinism suite.
 //!
-//! The parallel sequential planner's contract is that worker count buys
-//! wall-clock only: plans are speculative, commits happen serially in
-//! net order, and a plan whose read set was invalidated (or whose worker
-//! died) is recomputed through the single-threaded path. This suite pins
-//! that contract across the published scaling matrix (1/2/4/8 threads):
+//! The worker count only parallelizes read-only scans around the serial
+//! per-net loop (rip-up and negotiation victim scans, ordering features,
+//! LP constraint rows), so it must never change what gets routed. This
+//! suite pins that across the published scaling matrix (1/2/4/8
+//! threads):
 //!
 //! 1. layout hash **and** route journal are identical at every thread
 //!    count, on placid and rip-up-heavy circuits alike;
-//! 2. injected `pool.worker` faults — error *and* panic kinds, at
-//!    varying trigger offsets — change nothing: a killed speculative
-//!    plan is recomputed authoritatively, so the layout and journal
-//!    match the fault-free run (this is also the one fault site that
-//!    does not force the planner single-threaded);
-//! 3. (release CI, env-gated) dense2's scaling matrix is hash-stable.
+//! 2. (release CI, env-gated) dense2's scaling matrix is hash-stable.
 
 use info_rdl::generators::{build_dense, dense, dense_spec};
 use info_rdl::model::Package;
-use info_rdl::router::{FaultDirective, FaultKind, FaultPlan, FaultSite};
 use info_rdl::{InfoRouter, RouterConfig, TelemetryReport};
 
 const MATRIX: [usize; 4] = [1, 2, 4, 8];
@@ -31,12 +25,8 @@ fn mk(idx: usize, io: usize, bumps: usize, seed: u64) -> Package {
     build_dense(spec, false)
 }
 
-fn route(pkg: &Package, cells: usize, threads: usize, plan: FaultPlan) -> (u64, TelemetryReport) {
-    let cfg = RouterConfig::default()
-        .with_global_cells(cells)
-        .with_threads(threads)
-        .with_fault_plan(plan)
-        .with_telemetry();
+fn route(pkg: &Package, cells: usize, threads: usize) -> (u64, TelemetryReport) {
+    let cfg = RouterConfig::default().with_global_cells(cells).with_threads(threads).with_telemetry();
     let out = InfoRouter::new(cfg).route(pkg);
     (out.layout.canonical_hash(), out.telemetry.expect("telemetry enabled"))
 }
@@ -48,9 +38,9 @@ fn matrix_reproduces_single_threaded_layout_and_journal() {
     let circuits =
         [("g4_three_chip_dense", mk(2, 20, 56, 31), 14), ("g3_congested", mk(2, 16, 48, 23), 10)];
     for (name, pkg, cells) in circuits {
-        let (base_hash, base_report) = route(&pkg, cells, 1, FaultPlan::none());
+        let (base_hash, base_report) = route(&pkg, cells, 1);
         for threads in MATRIX {
-            let (hash, report) = route(&pkg, cells, threads, FaultPlan::none());
+            let (hash, report) = route(&pkg, cells, threads);
             assert_eq!(hash, base_hash, "{name}: layout diverged at {threads} threads");
             assert_eq!(
                 report.journal, base_report.journal,
@@ -60,51 +50,7 @@ fn matrix_reproduces_single_threaded_layout_and_journal() {
     }
 }
 
-/// Contract 2: `pool.worker` faults only kill speculative plans, which
-/// are recomputed authoritatively — layout and journal must match the
-/// fault-free run at every thread count, for both fault kinds and for
-/// trigger offsets that land mid-stage. (Which worker eats the k-th
-/// trigger is scheduling-dependent, which is exactly why the site must
-/// be absorbed rather than replayed.)
-#[test]
-fn pool_worker_faults_change_nothing() {
-    let pkg = mk(2, 16, 48, 23);
-    let cells = 10;
-    let (base_hash, base_report) = route(&pkg, cells, 1, FaultPlan::none());
-    for kind in [FaultKind::Error, FaultKind::Panic] {
-        for (skip, fires) in [(0, 1), (2, 3)] {
-            let plan = FaultPlan::none().with(FaultDirective {
-                site: FaultSite::PoolWorker,
-                kind,
-                skip,
-                fires,
-            });
-            for threads in MATRIX {
-                let (hash, report) = route(&pkg, cells, threads, plan);
-                let tag = format!("{kind:?} skip={skip} fires={fires} threads={threads}");
-                assert_eq!(hash, base_hash, "layout diverged under pool.worker fault ({tag})");
-                assert_eq!(
-                    report.journal, base_report.journal,
-                    "journal diverged under pool.worker fault ({tag})"
-                );
-            }
-        }
-    }
-}
-
-/// A `pool.worker`-only plan must not force the planner single-threaded:
-/// the speculative path still runs (commits + conflicts account for
-/// every attempted net) even while the fault plan is armed.
-#[test]
-fn pool_worker_plan_keeps_the_speculative_path() {
-    let pkg = mk(2, 20, 56, 31);
-    let plan = FaultPlan::single(FaultSite::PoolWorker);
-    let (_, report) = route(&pkg, 14, 4, plan);
-    let spec = report.counter("speculative_commits") + report.counter("speculative_conflicts");
-    assert!(spec > 0, "speculative planner did not run under a pool.worker-only fault plan");
-}
-
-/// Contract 3, full-size: dense2 across the matrix (the circuit the CI
+/// Contract 2, full-size: dense2 across the matrix (the circuit the CI
 /// scaling gate times). Minutes of routing, so it only runs when asked:
 /// `RDL_SCALING_TEST=1 cargo test --release -- dense2_matrix`.
 #[test]
