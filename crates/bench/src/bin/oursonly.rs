@@ -19,22 +19,20 @@ fn main() {
     println!("  sequential {:?}  hash {:016x}", out.timings.sequential, out.layout.canonical_hash());
     if let Some(n) = out.negotiation {
         println!(
-            "  negotiation: iters {} converged {} declined {} endgame {} overuse {} reroutes {} history {:?}",
-            n.iterations, n.converged, n.declined, n.endgame_iterations, n.final_overuse,
+            "  negotiation: iters {} converged {} declined {} overuse {} reroutes {} history {:?}",
+            n.iterations, n.converged, n.declined, n.final_overuse,
             n.reroutes, n.history_totals
         );
     }
     if let Some(rep) = &out.telemetry {
-        for span in ["negotiation_iteration", "negotiation_endgame_iteration"] {
-            let iters: Vec<String> = rep
-                .spans
-                .iter()
-                .filter(|(n, _)| *n == span)
-                .map(|(_, s)| format!("{s:.2}"))
-                .collect();
-            if !iters.is_empty() {
-                println!("  {span} spans (s): [{}]", iters.join(", "));
-            }
+        let iters: Vec<String> = rep
+            .spans
+            .iter()
+            .filter(|(n, _)| *n == "negotiation_iteration")
+            .map(|(_, s)| format!("{s:.2}"))
+            .collect();
+        if !iters.is_empty() {
+            println!("  negotiation_iteration spans (s): [{}]", iters.join(", "));
         }
         println!("  ripup_wall {:.3}s", rep.counter("ripup_wall_us") as f64 / 1e6);
     }

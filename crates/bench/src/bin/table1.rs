@@ -65,7 +65,6 @@ struct NegRow {
     iterations: u32,
     converged: bool,
     declined: bool,
-    endgame_iterations: u32,
     final_overuse: u32,
     reroutes: u64,
     ripup_wall_s: f64,
@@ -346,7 +345,7 @@ fn circuit_json(r: &Row) -> String {
          \"negotiated\": {{\"routability_pct\": {:.3}, \"wirelength_um\": {:.1}, \
          \"runtime_s\": {:.4}, \"sequential_s\": {:.4}, \"layout_hash\": \"{:016x}\", \
          \"iterations\": {}, \"converged\": {}, \"declined\": {}, \
-         \"endgame_iterations\": {}, \"final_overuse\": {}, \
+         \"final_overuse\": {}, \
          \"reroutes\": {}, \"ripup_wall_s\": {:.4}}}, \
          \"failure_reasons\": {}, \
          \"counters\": {}, \
@@ -380,7 +379,6 @@ fn circuit_json(r: &Row) -> String {
         r.neg.iterations,
         r.neg.converged,
         r.neg.declined,
-        r.neg.endgame_iterations,
         r.neg.final_overuse,
         r.neg.reroutes,
         r.neg.ripup_wall_s,
@@ -578,21 +576,19 @@ fn main() {
             iterations: negst.iterations,
             converged: negst.converged,
             declined: negst.declined,
-            endgame_iterations: negst.endgame_iterations,
             final_overuse: negst.final_overuse,
             reroutes: negst.reroutes,
             ripup_wall_s: neg_report.counter("ripup_wall_us") as f64 / 1e6,
         };
         println!(
             "  negotiated: rt {:.1}%  seq {:.2}s (total {:.2}s)  iters {}  converged {}  \
-             declined {}  endgame {}  reroutes {}  ripup {:.2}s",
+             declined {}  reroutes {}  ripup {:.2}s",
             neg.routability_pct,
             neg.sequential_s,
             neg.runtime_s,
             neg.iterations,
             neg.converged,
             neg.declined,
-            neg.endgame_iterations,
             neg.reroutes,
             neg.ripup_wall_s,
         );

@@ -70,9 +70,14 @@ pub struct RouterConfig {
     /// congestion costs, contested corridors escalate between
     /// iterations, and nets blocking a failed net are evicted and
     /// re-queued until the layout converges (or the iteration cap hands
-    /// the stragglers to the terminal-aware rip-up fallback). Off by
-    /// default; layouts in this mode are deterministic at every thread
-    /// count but differ from the rip-up path's.
+    /// the stragglers to the terminal-aware rip-up fallback). A front
+    /// whose first iterations mass-fail *declines* and the stage runs the
+    /// legacy path instead, so a declined run's layout is the legacy one
+    /// byte for byte. Only a declined run is never worse than legacy: on
+    /// g4 of the golden suite, sequential-only with
+    /// `retry_expansion_budget` 100, this mode routes 3 nets and legacy 6.
+    /// Off by default; layouts in this mode are deterministic at every
+    /// thread count but differ from the rip-up path's.
     pub congestion_mode: bool,
     /// Per-search A\* expansion-budget override for the sequential stage
     /// (`None` keeps the tile layer's default cap). A testing/ablation

@@ -154,16 +154,12 @@ fn fixed_shapes(package: &Package, layer: WireLayer) -> Vec<(Option<NetId>, Octa
     out
 }
 
-/// Generates the interactive constraint set for the whole item model.
-pub fn generate(package: &Package, items: &ItemModel) -> Vec<Separation> {
-    generate_threaded(package, items, 1)
-}
-
-/// [`generate`] with the per-layer loop run on `threads` workers.
-/// Each layer's constraints are pure in `(package, items)` and the
-/// per-layer lists are flattened in layer order, so the output is
-/// byte-identical to the serial build at every thread count.
-pub fn generate_threaded(
+/// Generates the interactive constraint set for the whole item model,
+/// with the per-layer loop run on `threads` workers. Each layer's
+/// constraints are pure in `(package, items)` and the per-layer lists
+/// are flattened in layer order, so the output is byte-identical at
+/// every thread count.
+pub fn generate(
     package: &Package,
     items: &ItemModel,
     threads: usize,
@@ -565,7 +561,7 @@ mod tests {
     fn parallel_wires_generate_mutual_constraints() {
         let (pkg, layout) = two_wire_layout();
         let items = extract(&pkg, &layout).unwrap();
-        let cons = generate(&pkg, &items);
+        let cons = generate(&pkg, &items, 1);
         // Every wire segment is separated from its nearest blockage on the
         // H orientation: here the *foreign pads* (36 µm) are nearer than
         // the foreign wire line (40 µm), so Const bounds win the buckets —
@@ -594,7 +590,7 @@ mod tests {
             Polyline::new(vec![Point::new(400_000, 460_000), Point::new(600_000, 460_000)]),
         );
         let items2 = extract(&pkg, &far).unwrap();
-        let cons2 = generate(&pkg, &items2);
+        let cons2 = generate(&pkg, &items2, 1);
         let seg_seg = cons2
             .iter()
             .filter(|c| matches!(c.a, ExprRef::SegLine(_)) && matches!(c.b, ExprRef::SegLine(_)))
@@ -625,7 +621,7 @@ mod tests {
             Polyline::new(vec![Point::new(300_000, 243_000), Point::new(700_000, 243_000)]),
         );
         let items = extract(&pkg, &layout).unwrap();
-        let cons = generate(&pkg, &items);
+        let cons = generate(&pkg, &items, 1);
         let tight: Vec<_> = cons
             .iter()
             .filter(|c| {

@@ -158,7 +158,7 @@ pub fn optimize_seeded(
     }
     // Constraint generation is pure per layer, so it runs on
     // `cfg.threads` workers.
-    let base = constraints::generate_threaded(package, &items, cfg.threads);
+    let base = constraints::generate(package, &items, cfg.threads);
 
     // Net components from constraint coupling.
     let nets: BTreeSet<NetId> = items.routes.iter().map(|r| r.net).collect();
@@ -473,11 +473,6 @@ fn solve_subset(
         }
         Err(e) => Err(RouterError::Lp(e)),
     }
-}
-
-#[doc(hidden)]
-pub fn generate_constraints(package: &Package, items: &ItemModel) -> Vec<Separation> {
-    constraints::generate(package, items)
 }
 
 #[cfg(test)]

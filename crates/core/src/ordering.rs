@@ -77,21 +77,12 @@ fn ring_fraction(space: &RoutingSpace, layer: WireLayer, cell: (usize, usize)) -
     }
 }
 
-/// Computes the ordering features of `nets` against the current space.
+/// Computes the ordering features of `nets` against the current space,
+/// on `threads` workers. Each net's features read only the shared
+/// (package, space, failure-map) state, so the per-net closure is pure
+/// and [`parallel_map`](crate::pool::parallel_map) returns the rows in
+/// net order — the output is byte-identical at every thread count.
 pub fn net_features(
-    package: &Package,
-    space: &RoutingSpace,
-    nets: &[NetId],
-    fail_expansions: &BTreeMap<NetId, u64>,
-) -> Vec<NetFeatures> {
-    net_features_threaded(package, space, nets, fail_expansions, 1)
-}
-
-/// [`net_features`] over a worker pool: each net's features read only the
-/// shared (package, space, failure-map) state, so the per-net closure is
-/// pure and [`parallel_map`](crate::pool::parallel_map) returns the rows
-/// in net order — the output is byte-identical at every thread count.
-pub fn net_features_threaded(
     package: &Package,
     space: &RoutingSpace,
     nets: &[NetId],
@@ -99,38 +90,35 @@ pub fn net_features_threaded(
     threads: usize,
 ) -> Vec<NetFeatures> {
     crate::pool::parallel_map(nets, threads, |_, &id| {
-        {
-            let n = package.net(id);
-            let (pa, pb) = (package.pad(n.a).center, package.pad(n.b).center);
-            let length = x_arch_len(pa, pb);
-            let detour_rate =
-                fail_expansions.get(&id).copied().unwrap_or(0) as f64 / length.max(1.0);
-            let walledness = {
-                let mut sum = 0.0;
-                let mut terms = 0usize;
-                for (pad, p) in [(n.a, pa), (n.b, pb)] {
-                    if let Some(cell) = space.cell_of(p) {
-                        sum += ring_fraction(space, package.pad_layer(pad), cell);
-                        terms += 1;
-                    }
+        let n = package.net(id);
+        let (pa, pb) = (package.pad(n.a).center, package.pad(n.b).center);
+        let length = x_arch_len(pa, pb);
+        let detour_rate = fail_expansions.get(&id).copied().unwrap_or(0) as f64 / length.max(1.0);
+        let walledness = {
+            let mut sum = 0.0;
+            let mut terms = 0usize;
+            for (pad, p) in [(n.a, pa), (n.b, pb)] {
+                if let Some(cell) = space.cell_of(p) {
+                    sum += ring_fraction(space, package.pad_layer(pad), cell);
+                    terms += 1;
                 }
-                if terms == 0 { 0.0 } else { sum / terms as f64 }
-            };
-            let bbox_congestion = {
-                let cells = space.cells_touching(Rect::new(pa, pb));
-                let layers = space.layer_count();
-                let mut sum = 0.0;
-                let mut terms = 0usize;
-                for &(cx, cy) in &cells {
-                    for l in 0..layers {
-                        sum += cell_fraction(space, WireLayer(l as u8), cx, cy);
-                        terms += 1;
-                    }
+            }
+            if terms == 0 { 0.0 } else { sum / terms as f64 }
+        };
+        let bbox_congestion = {
+            let cells = space.cells_touching(Rect::new(pa, pb));
+            let layers = space.layer_count();
+            let mut sum = 0.0;
+            let mut terms = 0usize;
+            for &(cx, cy) in &cells {
+                for l in 0..layers {
+                    sum += cell_fraction(space, WireLayer(l as u8), cx, cy);
+                    terms += 1;
                 }
-                if terms == 0 { 0.0 } else { sum / terms as f64 }
-            };
-            NetFeatures { net: id, length, bbox_congestion, walledness, detour_rate }
-        }
+            }
+            if terms == 0 { 0.0 } else { sum / terms as f64 }
+        };
+        NetFeatures { net: id, length, bbox_congestion, walledness, detour_rate }
     })
 }
 
@@ -142,27 +130,18 @@ pub fn net_features_threaded(
 /// would reorder the entire queue by congestion estimates alone, and the
 /// estimates are only strong signals at their extremes. A batch with no
 /// failures and a uniform space degrades to plain shortest-first.
+///
+/// Only the feature computation is spread over `threads`; scoring,
+/// bucketing and the sort run on the caller's thread against the
+/// order-preserved rows, so the order is identical at every thread count.
 pub fn feature_order(
-    package: &Package,
-    space: &RoutingSpace,
-    nets: &[NetId],
-    fail_expansions: &BTreeMap<NetId, u64>,
-) -> Vec<NetId> {
-    feature_order_threaded(package, space, nets, fail_expansions, 1)
-}
-
-/// [`feature_order`] with the feature computation spread over `threads`
-/// workers. The scoring, bucketing, and sort all run on the caller's
-/// thread against the order-preserved feature rows, so the returned
-/// order is identical at every thread count.
-pub fn feature_order_threaded(
     package: &Package,
     space: &RoutingSpace,
     nets: &[NetId],
     fail_expansions: &BTreeMap<NetId, u64>,
     threads: usize,
 ) -> Vec<NetId> {
-    let feats = net_features_threaded(package, space, nets, fail_expansions, threads);
+    let feats = net_features(package, space, nets, fail_expansions, threads);
     let max_of = |f: fn(&NetFeatures) -> f64| {
         feats.iter().map(f).fold(0.0f64, f64::max).max(f64::MIN_POSITIVE)
     };
@@ -214,8 +193,8 @@ mod tests {
         let space = RoutingSpace::build(&pkg, &layout, space_config(&pkg, &cfg));
         let nets: Vec<NetId> = pkg.nets().iter().map(|n| n.id).collect();
         let fails = BTreeMap::new();
-        let a = net_features(&pkg, &space, &nets, &fails);
-        let b = net_features(&pkg, &space, &nets, &fails);
+        let a = net_features(&pkg, &space, &nets, &fails, 1);
+        let b = net_features(&pkg, &space, &nets, &fails, 1);
         assert_eq!(a, b, "features must be a pure function of the inputs");
         for f in &a {
             assert!((0.0..=1.0).contains(&f.bbox_congestion), "{f:?}");
@@ -233,10 +212,10 @@ mod tests {
         let nets: Vec<NetId> = pkg.nets().iter().map(|n| n.id).collect();
         let mut fails = BTreeMap::new();
         fails.insert(NetId(2), 500_000u64);
-        let order = feature_order(&pkg, &space, &nets, &fails);
+        let order = feature_order(&pkg, &space, &nets, &fails, 1);
         assert_eq!(order[0], NetId(2), "the net with a failure on record goes first: {order:?}");
         // Without failures the order degrades to shortest-first + id.
-        let base = feature_order(&pkg, &space, &nets, &BTreeMap::new());
+        let base = feature_order(&pkg, &space, &nets, &BTreeMap::new(), 1);
         assert_eq!(base.len(), 3);
     }
 
@@ -249,13 +228,13 @@ mod tests {
         let nets: Vec<NetId> = pkg.nets().iter().map(|n| n.id).collect();
         let mut fails = BTreeMap::new();
         fails.insert(NetId(1), 250_000u64);
-        let serial = net_features(&pkg, &space, &nets, &fails);
+        let serial = net_features(&pkg, &space, &nets, &fails, 1);
         for threads in [2, 4, 8] {
-            let par = net_features_threaded(&pkg, &space, &nets, &fails, threads);
+            let par = net_features(&pkg, &space, &nets, &fails, threads);
             assert_eq!(serial, par, "feature rows must be thread-invariant ({threads} threads)");
             assert_eq!(
-                feature_order(&pkg, &space, &nets, &fails),
-                feature_order_threaded(&pkg, &space, &nets, &fails, threads),
+                feature_order(&pkg, &space, &nets, &fails, 1),
+                feature_order(&pkg, &space, &nets, &fails, threads),
             );
         }
     }

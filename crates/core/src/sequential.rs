@@ -40,28 +40,25 @@ pub struct SequentialResult {
 
 /// Convergence statistics of the negotiated-congestion front (DESIGN.md
 /// §4h). All fields are deterministic at every thread count: iteration
-/// outcomes derive from the committed layout only.
+/// outcomes derive from the committed layout only. On a *declined* run
+/// every field describes the front's discarded iterations, not the
+/// legacy layout the stage returns.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NegotiationStats {
     /// Iterations the convergence loop ran (at least 1, at most
     /// [`NEGOTIATION_MAX_ITERS`]).
     pub iterations: u32,
     /// True when the final iteration routed every queued net (no failures
-    /// and no interrupt); false when the iteration cap or an interrupt
-    /// handed the stragglers to the rip-up fallback. A declined run never
-    /// claims convergence, even when the endgame later empties the failed
-    /// set — the flag describes the negotiated *front*.
+    /// and no interrupt); false when the iteration cap, stagnation or an
+    /// interrupt handed the stragglers to the rip-up fallback, or the
+    /// front declined.
     pub converged: bool,
     /// True when the first iterations hit the mass-failure bail
     /// ([`NEGOTIATION_MASS_FAILURE`]): the front discarded its work and
-    /// the stage re-ran the legacy two-pass + rip-up path, followed by
-    /// the best-layout endgame loop on whatever rip-up left failed.
+    /// the stage re-ran the legacy two-pass + rip-up path from the
+    /// stage-entry layout, so the routed layout is the legacy one byte
+    /// for byte.
     pub declined: bool,
-    /// Iterations of the post-rip-up endgame loop (declined runs only;
-    /// 0 otherwise). Bounded by [`NEGOTIATION_MAX_ITERS`] and its own
-    /// stagnation patience, and monotone in routability by construction:
-    /// the endgame restores the best layout it ever saw.
-    pub endgame_iterations: u32,
     /// Contested corridor cells observed in the *last* iteration (0 on
     /// convergence).
     pub final_overuse: u32,
@@ -107,24 +104,16 @@ const NEGOTIATION_PATIENCE: u32 = 4;
 /// Failed-net count (floor of a 10%-of-batch scale) above which the loop
 /// *declines*: it discards its commits, restores the stage-entry layout,
 /// and the stage re-runs the legacy two-pass + rip-up front instead.
-/// Negotiation is an endgame mechanism — terminal-ring escalation and
-/// two-victim eviction resolve the last few walled nets. When failure is
-/// *mass* (dense3's front leaves ~15 of 80, dense5's ~40 of 208),
-/// per-failure eviction churns a large fraction of the committed layout,
-/// the loop burns minutes re-proving walls, and the rip-up fallback then
-/// starts from wreckage measurably worse than the plain layout it would
-/// otherwise get — keeping the feature-ordered, congestion-priced first
-/// iteration cost dense3 2.6 routability points versus legacy. Declining
-/// makes mass-failure circuits route ≥ the legacy path by construction;
-/// the endgame loop then negotiates on top of the legacy result.
+/// Negotiation resolves the last few walled nets — terminal-ring
+/// escalation and two-victim eviction. When failure is *mass* (dense3's
+/// front leaves ~15 of 80, dense5's ~40 of 208), per-failure eviction
+/// churns a large fraction of the committed layout, the loop burns
+/// minutes re-proving walls, and the rip-up fallback then starts from
+/// wreckage measurably worse than the plain layout it would otherwise
+/// get — keeping the feature-ordered, congestion-priced first iteration
+/// cost dense3 2.6 routability points versus legacy. A declined run
+/// returns the legacy layout byte for byte.
 const NEGOTIATION_MASS_FAILURE: usize = 8;
-/// Stagnation patience of the post-rip-up endgame loop, in iterations
-/// without a new routed-count maximum. Stricter than the front's
-/// [`NEGOTIATION_PATIENCE`]: the endgame starts where rip-up already did
-/// its best, every iteration re-routes the whole failed set plus evicted
-/// victims (expensive on mass-failure circuits), and the best-layout
-/// restore means a stalled loop is pure cost.
-const NEGOTIATION_ENDGAME_PATIENCE: u32 = 2;
 
 /// Derives the tile-space configuration from the router configuration.
 pub fn space_config(package: &Package, cfg: &RouterConfig) -> SpaceConfig {
@@ -242,8 +231,15 @@ pub(crate) fn route_sequential_in_space(
     // X-architecture distance — go first: they searched hardest relative
     // to their size, so they are the most congestion-bound and benefit
     // most from picking their victims before the layout tightens further.
-    if !result.failed.is_empty() {
-        let mut boxed_in = std::mem::take(&mut result.failed);
+    // Like the retry pass, rip-up retries geometric failures only: an
+    // internal failure (caught panic, injected fault) stays failed, so it
+    // costs exactly its net and every `recovered` net ends in `failed`.
+    {
+        let recovered: BTreeSet<NetId> = result.recovered.iter().map(|&(id, _)| id).collect();
+        let (mut boxed_in, lost): (Vec<NetId>, Vec<NetId>) = std::mem::take(&mut result.failed)
+            .into_iter()
+            .partition(|id| !recovered.contains(id));
+        result.failed = lost;
         let rate = |id: NetId| {
             let n = package.net(id);
             let d = x_arch_len(package.pad(n.a).center, package.pad(n.b).center).max(1.0);
@@ -301,30 +297,6 @@ pub(crate) fn route_sequential_in_space(
                 }
             }
         }
-    }
-    // Declined negotiated runs get one more shot: the endgame loop
-    // negotiates on top of the legacy + rip-up result with best-layout
-    // restore, so it can only improve routability (DESIGN.md §4h). Runs
-    // only on the declined path — a handled front already negotiated
-    // these failures to stagnation, and re-entering would churn the same
-    // walls under even higher history.
-    if cfg.congestion_mode
-        && result.negotiation.as_ref().is_some_and(|n| n.declined)
-        && !result.failed.is_empty()
-        && !ctx.interrupted()
-    {
-        negotiate_endgame(
-            package,
-            layout,
-            cfg,
-            ctx,
-            threads,
-            &mut *space,
-            &mut stats,
-            tel,
-            &mut result,
-            &mut fail_expansions,
-        );
     }
     // Edge-legality cache effectiveness, sampled from the surviving space.
     // Rip-up restores replace the space (and its tallies) by value, so
@@ -572,45 +544,51 @@ fn contested_cells(
     contested
 }
 
-/// Victims of one escalation round: for each failed net, the
-/// [`NEGOTIATION_VICTIMS_PER_FAILED`] routed nets with geometry inside
-/// its pad-pair corridor, nearest-to-terminal first (the rip-up
-/// ranking).
-fn select_victims(
+/// Routed nets with geometry inside `id`'s pad-pair corridor, as
+/// `(net, da, db)` — the squared distance from the net's geometry to
+/// pad a and to pad b — ranked nearest-to-either-terminal first (ties by
+/// net id). This is the victim scan of both the rip-up pass and the
+/// negotiated front's evictions.
+///
+/// A failed net is usually starved right at a pad (the route journal
+/// shows such nets dying with a tiny reachable component), and the wall
+/// around a pad is whichever routes hug *that pad* — not the nets whose
+/// own pads happen to sit near the corridor's center, which is what a
+/// pad-midpoint ranking rewards and why the true blocker could sort past
+/// an eviction cutoff.
+///
+/// The per-candidate scan is read-only and pure per net, so it runs in
+/// parallel; results come back in candidate order and the sort key is
+/// total, so the ranking is thread-invariant.
+fn corridor_victims(
     package: &Package,
     layout: &Layout,
-    routed: &BTreeSet<NetId>,
-    failed: impl Iterator<Item = NetId>,
-    corridor_margin: i64,
+    id: NetId,
+    routed: &[NetId],
     threads: usize,
-) -> BTreeSet<NetId> {
-    // Each failed net's corridor scan is pure in (package, layout), so
-    // the per-net victim lists are computed in parallel; the union below
-    // is a BTreeSet, so merge order cannot matter.
-    let failed: Vec<NetId> = failed.collect();
-    let per_net: Vec<Vec<NetId>> = parallel_map(&failed, threads, |_, &id| {
-        let n = package.net(id);
-        let (pa, pb) = (package.pad(n.a).center, package.pad(n.b).center);
-        let corridor = Rect::new(pa, pb).inflate(corridor_margin);
-        let mut keyed: Vec<(i128, NetId)> = routed
-            .iter()
-            .copied()
-            .filter_map(|c| {
-                let mut d = i128::MAX;
-                let mut inside = false;
-                for r in layout.routes_of(c) {
-                    for p in r.path.points() {
-                        inside |= corridor.contains(*p);
-                        d = d.min(info_geom::euclid_sq(*p, pa).min(info_geom::euclid_sq(*p, pb)));
-                    }
-                }
-                if inside { Some((d, c)) } else { None }
-            })
-            .collect();
-        keyed.sort();
-        keyed.into_iter().take(NEGOTIATION_VICTIMS_PER_FAILED).map(|(_, c)| c).collect()
-    });
-    per_net.into_iter().flatten().collect()
+) -> Vec<(NetId, i128, i128)> {
+    let net = package.net(id);
+    let (pa, pb) = (package.pad(net.a).center, package.pad(net.b).center);
+    let rules = package.rules();
+    let corridor = Rect::new(pa, pb).inflate(8 * (rules.min_spacing + rules.wire_width));
+    let mut keyed: Vec<(NetId, i128, i128)> = parallel_map(routed, threads, |_, &c| {
+        let mut da = i128::MAX;
+        let mut db = i128::MAX;
+        let mut inside = false;
+        for r in layout.routes_of(c) {
+            for p in r.path.points() {
+                inside |= corridor.contains(*p);
+                da = da.min(info_geom::euclid_sq(*p, pa));
+                db = db.min(info_geom::euclid_sq(*p, pb));
+            }
+        }
+        if inside { Some((c, da, db)) } else { None }
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    keyed.sort_by_key(|&(n, da, db)| (da.min(db), n));
+    keyed
 }
 
 /// The negotiated-congestion front (DESIGN.md §4h): replaces the legacy
@@ -633,8 +611,9 @@ fn select_victims(
 /// and the iteration count are thread-invariant.
 ///
 /// Returns `false` when the front *declined* (mass-failure bail): the
-/// layout is restored to its stage-entry state, the result lists are
-/// cleared, and the caller must run the legacy front instead.
+/// layout is restored to its stage-entry state, the result is reset
+/// (only the negotiation statistics remain), and the caller must run
+/// the legacy front instead.
 #[allow(clippy::too_many_arguments)]
 fn route_negotiated_front(
     package: &Package,
@@ -653,23 +632,27 @@ fn route_negotiated_front(
     // Declining must restore the exact stage-entry state; one clone up
     // front is far cheaper than the first iteration it may discard.
     let entry = layout.clone();
+    // History and present weights scale with the mean global-cell pitch.
     let die = package.die();
-    let cells = cfg.global_cells.max(1);
-    let cell_step = ((die.width() + die.height()) / 2) as f64 / cells as f64;
-    let (cells_x, cells_y) = (space.config().cells_x, space.config().cells_y);
-    let layers = space.layer_count();
-    let present_w = NEGOTIATION_PRESENT_WEIGHT * cell_step;
-    let history_w = NEGOTIATION_HISTORY_WEIGHT * cell_step;
-    space.set_congestion(Some(info_tile::CongestionMap::new(
-        cells_x, cells_y, layers, present_w, history_w,
-    )));
-    let corridor_margin = 8 * (package.rules().min_spacing + package.rules().wire_width);
+    let cell_step =
+        ((die.width() + die.height()) / 2) as f64 / cfg.global_cells.max(1) as f64;
+    let (cells_x, cells_y, layers) =
+        (space.config().cells_x, space.config().cells_y, space.layer_count());
+    let fresh_map = || {
+        info_tile::CongestionMap::new(
+            cells_x,
+            cells_y,
+            layers,
+            NEGOTIATION_PRESENT_WEIGHT * cell_step,
+            NEGOTIATION_HISTORY_WEIGHT * cell_step,
+        )
+    };
+    space.set_congestion(Some(fresh_map()));
 
     let mut neg = NegotiationStats::default();
     let mut routed: BTreeSet<NetId> = BTreeSet::new();
-    let mut queue: Vec<NetId> = crate::ordering::feature_order_threaded(package, space, nets, fail_expansions, threads);
+    let mut queue = crate::ordering::feature_order(package, space, nets, fail_expansions, threads);
     let mut last_failed: BTreeMap<NetId, u64>;
-    let mut aborted = false;
     let mut best_failed = usize::MAX;
     let mut stagnant = 0u32;
 
@@ -679,7 +662,6 @@ fn route_negotiated_front(
         let iter_t0 = std::time::Instant::now();
         let tally =
             route_pass(package, layout, space, &queue, cfg, ctx, Pass::Negotiated, stats, tel);
-        aborted |= !tally.skipped.is_empty();
         result.file_aborts(tally.internal, tally.skipped);
         routed.extend(tally.routed.iter().copied());
         fail_expansions.extend(tally.failed.iter().copied());
@@ -692,7 +674,9 @@ fn route_negotiated_front(
             .push(space.congestion().map_or(0.0, |m| m.total_history()));
         tel.record_span("negotiation_iteration", iter_t0.elapsed().as_secs_f64());
         if last_failed.is_empty() {
-            neg.converged = !aborted;
+            // Converged only when no net was lost to an interrupt or an
+            // internal failure either (both are filed in `result.failed`).
+            neg.converged = result.failed.is_empty();
             break;
         }
         if last_failed.len() < best_failed {
@@ -721,9 +705,7 @@ fn route_negotiated_front(
         // panic-path space rebuild drops the map; reinstall fresh rather
         // than silently degrading to plain shortest-path).
         if space.congestion().is_none() {
-            space.set_congestion(Some(info_tile::CongestionMap::new(
-                cells_x, cells_y, layers, present_w, history_w,
-            )));
+            space.set_congestion(Some(fresh_map()));
         }
         {
             let m = space.congestion_mut().expect("installed above");
@@ -741,8 +723,16 @@ fn route_negotiated_front(
         // corridor, nearest-to-terminal first — the rip-up ranking, but
         // negotiated evictions re-route under escalated history instead
         // of trial-and-restore.
-        let victims =
-            select_victims(package, layout, &routed, last_failed.keys().copied(), corridor_margin, threads);
+        let candidates: Vec<NetId> = routed.iter().copied().collect();
+        let victims: BTreeSet<NetId> = last_failed
+            .keys()
+            .flat_map(|&id| {
+                corridor_victims(package, layout, id, &candidates, threads)
+                    .into_iter()
+                    .take(NEGOTIATION_VICTIMS_PER_FAILED)
+                    .map(|(c, ..)| c)
+            })
+            .collect();
         let mut touched: Vec<Rect> = Vec::new();
         for &v in &victims {
             net_geometry_rects(layout, v, &mut touched);
@@ -759,21 +749,19 @@ fn route_negotiated_front(
             victims.iter().chain(last_failed.keys()).copied().collect();
         tel.count(Counter::NegotiationReroutes, requeue.len() as u64);
         neg.reroutes += requeue.len() as u64;
-        queue = crate::ordering::feature_order_threaded(package, space, &requeue, fail_expansions, threads);
+        queue = crate::ordering::feature_order(package, space, &requeue, fail_expansions, threads);
     }
 
     if neg.declined {
-        // Mass-failure bail: discard every commit this front made and
-        // hand the stage back exactly its entry state — the legacy front
-        // then runs as if congestion mode were off, so a declined run
-        // can never route fewer nets than the legacy path. The caught
-        // internal errors stay in `recovered` (they happened), but their
-        // nets get their normal legacy attempts.
+        // Mass-failure bail: discard everything this front did and hand
+        // the stage back exactly its entry state — the legacy front then
+        // runs as if congestion mode were off, so a declined run returns
+        // the legacy layout. That includes the front's internal failures:
+        // their nets get their normal legacy attempts, so they leave
+        // `recovered` (the fired fault stays in the flow's fault record).
         *layout = entry;
         *space = build_stage_space(package, layout, cfg);
-        result.routed.clear();
-        result.failed.clear();
-        result.skipped.clear();
+        *result = SequentialResult::default();
         fail_expansions.clear();
         tel.record_span("negotiation", t0.elapsed().as_secs_f64());
         result.negotiation = Some(neg);
@@ -788,164 +776,6 @@ fn route_negotiated_front(
     tel.record_span("negotiation", t0.elapsed().as_secs_f64());
     result.negotiation = Some(neg);
     true
-}
-
-/// The post-rip-up endgame loop of a *declined* negotiated run: the
-/// legacy front and rip-up have done their best, and whatever is still
-/// failed gets negotiated on top of that result. Structure per
-/// iteration: escalate history around the (already proven) failures,
-/// evict their corridor victims, re-route the batch under the inflated
-/// costs — escalate-*first*, unlike the front, because rip-up just
-/// demonstrated these nets fail at baseline costs.
-///
-/// Routability is monotone by construction: the loop snapshots every new
-/// routed-count maximum and restores the best layout at exit, so a
-/// declined negotiated run routes ≥ the legacy path — strictly more
-/// whenever any iteration recovers a net rip-up could not. Bounded by
-/// [`NEGOTIATION_MAX_ITERS`] and [`NEGOTIATION_ENDGAME_PATIENCE`]; a
-/// cancel token stops it between commits and the best layout still wins.
-#[allow(clippy::too_many_arguments)]
-fn negotiate_endgame(
-    package: &Package,
-    layout: &mut Layout,
-    cfg: &RouterConfig,
-    ctx: &FlowCtx,
-    threads: usize,
-    space: &mut RoutingSpace,
-    stats: &mut astar::SearchStats,
-    tel: &Sink,
-    result: &mut SequentialResult,
-    fail_expansions: &mut BTreeMap<NetId, u64>,
-) {
-    let t0 = std::time::Instant::now();
-    let die = package.die();
-    let cells = cfg.global_cells.max(1);
-    let cell_step = ((die.width() + die.height()) / 2) as f64 / cells as f64;
-    let (cells_x, cells_y) = (space.config().cells_x, space.config().cells_y);
-    let layers = space.layer_count();
-    let present_w = NEGOTIATION_PRESENT_WEIGHT * cell_step;
-    let history_w = NEGOTIATION_HISTORY_WEIGHT * cell_step;
-    let corridor_margin = 8 * (package.rules().min_spacing + package.rules().wire_width);
-
-    let mut routed: BTreeSet<NetId> = std::mem::take(&mut result.routed).into_iter().collect();
-    let mut failed: BTreeMap<NetId, u64> = std::mem::take(&mut result.failed)
-        .into_iter()
-        .map(|id| (id, fail_expansions.get(&id).copied().unwrap_or(0)))
-        .collect();
-    let mut skipped: BTreeSet<NetId> = BTreeSet::new();
-
-    // Best-seen state, seeded with the rip-up result the loop starts
-    // from. Restored at exit whenever the final iteration left fewer
-    // nets routed — eviction is speculative here, so a regression is
-    // possible mid-loop but can never escape the stage.
-    let mut best_layout = layout.clone();
-    let mut best_routed = routed.clone();
-    let mut best_failed = failed.clone();
-
-    space.set_congestion(Some(info_tile::CongestionMap::new(
-        cells_x, cells_y, layers, present_w, history_w,
-    )));
-    refresh_present(layout, space, &routed);
-
-    let mut iters = 0u32;
-    let mut stagnant = 0u32;
-    let mut aborted = false;
-    let mut reroutes = 0u64;
-    let mut history_totals: Vec<f64> = Vec::new();
-    while iters < NEGOTIATION_MAX_ITERS && !failed.is_empty() && !ctx.interrupted() && !aborted {
-        iters += 1;
-        tel.count(Counter::NegotiationIterations, 1);
-        let iter_t0 = std::time::Instant::now();
-
-        let contested = contested_cells(package, space, failed.keys().copied());
-        tel.count(Counter::NegotiationOveruse, contested.len() as u64);
-        if space.congestion().is_none() {
-            space.set_congestion(Some(info_tile::CongestionMap::new(
-                cells_x, cells_y, layers, present_w, history_w,
-            )));
-        }
-        {
-            let m = space.congestion_mut().expect("installed above");
-            let mut via_cells: BTreeSet<(usize, usize)> = BTreeSet::new();
-            for &(l, cx, cy) in &contested {
-                m.add_history(l, cx, cy, NEGOTIATION_HISTORY_STEP);
-                via_cells.insert((cx, cy));
-            }
-            for (cx, cy) in via_cells {
-                m.add_via_history(cx, cy, NEGOTIATION_HISTORY_STEP);
-            }
-        }
-
-        let victims =
-            select_victims(package, layout, &routed, failed.keys().copied(), corridor_margin, threads);
-        let mut touched: Vec<Rect> = Vec::new();
-        for &v in &victims {
-            net_geometry_rects(layout, v, &mut touched);
-            layout.remove_net(v);
-            routed.remove(&v);
-        }
-        if !touched.is_empty() {
-            let rebuilt = space.rebuild_dirty_multi(package, layout, &touched);
-            tel.count(Counter::CellsRebuilt, rebuilt.len() as u64);
-        }
-        refresh_present(layout, space, &routed);
-
-        let requeue: Vec<NetId> = victims.iter().chain(failed.keys()).copied().collect();
-        tel.count(Counter::NegotiationReroutes, requeue.len() as u64);
-        reroutes += requeue.len() as u64;
-        let queue = crate::ordering::feature_order_threaded(package, space, &requeue, fail_expansions, threads);
-        let tally =
-            route_pass(package, layout, space, &queue, cfg, ctx, Pass::Negotiated, stats, tel);
-        for (id, e) in tally.internal {
-            result.recovered.push((id, e));
-            failed.insert(id, 0);
-        }
-        aborted |= !tally.skipped.is_empty();
-        skipped.extend(tally.skipped.iter().copied());
-        routed.extend(tally.routed.iter().copied());
-        fail_expansions.extend(tally.failed.iter().copied());
-        failed = tally.failed.into_iter().collect();
-        history_totals.push(space.congestion().map_or(0.0, |m| m.total_history()));
-        tel.record_span("negotiation_endgame_iteration", iter_t0.elapsed().as_secs_f64());
-
-        if routed.len() > best_routed.len() {
-            best_layout = layout.clone();
-            best_routed = routed.clone();
-            best_failed = failed.clone();
-            stagnant = 0;
-        } else {
-            stagnant += 1;
-            if stagnant >= NEGOTIATION_ENDGAME_PATIENCE {
-                break;
-            }
-        }
-    }
-
-    if routed.len() < best_routed.len() {
-        *layout = best_layout;
-        routed = best_routed;
-        failed = best_failed;
-        *space = build_stage_space(package, layout, cfg);
-    } else {
-        space.set_congestion(None);
-    }
-
-    let final_overuse = contested_cells(package, space, failed.keys().copied()).len() as u32;
-    result.routed.extend(routed.iter().copied());
-    result.failed.extend(failed.keys().copied());
-    for &id in &skipped {
-        if !routed.contains(&id) && !failed.contains_key(&id) {
-            result.failed.push(id);
-            result.skipped.push(id);
-        }
-    }
-    if let Some(neg) = result.negotiation.as_mut() {
-        neg.endgame_iterations = iters;
-        neg.reroutes += reroutes;
-        neg.final_overuse = final_overuse;
-        neg.history_totals.extend(history_totals);
-    }
-    tel.record_span("negotiation_endgame", t0.elapsed().as_secs_f64());
 }
 
 /// Tries to free a path for `id` by evicting nearby routed nets: up to
@@ -969,42 +799,9 @@ fn ripup_and_reroute(
     stats: &mut astar::SearchStats,
     tel: &Sink,
 ) -> Result<bool, RouterError> {
-    let net = package.net(id);
-    let (pa, pb) = (package.pad(net.a).center, package.pad(net.b).center);
-    let corridor = info_geom::Rect::new(pa, pb)
-        .inflate(8 * (package.rules().min_spacing + package.rules().wire_width));
-    // Routed nets with geometry inside the corridor, ranked by how close
-    // that geometry comes to either blocked terminal. A failed net is
-    // usually starved right at a pad (the route journal shows such nets
-    // dying with a tiny reachable component), and the wall around a pad
-    // is whichever routes hug *that pad* — not the nets whose own pads
-    // happen to sit near the corridor's center, which is what the old
-    // pad-midpoint ranking rewarded and why the true blocker could sort
-    // past the eviction cutoff.
-    //
-    // The per-candidate scan is read-only and pure per net, so it runs
-    // in parallel; eviction trials and commits below stay strictly
-    // serial, in ranked order, which keeps the layout
-    // thread-invariant (the ranking itself is order-independent: results
-    // come back in candidate order and the sort key is deterministic).
-    let scan_layout: &Layout = layout;
-    let mut keyed: Vec<(NetId, i128, i128)> = parallel_map(routed, threads, |_, &c| {
-        let mut da = i128::MAX;
-        let mut db = i128::MAX;
-        let mut inside = false;
-        for r in scan_layout.routes_of(c) {
-            for p in r.path.points() {
-                inside |= corridor.contains(*p);
-                da = da.min(info_geom::euclid_sq(*p, pa));
-                db = db.min(info_geom::euclid_sq(*p, pb));
-            }
-        }
-        if inside { Some((c, da, db)) } else { None }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    keyed.sort_by_key(|&(n, da, db)| (da.min(db), n));
+    // Eviction trials and commits below stay strictly serial, in ranked
+    // order, which keeps the layout thread-invariant.
+    let keyed = corridor_victims(package, layout, id, routed, threads);
     let candidates: Vec<NetId> = keyed.iter().map(|&(n, ..)| n).collect();
     // Eviction sets: up to six single victims, then terminal-aware pairs.
     // A wall around a pad can be two routes deep (the journal shows

@@ -49,9 +49,9 @@ fn feature_order_is_deterministic_and_permutation_invariant() {
         let mut reversed = nets.clone();
         reversed.reverse();
         let fails = BTreeMap::new();
-        let a = feature_order(&pkg, &space, &nets, &fails);
-        let b = feature_order(&pkg, &space, &nets, &fails);
-        let c = feature_order(&pkg, &space, &reversed, &fails);
+        let a = feature_order(&pkg, &space, &nets, &fails, 1);
+        let b = feature_order(&pkg, &space, &nets, &fails, 1);
+        let c = feature_order(&pkg, &space, &reversed, &fails, 1);
         assert_eq!(a, b, "{name}: feature order must be deterministic");
         assert_eq!(a, c, "{name}: feature order must not depend on input permutation");
     }
@@ -59,8 +59,8 @@ fn feature_order_is_deterministic_and_permutation_invariant() {
 
 /// The features read only the package, the stage-start space, and the
 /// authoritative failure map — none of which vary with the worker thread
-/// count — so two configs differing only in `threads` see identical
-/// features and identical orders.
+/// count — so two configs differing only in `threads`, each computing on
+/// its own thread count, see identical features and identical orders.
 #[test]
 fn ordering_features_are_thread_invariant() {
     for (name, pkg) in circuits() {
@@ -70,12 +70,12 @@ fn ordering_features_are_thread_invariant() {
         let nets = all_nets(&pkg);
         let mut fails = BTreeMap::new();
         fails.insert(nets[0], 250_000u64);
-        let f1 = net_features(&pkg, &s1, &nets, &fails);
-        let f4 = net_features(&pkg, &s4, &nets, &fails);
+        let f1 = net_features(&pkg, &s1, &nets, &fails, 1);
+        let f4 = net_features(&pkg, &s4, &nets, &fails, 4);
         assert_eq!(f1, f4, "{name}: features differ with the thread count");
         assert_eq!(
-            feature_order(&pkg, &s1, &nets, &fails),
-            feature_order(&pkg, &s4, &nets, &fails),
+            feature_order(&pkg, &s1, &nets, &fails, 1),
+            feature_order(&pkg, &s4, &nets, &fails, 4),
             "{name}: order differs with the thread count"
         );
     }
@@ -90,11 +90,11 @@ fn a_failure_record_never_demotes_a_net() {
         let cfg = RouterConfig::default().with_global_cells(14);
         let space = stage_space(&pkg, &cfg);
         let nets = all_nets(&pkg);
-        let base = feature_order(&pkg, &space, &nets, &BTreeMap::new());
+        let base = feature_order(&pkg, &space, &nets, &BTreeMap::new(), 1);
         for &probe in &nets {
             let mut fails = BTreeMap::new();
             fails.insert(probe, 500_000u64);
-            let with = feature_order(&pkg, &space, &nets, &fails);
+            let with = feature_order(&pkg, &space, &nets, &fails, 1);
             let pos = |order: &[NetId]| order.iter().position(|&n| n == probe).expect("present");
             assert!(
                 pos(&with) <= pos(&base),
