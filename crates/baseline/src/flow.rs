@@ -4,7 +4,7 @@
 use crate::concentric::concentric_assignment;
 use info_model::{drc::DrcReport, stats::LayoutStats, Layout, NetId, Package, PadKind, WireLayer};
 use info_router::RouterConfig;
-use info_tile::{astar, realize, RoutingSpace};
+use info_tile::{astar, realize, RoutingSpace, SearchOptions, SearchStats};
 use std::time::{Duration, Instant};
 
 /// Everything the baseline produced.
@@ -105,7 +105,11 @@ fn try_layer(
     let n = package.net(net);
     let pa = package.pad(n.a).center;
     let pb = package.pad(n.b).center;
-    let Some(found) = astar::route_with(space, net, (wl, pa), (wl, pb), false) else {
+    // The prior-work baseline has no flexible vias: one layer per net.
+    let opts = SearchOptions { allow_vias: false, ..SearchOptions::default() };
+    let mut stats = SearchStats::default();
+    let found = astar::route_cancellable(space, net, (wl, pa), (wl, pb), opts, None, &mut stats);
+    let Ok(found) = found else {
         return false;
     };
     let Some(real) = realize::realize(&found, (wl, pa), (wl, pb)) else {
@@ -146,7 +150,7 @@ fn try_layer(
         layout.add_route(net, l, pl);
     }
     if let Some(d) = dirty {
-        space.rebuild_dirty(package, layout, d);
+        space.rebuild_dirty_multi(package, layout, &[d]);
     }
     true
 }

@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use info_model::Layout;
 use info_router::{assign, concurrent, preprocess, sequential, FlowCtx, InfoRouter, RouterConfig};
-use info_tile::{astar, RoutingSpace};
+use info_tile::{astar, RoutingSpace, SearchOptions, SearchStats};
 
 fn bench_stages(c: &mut Criterion) {
     let pkg = info_gen::dense(1);
@@ -41,7 +41,11 @@ fn bench_stages(c: &mut Criterion) {
     let src = (pkg.pad_layer(net.a), pkg.pad(net.a).center);
     let dst = (pkg.pad_layer(net.b), pkg.pad(net.b).center);
     group.bench_function("astar_one_net", |b| {
-        b.iter(|| astar::route(&space, net.id, src, dst).expect("open space"));
+        b.iter(|| {
+            let (opts, mut stats) = (SearchOptions::default(), SearchStats::default());
+            astar::route_cancellable(&space, net.id, src, dst, opts, None, &mut stats)
+                .expect("open space")
+        });
     });
     group.finish();
 

@@ -18,14 +18,17 @@
 //!   time on every measured circuit must stay under PCT% of that
 //!   circuit's full-route time (CI runs `eco_sweep 1 --gate 5`).
 //!
-//! The summary is spliced into `BENCH_rdl.json` under a top-level
-//! `"eco"` key, leaving the rest of the file byte-for-byte intact.
-//! Suite circuits no committed run has measured are listed under
+//! The per-circuit summaries are merged into the `"eco"` section of
+//! `BENCH_rdl.json` through [`BenchRecord`]: a measured circuit replaces
+//! its recorded entry, the others are carried, and the rest of the file
+//! is untouched. Suite circuits no run has measured are listed under
 //! `eco.skipped` (and announced on stderr) — a partial sweep never
-//! publishes a file that silently looks complete.
+//! publishes a file that silently looks complete. A record that cannot
+//! be read or written exits nonzero.
 
+use info_bench::{fixed, obj, BenchRecord, BENCH_PATH};
 use info_gen::dense;
-use info_router::serve::json;
+use info_router::serve::json::Json;
 use info_router::{
     EcoChangeSet, InfoRouter, NetStatus, RouteOutcome, RouterConfig, WarmSpaceCache,
 };
@@ -46,7 +49,7 @@ fn geom_clean(out: &RouteOutcome) -> bool {
         .all(|v| matches!(v, Violation::Disconnected { net } if unrouted.contains(&net.index())))
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut max_dense = 3usize;
     let mut gate_pct: Option<f64> = None;
     let mut args = std::env::args().skip(1);
@@ -69,12 +72,13 @@ fn main() {
         }
     }
 
+    let rcfg = RouterConfig::default();
+    let mut record = BenchRecord::open(BENCH_PATH, rcfg.threads)?;
     let mut sections = Vec::new();
     let mut gate_failed = false;
     for d in 1..=max_dense {
         let pkg = dense(d);
         let nets = pkg.nets().len();
-        let rcfg = RouterConfig::default();
 
         let t0 = Instant::now();
         let prior = InfoRouter::new(rcfg).route(&pkg);
@@ -135,30 +139,15 @@ fn main() {
 
         sections.push((
             format!("dense{d}"),
-            json::Json::Obj(vec![
-                ("nets".to_string(), json::Json::Num(nets as f64)),
-                (
-                    "full_s".to_string(),
-                    json::Json::Num((full.as_secs_f64() * 1e4).round() / 1e4),
-                ),
-                (
-                    "eco_mean_ms".to_string(),
-                    json::Json::Num((mean.as_secs_f64() * 1e5).round() / 100.0),
-                ),
-                (
-                    "eco_max_ms".to_string(),
-                    json::Json::Num((max.as_secs_f64() * 1e5).round() / 100.0),
-                ),
-                (
-                    "eco_mean_pct".to_string(),
-                    json::Json::Num((mean_pct * 100.0).round() / 100.0),
-                ),
-                (
-                    "nets_rerouted_total".to_string(),
-                    json::Json::Num(rerouted_total as f64),
-                ),
-                ("warm_hits".to_string(), json::Json::Num(hits as f64)),
-                ("warm_misses".to_string(), json::Json::Num(misses as f64)),
+            obj([
+                ("nets", Json::Num(nets as f64)),
+                ("full_s", fixed(full.as_secs_f64(), 4)),
+                ("eco_mean_ms", fixed(mean.as_secs_f64() * 1e3, 2)),
+                ("eco_max_ms", fixed(max.as_secs_f64() * 1e3, 2)),
+                ("eco_mean_pct", fixed(mean_pct, 2)),
+                ("nets_rerouted_total", Json::Num(rerouted_total as f64)),
+                ("warm_hits", Json::Num(hits as f64)),
+                ("warm_misses", Json::Num(misses as f64)),
             ]),
         ));
     }
@@ -167,30 +156,14 @@ fn main() {
         std::process::exit(1);
     }
 
-    // Merge with any committed circuits this run did not cover, so a
-    // dense1-only smoke (the CI gate) never drops the dense2/3 results.
-    let mut merged = sections;
-    if let Ok(text) = std::fs::read_to_string("BENCH_rdl.json") {
-        if let Ok(json::Json::Obj(top)) = json::parse(&text) {
-            if let Some((_, json::Json::Obj(prev))) = top.into_iter().find(|(k, _)| k == "eco") {
-                for (name, stats) in prev {
-                    if name == "skipped" || merged.iter().any(|(n, _)| *n == name) {
-                        continue;
-                    }
-                    merged.push((name, stats));
-                }
-            }
-        }
-    }
-    merged.sort_by(|(a, _), (b, _)| a.cmp(b));
-
-    // Circuits of the dense suite with no section even after the merge
-    // were never measured by *any* committed run — say so, in the JSON
-    // and on stderr, instead of silently publishing a file that looks
-    // complete. (The suite is dense1..=5; this run covered 1..=max_dense.)
+    // Circuits of the dense suite that neither this run nor the record
+    // has measured are listed as skipped — in the JSON and on stderr —
+    // instead of silently publishing a file that looks complete. (The
+    // suite is dense1..=5; this run covered 1..=max_dense.)
+    let recorded = record.get("eco").and_then(Json::as_obj).unwrap_or_default();
     let skipped: Vec<String> = (1..=5)
         .map(|d| format!("dense{d}"))
-        .filter(|name| !merged.iter().any(|(n, _)| n == name))
+        .filter(|name| !sections.iter().chain(recorded).any(|(n, _)| n == name))
         .collect();
     if !skipped.is_empty() {
         eprintln!(
@@ -199,33 +172,10 @@ fn main() {
             skipped.join(", ")
         );
     }
-    merged.push((
-        "skipped".to_string(),
-        json::Json::Arr(skipped.into_iter().map(json::Json::Str).collect()),
-    ));
-
-    let summary = json::Json::Obj(merged);
-    match splice_key("BENCH_rdl.json", "eco", &summary) {
-        Ok(()) => println!("updated BENCH_rdl.json (eco key)"),
-        Err(e) => eprintln!("could not update BENCH_rdl.json: {e}"),
-    }
-}
-
-/// Inserts/replaces a top-level `"<key>"` entry in `path` without
-/// reformatting anything else (same discipline as loadtest's splice):
-/// the existing line (if any) is dropped and a fresh single-line entry
-/// is inserted right after the opening brace.
-fn splice_key(path: &str, key: &str, summary: &json::Json) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    json::parse(&text).map_err(|e| format!("existing file is not valid JSON: {e}"))?;
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    lines.retain(|l| !l.trim_start().starts_with(&format!("\"{key}\"")));
-    let open = lines
-        .iter()
-        .position(|l| l.trim() == "{")
-        .ok_or_else(|| "no top-level object".to_string())?;
-    lines.insert(open + 1, format!("  \"{key}\": {summary},"));
-    let spliced = lines.join("\n") + "\n";
-    json::parse(&spliced).map_err(|e| format!("splice produced invalid JSON: {e}"))?;
-    std::fs::write(path, spliced).map_err(|e| format!("write: {e}"))
+    let skipped = Json::Arr(skipped.into_iter().map(Json::Str).collect());
+    sections.push(("skipped".to_string(), skipped));
+    record.merge("eco", Json::Obj(sections));
+    record.save()?;
+    println!("updated {BENCH_PATH} (eco section)");
+    Ok(())
 }

@@ -9,7 +9,8 @@
 //! one-glance question.
 //!
 //! Usage: `failure_report [index]` (default 2 — the congested circuit).
-//! Set `RDL_THREADS=<n>` to route with the parallel sequential planner.
+//! Set `RDL_THREADS=<n>` to pin the router's worker threads (the report
+//! is identical at every count).
 
 use info_model::svg::{self, Mark};
 use info_router::{InfoRouter, RouterConfig};

@@ -14,12 +14,16 @@
 //!   pool gets (one cold route plus N-1 warm-cache routes), so the
 //!   comparison is pool-vs-serial scheduling, not cache-vs-no-cache.
 //!
-//! The summary is spliced into `BENCH_rdl.json` under a top-level
-//! `"loadtest"` key (the rest of the file is left byte-for-byte intact),
-//! so CI's artifact upload carries it alongside the Table I numbers.
+//! The summary replaces the top-level `"loadtest"` section of
+//! `BENCH_rdl.json` (through [`BenchRecord`], which carries every other
+//! section unchanged), so CI's artifact upload carries it alongside the
+//! Table I numbers. A record that cannot be read or written exits
+//! nonzero.
 
+use info_bench::{fixed, obj, BenchRecord, BENCH_PATH};
 use info_gen::dense;
-use info_router::serve::{json, JobRequest, JobServer, ServeConfig};
+use info_router::serve::json::Json;
+use info_router::serve::{JobRequest, JobServer, ServeConfig};
 use info_router::{InfoRouter, RouterConfig, WarmSpaceCache};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -29,10 +33,11 @@ fn percentile(sorted: &[Duration], pct: usize) -> Duration {
     sorted[idx]
 }
 
-fn main() {
+fn main() -> std::io::Result<()> {
     let mut args = std::env::args().skip(1);
     let jobs: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(8);
     let workers: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(4);
+    let mut record = BenchRecord::open(BENCH_PATH, workers)?;
 
     let pkg = Arc::new(dense(1));
     let rcfg = RouterConfig::default();
@@ -148,53 +153,26 @@ fn main() {
         std::process::exit(1);
     }
 
-    let summary = json::Json::Obj(vec![
-        ("jobs".to_string(), json::Json::Num(jobs as f64)),
-        ("workers".to_string(), json::Json::Num(workers as f64)),
-        ("wall_s".to_string(), json::Json::Num((wall.as_secs_f64() * 1e4).round() / 1e4)),
-        ("throughput_jobs_s".to_string(), json::Json::Num((throughput * 100.0).round() / 100.0)),
-        ("p50_ms".to_string(), json::Json::Num((p50.as_secs_f64() * 1e4).round() / 10.0)),
-        ("p99_ms".to_string(), json::Json::Num((p99.as_secs_f64() * 1e4).round() / 10.0)),
+    let summary = obj([
+        ("jobs", Json::Num(jobs as f64)),
+        ("workers", Json::Num(workers as f64)),
+        ("wall_s", fixed(wall.as_secs_f64(), 4)),
+        ("throughput_jobs_s", fixed(throughput, 2)),
+        ("p50_ms", fixed(p50.as_secs_f64() * 1e3, 1)),
+        ("p99_ms", fixed(p99.as_secs_f64() * 1e3, 1)),
         // `serial_s` is the modeled per-job serial cost (cold + N-1 warm,
         // averaged) so speedup == serial_s * jobs / wall_s still holds;
         // the cold/warm split is published alongside it.
-        (
-            "serial_s".to_string(),
-            json::Json::Num((serial_total / jobs.max(1) as f64 * 1e4).round() / 1e4),
-        ),
-        (
-            "serial_cold_s".to_string(),
-            json::Json::Num((serial_cold.as_secs_f64() * 1e4).round() / 1e4),
-        ),
-        (
-            "serial_warm_s".to_string(),
-            json::Json::Num((serial_warm.as_secs_f64() * 1e4).round() / 1e4),
-        ),
-        ("speedup".to_string(), json::Json::Num((speedup * 100.0).round() / 100.0)),
-        ("warm_hits".to_string(), json::Json::Num(hits as f64)),
-        ("warm_misses".to_string(), json::Json::Num(misses as f64)),
-        ("hash".to_string(), json::Json::Str(format!("{want:016x}"))),
+        ("serial_s", fixed(serial_total / jobs.max(1) as f64, 4)),
+        ("serial_cold_s", fixed(serial_cold.as_secs_f64(), 4)),
+        ("serial_warm_s", fixed(serial_warm.as_secs_f64(), 4)),
+        ("speedup", fixed(speedup, 2)),
+        ("warm_hits", Json::Num(hits as f64)),
+        ("warm_misses", Json::Num(misses as f64)),
+        ("hash", Json::Str(format!("{want:016x}"))),
     ]);
-    match splice_loadtest("BENCH_rdl.json", &summary) {
-        Ok(()) => println!("updated BENCH_rdl.json (loadtest key)"),
-        Err(e) => eprintln!("could not update BENCH_rdl.json: {e}"),
-    }
-}
-
-/// Inserts/replaces the top-level `"loadtest"` key in `path` without
-/// reformatting anything else: the existing `"loadtest"` line (if any) is
-/// dropped and a fresh one is inserted right after the opening brace.
-fn splice_loadtest(path: &str, summary: &json::Json) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read: {e}"))?;
-    json::parse(&text).map_err(|e| format!("existing file is not valid JSON: {e}"))?;
-    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    lines.retain(|l| !l.trim_start().starts_with("\"loadtest\""));
-    let open = lines
-        .iter()
-        .position(|l| l.trim() == "{")
-        .ok_or_else(|| "no top-level object".to_string())?;
-    lines.insert(open + 1, format!("  \"loadtest\": {summary},"));
-    let spliced = lines.join("\n") + "\n";
-    json::parse(&spliced).map_err(|e| format!("splice produced invalid JSON: {e}"))?;
-    std::fs::write(path, spliced).map_err(|e| format!("write: {e}"))
+    record.set("loadtest", summary);
+    record.save()?;
+    println!("updated {BENCH_PATH} (loadtest section)");
+    Ok(())
 }

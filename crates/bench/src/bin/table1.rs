@@ -11,73 +11,33 @@
 //! is otherwise re-routed at 1/2/4/8 threads with the layout hash
 //! asserted identical at every count).
 //!
-//! A rewrite preserves what other binaries own: top-level keys spliced
-//! by `loadtest`/`eco_sweep` are carried over byte-for-byte, and circuit
-//! blocks this run did not re-route (e.g. dense4/5 under `table1 3`)
-//! are kept from the existing file instead of being dropped.
+//! The numbers go into `BENCH_rdl.json` through [`BenchRecord`]: the
+//! circuits this run routed replace their committed blocks, the rest
+//! (e.g. dense4/5 under `table1 3`) and other binaries' sections are
+//! carried unchanged. An unreadable record or a failed write exits
+//! nonzero before any routing starts or after it ends, respectively.
 
 use info_baseline::LinExtRouter;
-use info_bench::{geomean, json_piece_key, json_pieces, secs};
+use info_bench::{fixed, geomean, obj, secs, BenchRecord, BENCH_PATH};
 use info_geom::{Point, Polyline};
 use info_model::{drc, DesignRules, Layout, NetId, Package, PackageBuilder, WireLayer};
-use info_router::serve::json;
-use info_router::{InfoRouter, RouteOutcome, RouterConfig};
+use info_router::serve::json::Json;
+use info_router::{InfoRouter, RouterConfig};
 use info_telemetry::{Sink, TelemetryReport};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-struct Row {
-    name: String,
-    nets: usize,
-    routability_pct: f64,
-    wirelength_um: f64,
-    runtime_s: f64,
-    layout_hash: u64,
-    drc_indexed_s: f64,
-    drc_naive_s: f64,
-    /// Which sweep path the production `drc::check` actually took on
-    /// this layout ("indexed", "naive", or "mixed" across layers) — so a
-    /// consumer reading `drc_speedup` knows whether the two timed paths
-    /// did different work at all. Small circuits sit below
-    /// `drc::INDEX_CUTOFF` on every layer, the auto path *is* the naive
-    /// scan, and the honest ratio is ~1.0.
-    drc_mode: &'static str,
-    /// Thread-scaling matrix of this circuit (empty when skipped).
-    scaling: Vec<ScalePoint>,
-    /// Per-stage wall-clock (preprocess, concurrent, sequential, lp).
-    stage_s: [f64; 4],
-    /// Sequential-stage A\* statistics (see `info_tile::SearchStats`).
-    search: info_router::SearchStats,
-    /// Telemetry report of the routed run (counters, failure-reason
-    /// counts, and the per-net journal summary).
-    report: TelemetryReport,
-    /// The same circuit routed with `congestion_mode` on.
-    neg: NegRow,
-}
-
-/// One circuit's negotiated-congestion run, for the rip-up-vs-negotiated
-/// comparison rows in BENCH_rdl.json and EXPERIMENTS.md.
-struct NegRow {
-    routability_pct: f64,
-    wirelength_um: f64,
-    runtime_s: f64,
-    sequential_s: f64,
-    layout_hash: u64,
-    iterations: u32,
-    converged: bool,
-    declined: bool,
-    final_overuse: u32,
-    reroutes: u64,
-    ripup_wall_s: f64,
-}
-
-impl Row {
-    fn drc_speedup(&self) -> f64 {
-        if self.drc_indexed_s > 0.0 {
-            self.drc_naive_s / self.drc_indexed_s
-        } else {
-            0.0
-        }
+/// Naive-over-indexed DRC time, or 0 when the indexed time is 0.
+fn speedup(naive_s: f64, indexed_s: f64) -> f64 {
+    if indexed_s > 0.0 {
+        naive_s / indexed_s
+    } else {
+        0.0
     }
+}
+
+/// A canonical layout hash as 16 hex digits.
+fn hash_json(hash: u64) -> Json {
+    Json::Str(format!("{hash:016x}"))
 }
 
 /// Production-scale DRC stress instance: a hand-built layout (no routing
@@ -121,26 +81,6 @@ fn drc_stress_instance() -> (Package, Layout) {
     (pkg, layout)
 }
 
-/// One point of a circuit's thread-scaling curve: the same route at a
-/// fixed worker count.
-struct ScalePoint {
-    threads: usize,
-    runtime_s: f64,
-    sequential_s: f64,
-    layout_hash: u64,
-}
-
-impl ScalePoint {
-    fn from_route(threads: usize, wall: Duration, out: &RouteOutcome) -> Self {
-        ScalePoint {
-            threads,
-            runtime_s: wall.as_secs_f64(),
-            sequential_s: out.timings.sequential.as_secs_f64(),
-            layout_hash: out.layout.canonical_hash(),
-        }
-    }
-}
-
 /// Paired, order-alternating best-of-five timing of the auto (indexed)
 /// and naive DRC sweeps over one layout, returned as
 /// `(indexed_s, naive_s)`. The old measurement ran all five indexed
@@ -173,7 +113,11 @@ fn time_drc_pair(package: &Package, layout: &Layout) -> (f64, f64) {
 }
 
 /// Which sweep path `drc::check` took on this layout, from the per-layer
-/// sweep counters: "indexed", "naive", "mixed", or "empty".
+/// sweep counters: "indexed", "naive", "mixed", or "empty". Recorded
+/// beside `drc_speedup` so a reader knows whether the two timed paths
+/// did different work at all: small circuits sit below
+/// `drc::INDEX_CUTOFF` on every layer, the auto path *is* the naive
+/// scan, and the honest ratio is ~1.0.
 fn drc_mode(package: &Package, layout: &Layout) -> &'static str {
     let tel = Sink::enabled();
     std::hint::black_box(drc::check_with(package, layout, &tel).violations().len());
@@ -186,77 +130,51 @@ fn drc_mode(package: &Package, layout: &Layout) -> &'static str {
     }
 }
 
-struct Stress {
-    items: usize,
-    indexed_s: f64,
-    naive_s: f64,
-}
-
-impl Stress {
-    fn speedup(&self) -> f64 {
-        if self.indexed_s > 0.0 {
-            self.naive_s / self.indexed_s
-        } else {
-            0.0
-        }
-    }
-}
-
-fn run_drc_stress() -> Stress {
+/// Times the DRC stress instance, prints the result, and returns the
+/// `drc_stress` section with its speedup.
+fn run_drc_stress() -> (Json, f64) {
     let (pkg, layout) = drc_stress_instance();
     let items = layout.routes().map(|r| r.path.segments().count()).sum::<usize>()
         + layout.vias().count() * 2;
     let (indexed_s, naive_s) = time_drc_pair(&pkg, &layout);
     let report = drc::check(&pkg, &layout);
     assert!(report.violations().is_empty(), "stress instance must be violation-free");
-    Stress { items, indexed_s, naive_s }
+    let ratio = speedup(naive_s, indexed_s);
+    println!(
+        "DRC query path (stress, {items} items): indexed {indexed_s:.4}s vs naive \
+         {naive_s:.4}s = {ratio:.2}x"
+    );
+    let section = obj([
+        ("items", Json::Num(items as f64)),
+        ("indexed_s", fixed(indexed_s, 6)),
+        ("naive_s", fixed(naive_s, 6)),
+        ("speedup", fixed(ratio, 2)),
+    ]);
+    (section, ratio)
 }
 
-/// `{"label": n, ...}` — one plain JSON object for a list of labeled
-/// counts (labels are unique), so consumers index `counters["searches"]`
-/// directly instead of scanning an array of single-key objects.
-fn counts_json(counts: &[(&'static str, u64)]) -> String {
-    let items: Vec<String> = counts.iter().map(|(label, n)| format!("\"{label}\": {n}")).collect();
-    format!("{{{}}}", items.join(", "))
+/// Labeled counts as one object (labels are unique), so consumers index
+/// `counters["searches"]` directly.
+fn counts(labeled: &[(&'static str, u64)]) -> Json {
+    Json::Obj(labeled.iter().map(|&(label, n)| (label.to_string(), Json::Num(n as f64))).collect())
 }
 
-/// Per-net journal summary: one compact object per net that appears in
-/// the route journal (attempt count, expansion work, escalations, final
+/// Per-net journal summary: one object per net that appears in the
+/// route journal (attempt count, expansion work, escalations, final
 /// outcome, rip-up victims).
-fn journal_json(report: &TelemetryReport) -> String {
-    let items: Vec<String> = report
-        .net_summaries()
-        .iter()
-        .map(|s| {
-            let failure = match s.last_failure {
-                Some(f) => format!("\"{}\"", f.label()),
-                None => "null".to_string(),
-            };
-            let victims: Vec<String> = s.victims.iter().map(|v| v.to_string()).collect();
-            format!(
-                "{{\"net\": {}, \"attempts\": {}, \"expansions\": {}, \"escalations\": {}, \
-                 \"routed\": {}, \"last_failure\": {}, \"victims\": [{}]}}",
-                s.net,
-                s.attempts,
-                s.expansions,
-                s.escalations,
-                s.routed,
-                failure,
-                victims.join(", "),
-            )
-        })
-        .collect();
-    format!("[\n      {}\n    ]", items.join(",\n      "))
-}
-
-/// Telemetry on-vs-off cost on dense2: median seconds per mode across
-/// the paired rounds, plus the median of the per-round relative deltas
-/// (`pct` is *not* derived from `on_s`/`off_s` — pairing within a round
-/// is what cancels machine drift, so the delta medians separately).
-struct Overhead {
-    on_s: f64,
-    off_s: f64,
-    pct: f64,
+fn journal(report: &TelemetryReport) -> Json {
+    let nets = report.net_summaries().into_iter().map(|s| {
+        obj([
+            ("net", Json::Num(f64::from(s.net))),
+            ("attempts", Json::Num(f64::from(s.attempts))),
+            ("expansions", Json::Num(s.expansions as f64)),
+            ("escalations", Json::Num(f64::from(s.escalations))),
+            ("routed", Json::Bool(s.routed)),
+            ("last_failure", s.last_failure.map_or(Json::Null, |f| Json::Str(f.label().into()))),
+            ("victims", Json::Arr(s.victims.iter().map(|&v| Json::Num(f64::from(v))).collect())),
+        ])
+    });
+    Json::Arr(nets.collect())
 }
 
 /// Median of a small sample (sorts in place; even lengths average the
@@ -268,201 +186,20 @@ fn median(xs: &mut [f64]) -> f64 {
     if n % 2 == 1 { xs[n / 2] } else { (xs[n / 2 - 1] + xs[n / 2]) / 2.0 }
 }
 
-/// Top-level keys `table1` itself generates; anything else found in an
-/// existing `BENCH_rdl.json` (the `eco`/`loadtest` splices) is carried
-/// into the rewrite byte-for-byte.
-const OWNED_KEYS: [&str; 8] = [
-    "bench",
-    "generated_by",
-    "threads",
-    "circuits",
-    "telemetry_overhead",
-    "drc_speedup_geomean",
-    "drc_stress",
-    "drc_query_speedup",
-];
-
-/// The circuit name inside one raw circuit-object block.
-fn circuit_name(elem: &str) -> Option<&str> {
-    let rest = elem.split_once("\"name\":")?.1.trim_start().strip_prefix('"')?;
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Splits an existing `BENCH_rdl.json` into the top-level pieces other
-/// binaries own (kept verbatim) and the old circuit blocks by name (kept
-/// for circuits this run did not re-route).
-fn carried_sections(old: &str) -> (Vec<String>, Vec<(String, String)>) {
-    let mut preserved = Vec::new();
-    let mut circuits = Vec::new();
-    for piece in json_pieces(old) {
-        match json_piece_key(&piece) {
-            Some("circuits") => {
-                let value = piece.split_once(':').map_or("", |(_, v)| v.trim());
-                for elem in json_pieces(value) {
-                    if let Some(name) = circuit_name(&elem) {
-                        circuits.push((name.to_string(), elem.clone()));
-                    }
-                }
-            }
-            Some(key) if !OWNED_KEYS.contains(&key) => preserved.push(piece),
-            _ => {}
-        }
-    }
-    (preserved, circuits)
-}
-
-/// One line of thread-scaling points (`[]` when the matrix was skipped).
-fn scaling_json(points: &[ScalePoint]) -> String {
-    let items: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"threads\": {}, \"runtime_s\": {:.4}, \"sequential_s\": {:.4}, \
-                 \"layout_hash\": \"{:016x}\"}}",
-                p.threads,
-                p.runtime_s,
-                p.sequential_s,
-                p.layout_hash,
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(", "))
-}
-
-/// One circuit block (no leading indent, no trailing comma).
-fn circuit_json(r: &Row) -> String {
-    format!(
-        "{{\"name\": \"{}\", \"nets\": {}, \"routability_pct\": {:.3}, \
-         \"wirelength_um\": {:.1}, \"runtime_s\": {:.4}, \"layout_hash\": \"{:016x}\", \
-         \"drc_indexed_s\": {:.6}, \"drc_naive_s\": {:.6}, \"drc_speedup\": {:.2}, \
-         \"drc_mode\": \"{}\", \
-         \"stage_s\": {{\"preprocess\": {:.4}, \"concurrent\": {:.4}, \
-         \"sequential\": {:.4}, \"lp\": {:.4}}}, \
-         \"search\": {{\"searches\": {}, \"nodes_expanded\": {}, \
-         \"window_escalations\": {}, \"escalation_expansions\": {}, \"heap_peak\": {}}}, \
-         \"ripup_wall_s\": {:.4}, \
-         \"thread_scaling\": {}, \
-         \"negotiated\": {{\"routability_pct\": {:.3}, \"wirelength_um\": {:.1}, \
-         \"runtime_s\": {:.4}, \"sequential_s\": {:.4}, \"layout_hash\": \"{:016x}\", \
-         \"iterations\": {}, \"converged\": {}, \"declined\": {}, \
-         \"final_overuse\": {}, \
-         \"reroutes\": {}, \"ripup_wall_s\": {:.4}}}, \
-         \"failure_reasons\": {}, \
-         \"counters\": {}, \
-         \"journal\": {}}}",
-        r.name,
-        r.nets,
-        r.routability_pct,
-        r.wirelength_um,
-        r.runtime_s,
-        r.layout_hash,
-        r.drc_indexed_s,
-        r.drc_naive_s,
-        r.drc_speedup(),
-        r.drc_mode,
-        r.stage_s[0],
-        r.stage_s[1],
-        r.stage_s[2],
-        r.stage_s[3],
-        r.search.searches,
-        r.search.nodes_expanded,
-        r.search.window_escalations,
-        r.search.escalation_expansions,
-        r.search.heap_peak,
-        r.report.counter("ripup_wall_us") as f64 / 1e6,
-        scaling_json(&r.scaling),
-        r.neg.routability_pct,
-        r.neg.wirelength_um,
-        r.neg.runtime_s,
-        r.neg.sequential_s,
-        r.neg.layout_hash,
-        r.neg.iterations,
-        r.neg.converged,
-        r.neg.declined,
-        r.neg.final_overuse,
-        r.neg.reroutes,
-        r.neg.ripup_wall_s,
-        counts_json(&r.report.failure_counts()),
-        counts_json(&r.report.counters),
-        journal_json(&r.report),
-    )
-}
-
-fn write_bench_json(rows: &[Row], stress: &Stress, threads: usize, overhead: Option<&Overhead>) {
-    let (preserved, old_circuits) = match std::fs::read_to_string("BENCH_rdl.json") {
-        Ok(old) if json::parse(&old).is_ok() => carried_sections(&old),
-        _ => Default::default(),
-    };
-    let mut blocks: Vec<(String, String)> =
-        rows.iter().map(|r| (r.name.clone(), circuit_json(r))).collect();
-    let fresh = blocks.len();
-    for (name, text) in old_circuits {
-        if !blocks.iter().any(|(n, _)| *n == name) {
-            blocks.push((name, text));
-        }
-    }
-    if blocks.len() > fresh {
-        let carried: Vec<&str> = blocks[fresh..].iter().map(|(n, _)| n.as_str()).collect();
-        println!("carrying over committed circuit blocks not re-run: {}", carried.join(", "));
-    }
-    blocks.sort_by(|a, b| a.0.cmp(&b.0));
-
-    let mut out = String::from("{\n");
-    for piece in &preserved {
-        out.push_str(&format!("  {piece},\n"));
-    }
-    out.push_str("  \"bench\": \"rdl\",\n");
-    out.push_str("  \"generated_by\": \"table1\",\n");
-    out.push_str(&format!("  \"threads\": {threads},\n"));
-    out.push_str("  \"circuits\": [\n");
-    for (i, (_, text)) in blocks.iter().enumerate() {
-        out.push_str("    ");
-        out.push_str(text);
-        out.push_str(if i + 1 < blocks.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    if let Some(oh) = overhead {
-        out.push_str(&format!(
-            "  \"telemetry_overhead\": {{\"circuit\": \"dense2\", \"on_s\": {:.4}, \
-             \"off_s\": {:.4}, \"overhead_pct\": {:.2}}},\n",
-            oh.on_s, oh.off_s, oh.pct
-        ));
-    }
-    out.push_str(&format!(
-        "  \"drc_speedup_geomean\": {:.2},\n",
-        geomean(rows.iter().map(Row::drc_speedup))
-    ));
-    out.push_str(&format!(
-        "  \"drc_stress\": {{\"items\": {}, \"indexed_s\": {:.6}, \"naive_s\": {:.6}, \
-         \"speedup\": {:.2}}},\n",
-        stress.items,
-        stress.indexed_s,
-        stress.naive_s,
-        stress.speedup(),
-    ));
-    out.push_str(&format!("  \"drc_query_speedup\": {:.2}\n", stress.speedup()));
-    out.push_str("}\n");
-    // The merge carries raw text from the old file; refuse to clobber
-    // the artifact with anything that does not round-trip as JSON.
-    if let Err(e) = json::parse(&out) {
-        eprintln!("refusing to write BENCH_rdl.json: merged output is invalid JSON: {e}");
-        std::process::exit(1);
-    }
-    match std::fs::write("BENCH_rdl.json", &out) {
-        Ok(()) => println!("wrote BENCH_rdl.json"),
-        Err(e) => eprintln!("could not write BENCH_rdl.json: {e}"),
-    }
-}
-
-fn main() {
+fn main() -> std::io::Result<()> {
     let max_index: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(5);
-    // Multi-threaded by default: the parallel planner is the production
-    // configuration now, so the published numbers are measured with it.
+    // Multi-threaded by default, so the published numbers are measured
+    // with the worker pool the read-only scans around the sequential
+    // stage use in production (threads never change a layout).
     let threads: usize = std::env::var("RDL_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| RouterConfig::default().with_threads_auto().threads);
     let scaling_on = std::env::var("RDL_SCALING").map_or(true, |v| v != "0");
+    // `threads` as the router config actually clamps/records it, so the
+    // JSON "threads" field is the configured value, not the raw env var.
+    let configured_threads = RouterConfig::default().with_threads(threads).threads;
+    let mut record = BenchRecord::open(BENCH_PATH, configured_threads)?;
     println!("Table I — Lin-ext vs Ours (synthetic dense suite; see DESIGN.md substitutions)");
     println!(
         "{:<8} {:>6} {:>5} {:>5} {:>5} {:>4} {:>4} | {:>9} {:>9} | {:>12} {:>12} | {:>8} {:>8}",
@@ -472,12 +209,10 @@ fn main() {
 
     let mut ratios_rt = Vec::new();
     let mut ratios_time = Vec::new();
-    let mut rows = Vec::new();
+    let mut drc_speedups = Vec::new();
+    let mut circuits = Vec::new();
     // Paired-round telemetry overhead measurement for dense2.
-    let mut overhead: Option<Overhead> = None;
-    // `threads` as the router config actually clamps/records it, so the
-    // JSON "threads" field is the configured value, not the raw env var.
-    let configured_threads = RouterConfig::default().with_threads(threads).threads;
+    let mut overhead: Option<Json> = None;
     println!(
         "routing with {configured_threads} worker thread(s) \
          (RDL_THREADS overrides; scaling matrix {})",
@@ -497,6 +232,7 @@ fn main() {
         let t1 = Instant::now();
         let ours = InfoRouter::new(cfg).route(&pkg);
         let ours_time = t1.elapsed();
+        let ours_hash = ours.layout.canonical_hash();
         if idx == 2 {
             // Paired rounds with alternating order: each round routes
             // telemetry-on and -off back to back and contributes one
@@ -519,7 +255,7 @@ fn main() {
                 *t = t0.elapsed().as_secs_f64();
                 assert_eq!(
                     on.layout.canonical_hash(),
-                    ours.layout.canonical_hash(),
+                    ours_hash,
                     "telemetry-on rerun must reproduce the dense2 layout"
                 );
             };
@@ -530,7 +266,7 @@ fn main() {
                 *t = t0.elapsed().as_secs_f64();
                 assert_eq!(
                     off.layout.canonical_hash(),
-                    ours.layout.canonical_hash(),
+                    ours_hash,
                     "telemetry must not change the dense2 layout"
                 );
             };
@@ -550,11 +286,21 @@ fn main() {
                 on_times.push(on_s);
                 off_times.push(off_s);
             }
-            overhead = Some(Overhead {
-                on_s: median(&mut on_times),
-                off_s: median(&mut off_times),
-                pct: median(&mut deltas),
-            });
+            // `overhead_pct` is the median of the per-round deltas, not
+            // derived from the two medians: pairing within a round is
+            // what cancels machine drift.
+            let (on_s, off_s, pct) =
+                (median(&mut on_times), median(&mut off_times), median(&mut deltas));
+            println!(
+                "Telemetry overhead (dense2): median on {on_s:.2}s vs off {off_s:.2}s, \
+                 median paired delta {pct:+.2}%"
+            );
+            overhead = Some(obj([
+                ("circuit", Json::Str("dense2".into())),
+                ("on_s", fixed(on_s, 4)),
+                ("off_s", fixed(off_s, 4)),
+                ("overhead_pct", fixed(pct, 2)),
+            ]));
         }
 
         // Negotiated-congestion run of the same circuit (DESIGN.md §4h):
@@ -564,34 +310,30 @@ fn main() {
             RouterConfig::default().with_threads(threads).with_telemetry().with_congestion_mode();
         let t2 = Instant::now();
         let negotiated = InfoRouter::new(cfg_neg).route(&pkg);
-        let neg_time = t2.elapsed();
+        let neg_time = t2.elapsed().as_secs_f64();
         let negst = negotiated.negotiation.clone().unwrap_or_default();
         let neg_report = negotiated.telemetry.unwrap_or_default();
-        let neg = NegRow {
-            routability_pct: negotiated.stats.routability_pct,
-            wirelength_um: negotiated.stats.total_wirelength_um,
-            runtime_s: neg_time.as_secs_f64(),
-            sequential_s: negotiated.timings.sequential.as_secs_f64(),
-            layout_hash: negotiated.layout.canonical_hash(),
-            iterations: negst.iterations,
-            converged: negst.converged,
-            declined: negst.declined,
-            final_overuse: negst.final_overuse,
-            reroutes: negst.reroutes,
-            ripup_wall_s: neg_report.counter("ripup_wall_us") as f64 / 1e6,
-        };
+        let neg_rt = negotiated.stats.routability_pct;
+        let neg_seq = negotiated.timings.sequential.as_secs_f64();
+        let neg_ripup = neg_report.counter("ripup_wall_us") as f64 / 1e6;
         println!(
-            "  negotiated: rt {:.1}%  seq {:.2}s (total {:.2}s)  iters {}  converged {}  \
-             declined {}  reroutes {}  ripup {:.2}s",
-            neg.routability_pct,
-            neg.sequential_s,
-            neg.runtime_s,
-            neg.iterations,
-            neg.converged,
-            neg.declined,
-            neg.reroutes,
-            neg.ripup_wall_s,
+            "  negotiated: rt {neg_rt:.1}%  seq {neg_seq:.2}s (total {neg_time:.2}s)  iters {}  \
+             converged {}  declined {}  reroutes {}  ripup {neg_ripup:.2}s",
+            negst.iterations, negst.converged, negst.declined, negst.reroutes,
         );
+        let neg = obj([
+            ("routability_pct", fixed(neg_rt, 3)),
+            ("wirelength_um", fixed(negotiated.stats.total_wirelength_um, 1)),
+            ("runtime_s", fixed(neg_time, 4)),
+            ("sequential_s", fixed(neg_seq, 4)),
+            ("layout_hash", hash_json(negotiated.layout.canonical_hash())),
+            ("iterations", Json::Num(f64::from(negst.iterations))),
+            ("converged", Json::Bool(negst.converged)),
+            ("declined", Json::Bool(negst.declined)),
+            ("final_overuse", Json::Num(f64::from(negst.final_overuse))),
+            ("reroutes", Json::Num(negst.reroutes as f64)),
+            ("ripup_wall_s", fixed(neg_ripup, 4)),
+        ]);
         println!(
             "{:<8} {:>6} {:>5} {:>5} {:>5} {:>4} {:>4} | {:>9.1} {:>9.1} | {:>12.0} {:>12.0} | {:>8} {:>8}",
             format!("dense{idx}"),
@@ -622,59 +364,77 @@ fn main() {
         // divergence here is a bug, not a data point, so it aborts.
         let mut scaling = Vec::new();
         if scaling_on {
+            let mut curve = Vec::new();
             for t in [1usize, 2, 4, 8] {
-                let point = if t == configured_threads {
-                    ScalePoint::from_route(t, ours_time, &ours)
+                let fresh;
+                let (wall, out) = if t == configured_threads {
+                    (ours_time, &ours)
                 } else {
-                    let cfg_t = RouterConfig::default().with_threads(t);
                     let ts = Instant::now();
-                    let out = InfoRouter::new(cfg_t).route(&pkg);
-                    ScalePoint::from_route(t, ts.elapsed(), &out)
+                    fresh = InfoRouter::new(RouterConfig::default().with_threads(t)).route(&pkg);
+                    (ts.elapsed(), &fresh)
                 };
-                assert_eq!(
-                    point.layout_hash,
-                    ours.layout.canonical_hash(),
-                    "dense{idx}: layout diverged at {t} threads"
-                );
-                scaling.push(point);
+                let hash = out.layout.canonical_hash();
+                assert_eq!(hash, ours_hash, "dense{idx}: layout diverged at {t} threads");
+                let seq = out.timings.sequential.as_secs_f64();
+                curve.push((t, seq));
+                scaling.push(obj([
+                    ("threads", Json::Num(t as f64)),
+                    ("runtime_s", fixed(wall.as_secs_f64(), 4)),
+                    ("sequential_s", fixed(seq, 4)),
+                    ("layout_hash", hash_json(hash)),
+                ]));
             }
-            let one = scaling[0].sequential_s;
-            let curve: Vec<String> = scaling
+            let one = curve[0].1;
+            let curve: Vec<String> = curve
                 .iter()
-                .map(|p| {
-                    format!(
-                        "{}t {:.2}s ({:.2}x)",
-                        p.threads,
-                        p.sequential_s,
-                        one / p.sequential_s.max(1e-9),
-                    )
-                })
+                .map(|&(t, seq)| format!("{t}t {seq:.2}s ({:.2}x)", one / seq.max(1e-9)))
                 .collect();
             println!("  thread scaling (sequential stage): {}", curve.join(", "));
         }
 
         let (drc_indexed_s, drc_naive_s) = time_drc_pair(&pkg, &ours.layout);
-        rows.push(Row {
-            name: format!("dense{idx}"),
-            nets: pkg.nets().len(),
-            routability_pct: ours.stats.routability_pct,
-            wirelength_um: ours.stats.total_wirelength_um,
-            runtime_s: ours_time.as_secs_f64(),
-            layout_hash: ours.layout.canonical_hash(),
-            drc_indexed_s,
-            drc_naive_s,
-            drc_mode: drc_mode(&pkg, &ours.layout),
-            scaling,
-            stage_s: [
-                ours.timings.preprocess.as_secs_f64(),
-                ours.timings.concurrent.as_secs_f64(),
-                ours.timings.sequential.as_secs_f64(),
-                ours.timings.lp.as_secs_f64(),
-            ],
-            search: ours.timings.search,
-            report: ours.telemetry.unwrap_or_default(),
-            neg,
-        });
+        let drc_speedup = speedup(drc_naive_s, drc_indexed_s);
+        drc_speedups.push(drc_speedup);
+        let search = ours.timings.search;
+        let report = ours.telemetry.unwrap_or_default();
+        circuits.push(obj([
+            ("name", Json::Str(format!("dense{idx}"))),
+            ("nets", Json::Num(pkg.nets().len() as f64)),
+            ("routability_pct", fixed(ours.stats.routability_pct, 3)),
+            ("wirelength_um", fixed(ours.stats.total_wirelength_um, 1)),
+            ("runtime_s", fixed(ours_time.as_secs_f64(), 4)),
+            ("layout_hash", hash_json(ours_hash)),
+            ("drc_indexed_s", fixed(drc_indexed_s, 6)),
+            ("drc_naive_s", fixed(drc_naive_s, 6)),
+            ("drc_speedup", fixed(drc_speedup, 2)),
+            ("drc_mode", Json::Str(drc_mode(&pkg, &ours.layout).into())),
+            (
+                "stage_s",
+                obj([
+                    ("preprocess", fixed(ours.timings.preprocess.as_secs_f64(), 4)),
+                    ("concurrent", fixed(ours.timings.concurrent.as_secs_f64(), 4)),
+                    ("sequential", fixed(ours.timings.sequential.as_secs_f64(), 4)),
+                    ("lp", fixed(ours.timings.lp.as_secs_f64(), 4)),
+                ]),
+            ),
+            (
+                "search",
+                obj([
+                    ("searches", Json::Num(search.searches as f64)),
+                    ("nodes_expanded", Json::Num(search.nodes_expanded as f64)),
+                    ("window_escalations", Json::Num(search.window_escalations as f64)),
+                    ("escalation_expansions", Json::Num(search.escalation_expansions as f64)),
+                    ("heap_peak", Json::Num(search.heap_peak as f64)),
+                ]),
+            ),
+            ("ripup_wall_s", fixed(report.counter("ripup_wall_us") as f64 / 1e6, 4)),
+            ("thread_scaling", Json::Arr(scaling)),
+            ("negotiated", neg),
+            ("failure_reasons", counts(&report.failure_counts())),
+            ("counters", counts(&report.counters)),
+            ("journal", journal(&report)),
+        ]));
     }
     println!(
         "Comparisons (geo-mean ratios, Lin-ext / Ours): routability {:.3}, runtime {:.3}",
@@ -682,24 +442,24 @@ fn main() {
         geomean(ratios_time)
     );
     println!("(paper: routability 0.794, runtime 0.297)");
-    println!(
-        "DRC on final layouts: indexed vs naive geo-mean speedup {:.2}x",
-        geomean(rows.iter().map(Row::drc_speedup))
-    );
-    let stress = run_drc_stress();
-    println!(
-        "DRC query path (stress, {} items): indexed {:.4}s vs naive {:.4}s = {:.2}x",
-        stress.items,
-        stress.indexed_s,
-        stress.naive_s,
-        stress.speedup(),
-    );
-    if let Some(oh) = &overhead {
-        println!(
-            "Telemetry overhead (dense2): median on {:.2}s vs off {:.2}s, \
-             median paired delta {:+.2}%",
-            oh.on_s, oh.off_s, oh.pct
-        );
+    let drc_geomean = geomean(drc_speedups);
+    println!("DRC on final layouts: indexed vs naive geo-mean speedup {drc_geomean:.2}x");
+    let (stress, stress_speedup) = run_drc_stress();
+
+    record.set("bench", Json::Str("rdl".into()));
+    record.set("generated_by", Json::Str("table1".into()));
+    record.set("threads", Json::Num(configured_threads as f64));
+    let carried = record.merge("circuits", Json::Arr(circuits));
+    if !carried.is_empty() {
+        println!("carrying over committed circuit blocks not re-run: {}", carried.join(", "));
     }
-    write_bench_json(&rows, &stress, configured_threads, overhead.as_ref());
+    if let Some(overhead) = overhead {
+        record.set("telemetry_overhead", overhead);
+    }
+    record.set("drc_speedup_geomean", fixed(drc_geomean, 2));
+    record.set("drc_stress", stress);
+    record.set("drc_query_speedup", fixed(stress_speedup, 2));
+    record.save()?;
+    println!("wrote {BENCH_PATH}");
+    Ok(())
 }

@@ -12,7 +12,13 @@
 //! | `ablation_cells` | A2: global-cell grid sweep |
 //! | `ablation_lp` | A3: LP stage on/off effect on routability and wirelength |
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! Criterion micro-benchmarks live in `benches/`. `table1`, `loadtest`
+//! and `eco_sweep` record their numbers in `BENCH_rdl.json` through
+//! [`BenchRecord`].
+
+mod record;
+
+pub use record::{fixed, obj, BenchRecord, BENCH_PATH};
 
 use std::time::Duration;
 
@@ -38,64 +44,6 @@ pub fn geomean(values: impl IntoIterator<Item = f64>) -> f64 {
     }
 }
 
-/// Splits the body of a JSON object or array into its top-level pieces
-/// *as raw text*, so a writer can carry entries from an existing file
-/// into a rewrite byte-for-byte (the splice discipline the bench
-/// binaries use on `BENCH_rdl.json`: keys another binary owns must
-/// survive a rewrite without reformatting).
-///
-/// `text` must be the full object/array including its outer braces.
-/// Returns one string per element: for objects the `"key": value` text,
-/// for arrays the element text, each trimmed of surrounding whitespace
-/// and the separating comma. The scan is string- and escape-aware but
-/// does not validate — feed it only text that already parsed as JSON.
-pub fn json_pieces(text: &str) -> Vec<String> {
-    let inner = text.trim();
-    let inner = &inner[1..inner.len().saturating_sub(1)];
-    let mut pieces = Vec::new();
-    let (mut depth, mut in_str, mut escape) = (0usize, false, false);
-    let mut start = 0usize;
-    for (i, c) in inner.char_indices() {
-        if in_str {
-            if escape {
-                escape = false;
-            } else if c == '\\' {
-                escape = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' | '[' => depth += 1,
-            '}' | ']' => depth -= 1,
-            ',' if depth == 0 => {
-                let piece = inner[start..i].trim();
-                if !piece.is_empty() {
-                    pieces.push(piece.to_string());
-                }
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
-    let tail = inner[start..].trim();
-    if !tail.is_empty() {
-        pieces.push(tail.to_string());
-    }
-    pieces
-}
-
-/// The key of one `"key": value` piece returned by [`json_pieces`] for
-/// an object, or `None` for a piece that does not start with a string
-/// key (an array element).
-pub fn json_piece_key(piece: &str) -> Option<&str> {
-    let rest = piece.strip_prefix('"')?;
-    let end = rest.find('"')?;
-    Some(&rest[..end])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,30 +58,5 @@ mod tests {
     #[test]
     fn secs_formatting() {
         assert_eq!(secs(Duration::from_millis(1234)), "1.23");
-    }
-
-    #[test]
-    fn json_pieces_splits_object_entries_verbatim() {
-        let text = "{\n  \"a\": 1,\n  \"b\": {\"x\": [1, 2], \"y\": \"s,{}\"},\n  \"c\": [\n    {\"k\": 1},\n    {\"k\": 2}\n  ]\n}\n";
-        let pieces = json_pieces(text);
-        assert_eq!(pieces.len(), 3);
-        assert_eq!(pieces[0], "\"a\": 1");
-        assert_eq!(pieces[1], "\"b\": {\"x\": [1, 2], \"y\": \"s,{}\"}");
-        assert!(pieces[2].starts_with("\"c\": ["), "{}", pieces[2]);
-        assert_eq!(json_piece_key(&pieces[1]), Some("b"));
-        // Array pieces keep their multi-line raw text.
-        let value = pieces[2].split_once(':').unwrap().1.trim();
-        let elems = json_pieces(value);
-        assert_eq!(elems, ["{\"k\": 1}", "{\"k\": 2}"]);
-        assert_eq!(json_piece_key(&elems[0]), None);
-    }
-
-    #[test]
-    fn json_pieces_ignores_separators_inside_strings() {
-        let pieces = json_pieces(r#"{"a": "1,2", "b": "\"q\",", "c": 3}"#);
-        assert_eq!(pieces.len(), 3);
-        assert_eq!(pieces[1], r#""b": "\"q\",""#);
-        assert_eq!(json_pieces("{}"), Vec::<String>::new());
-        assert_eq!(json_pieces("[1, 2]"), ["1", "2"]);
     }
 }

@@ -152,54 +152,21 @@ impl Default for SearchOptions {
 }
 
 /// Routes `net` from `(src_layer, src)` to `(dst_layer, dst)` over the
-/// tile space, returning the tile path, or `None` when the terminals are
-/// unreachable (blocked terminals, disconnected free space, or exhausted
-/// expansion budget).
-pub fn route(
-    space: &RoutingSpace,
-    net: NetId,
-    src: (WireLayer, Point),
-    dst: (WireLayer, Point),
-) -> Option<AstarResult> {
-    route_with(space, net, src, dst, true)
-}
-
-/// [`route`] with flexible-via use controllable: with `allow_vias = false`
-/// the search stays on the source layer (the no-flexible-via regime of the
-/// prior-work baseline), so `src` and `dst` must share a layer.
-pub fn route_with(
-    space: &RoutingSpace,
-    net: NetId,
-    src: (WireLayer, Point),
-    dst: (WireLayer, Point),
-    allow_vias: bool,
-) -> Option<AstarResult> {
-    let mut stats = SearchStats::default();
-    let opts = SearchOptions { allow_vias, ..SearchOptions::default() };
-    route_opts(space, net, src, dst, opts, &mut stats)
-}
-
-/// [`route`] with explicit [`SearchOptions`], accumulating search
-/// statistics into `stats`.
-pub fn route_opts(
-    space: &RoutingSpace,
-    net: NetId,
-    src: (WireLayer, Point),
-    dst: (WireLayer, Point),
-    opts: SearchOptions,
-    stats: &mut SearchStats,
-) -> Option<AstarResult> {
-    route_cancellable(space, net, src, dst, opts, None, stats).ok()
-}
-
-/// [`route_opts`] that reports *why* a failed search failed (the
-/// telemetry journal's search-level failure taxonomy) and observes a
-/// [`CancelToken`]: the expansion loop checkpoints the token every
+/// tile space, returning the tile path or *why* the search failed (the
+/// telemetry journal's search-level failure taxonomy): blocked
+/// terminals, disconnected free space, an exhausted expansion budget,
+/// or cancellation. `opts` picks windowed vs full-graph search and
+/// whether layer changes through via sites are allowed (with
+/// `allow_vias = false` the search stays on the source layer — the
+/// no-flexible-via regime of the prior-work baseline — so `src` and
+/// `dst` must share a layer). Search statistics accumulate into `stats`.
+///
+/// With a `cancel` token, the expansion loop checkpoints it every
 /// [`CHECK_INTERVAL`] expansions and aborts with
 /// [`SearchFailure::Cancelled`] when it trips, so a deadline or an
 /// explicit cancel lands mid-search in bounded time instead of at the
 /// next per-net boundary. With `cancel = None` (or a quiet token) the
-/// search is bit-identical to [`route_opts`].
+/// search never reports `Cancelled`.
 pub fn route_cancellable(
     space: &RoutingSpace,
     net: NetId,
@@ -805,6 +772,17 @@ mod tests {
     use info_geom::{Point, Polyline, Rect};
     use info_model::{DesignRules, Layout, PackageBuilder};
 
+    /// A default-option search with throwaway statistics.
+    fn route(
+        space: &RoutingSpace,
+        net: NetId,
+        src: (WireLayer, Point),
+        dst: (WireLayer, Point),
+    ) -> Option<AstarResult> {
+        let mut stats = SearchStats::default();
+        route_cancellable(space, net, src, dst, SearchOptions::default(), None, &mut stats).ok()
+    }
+
     fn pkg_two_layer() -> info_model::Package {
         let mut b = PackageBuilder::new(
             Rect::new(Point::new(0, 0), Point::new(400_000, 400_000)),
@@ -948,13 +926,15 @@ mod tests {
         let dst = (WireLayer(1), Point::new(300_000, 300_000));
         let mut ws = SearchStats::default();
         let mut fs = SearchStats::default();
-        let win = route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut ws);
-        let full = route_opts(
+        let win =
+            route_cancellable(&space, NetId(0), src, dst, SearchOptions::default(), None, &mut ws);
+        let full = route_cancellable(
             &space,
             NetId(0),
             src,
             dst,
             SearchOptions { windowed: false, ..SearchOptions::default() },
+            None,
             &mut fs,
         );
         let win = win.expect("windowed route");

@@ -213,7 +213,7 @@ pub struct RoutingSpace {
 /// each cell rebuild queries only nearby items instead of scanning every
 /// pad, obstacle, via, and wire in the design.
 ///
-/// Built once per [`RoutingSpace::build`] / [`RoutingSpace::rebuild_dirty`]
+/// Built once per [`RoutingSpace::build`] / [`RoutingSpace::rebuild_dirty_multi`]
 /// call (O(geometry)), then queried per rebuilt cell (O(local)). All
 /// indexes are filled in the same iteration order the naive scans used —
 /// and [`GridIndex::query`] returns ids in insertion order — so the
@@ -423,22 +423,10 @@ impl RoutingSpace {
         owned
     }
 
-    /// Rebuilds every global cell whose rectangle intersects `dirty`
-    /// (inflated by the clearance), refreshing tiles and via sites.
-    /// Returns the `(cx, cy)` cells that were rebuilt, in row-major order
-    /// (the dirty set the parallel router intersects against read sets).
-    pub fn rebuild_dirty(
-        &mut self,
-        package: &Package,
-        layout: &Layout,
-        dirty: Rect,
-    ) -> Vec<(usize, usize)> {
-        self.rebuild_dirty_multi(package, layout, std::slice::from_ref(&dirty))
-    }
-
-    /// Rebuilds the union of the cells touched by each rect in `dirty`
-    /// (each inflated by the clearance), visiting every affected cell
-    /// exactly once in row-major order. Returns the rebuilt cells.
+    /// Rebuilds the union of the global cells touched by each rect in
+    /// `dirty` (each inflated by the clearance), refreshing tiles and via
+    /// sites and visiting every affected cell exactly once. Returns the
+    /// rebuilt `(cx, cy)` cells in row-major order.
     pub fn rebuild_dirty_multi(
         &mut self,
         package: &Package,
@@ -1293,10 +1281,10 @@ mod tests {
             info_geom::Polyline::new(vec![Point::new(310_000, 60_000), Point::new(390_000, 60_000)]),
         );
         let mut space = space_before.clone();
-        space.rebuild_dirty(
+        space.rebuild_dirty_multi(
             &pkg,
             &layout,
-            Rect::new(Point::new(310_000, 60_000), Point::new(390_000, 60_000)),
+            &[Rect::new(Point::new(310_000, 60_000), Point::new(390_000, 60_000))],
         );
         // The far-away tile id survives (cell untouched).
         assert!(space.tiles[far_tile.0 as usize].is_some());

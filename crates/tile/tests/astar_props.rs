@@ -7,9 +7,20 @@
 
 use info_geom::{x_arch_len, Point, Polyline, Rect};
 use info_model::{DesignRules, Layout, NetId, Package, PackageBuilder, WireLayer};
-use info_tile::{astar, realize, RoutingSpace, SearchOptions, SpaceConfig};
+use info_tile::{astar, realize, AstarResult, RoutingSpace, SearchOptions, SpaceConfig};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+
+/// Searches net 0 from `src` to `dst`; `None` when it fails.
+fn search(
+    space: &RoutingSpace,
+    src: (WireLayer, Point),
+    dst: (WireLayer, Point),
+    opts: SearchOptions,
+    stats: &mut astar::SearchStats,
+) -> Option<AstarResult> {
+    astar::route_cancellable(space, NetId(0), src, dst, opts, None, stats).ok()
+}
 
 /// A randomized routing instance: one net between an I/O pad and a bump
 /// pad, with random obstacles and random committed foreign wires between
@@ -148,7 +159,10 @@ proptest! {
         let (src, dst) = terminals(&pkg);
         // Must not panic either way; `None` is a legal outcome on a
         // blocked instance.
-        let Some(r) = astar::route(&space, NetId(0), src, dst) else { return Ok(()); };
+        let mut stats = astar::SearchStats::default();
+        let Some(r) = search(&space, src, dst, SearchOptions::default(), &mut stats) else {
+            return Ok(());
+        };
         assert_well_formed_path(&space, &r, src, dst);
         if let Some(real) = realize::realize(&r, src, dst) {
             for (_, pl) in &real.routes {
@@ -169,9 +183,9 @@ proptest! {
         let (src, dst) = terminals(&pkg);
         let mut ws = astar::SearchStats::default();
         let mut fs = astar::SearchStats::default();
-        let win = astar::route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut ws);
-        let full = astar::route_opts(
-            &space, NetId(0), src, dst,
+        let win = search(&space, src, dst, SearchOptions::default(), &mut ws);
+        let full = search(
+            &space, src, dst,
             SearchOptions { windowed: false, ..SearchOptions::default() }, &mut fs,
         );
         match (win, full) {
@@ -257,8 +271,8 @@ proptest! {
         let (src, dst) = terminals(&pkg);
         for windowed in [true, false] {
             let mut stats = astar::SearchStats::default();
-            let got = astar::route_opts(
-                &space, NetId(0), src, dst,
+            let got = search(
+                &space, src, dst,
                 SearchOptions { windowed, ..SearchOptions::default() }, &mut stats,
             );
             prop_assert!(got.is_none(), "fenced net must be unroutable (seed {})", seed);
@@ -266,7 +280,8 @@ proptest! {
         // The no-via same-layer search must complete without panicking;
         // whether it routes depends on the obstacle draw, so only the
         // absence of a panic is asserted.
-        let _ = astar::route_with(&space, NetId(0), src, (src.0, dst.1), false);
+        let no_vias = SearchOptions { allow_vias: false, ..SearchOptions::default() };
+        let _ = search(&space, src, (src.0, dst.1), no_vias, &mut astar::SearchStats::default());
     }
 }
 
@@ -308,10 +323,9 @@ fn forced_escalation_is_cost_identical_and_cheaper() {
     let (src, dst) = terminals(&pkg);
     let mut ws = astar::SearchStats::default();
     let mut fs = astar::SearchStats::default();
-    let win = astar::route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut ws);
-    let full = astar::route_opts(
+    let win = search(&space, src, dst, SearchOptions::default(), &mut ws);
+    let full = search(
         &space,
-        NetId(0),
         src,
         dst,
         SearchOptions { windowed: false, ..SearchOptions::default() },
@@ -348,7 +362,7 @@ fn forced_escalation_is_deterministic() {
     let (src, dst) = terminals(&pkg);
     let run_once = || {
         let mut st = astar::SearchStats::default();
-        let r = astar::route_opts(&space, NetId(0), src, dst, SearchOptions::default(), &mut st);
+        let r = search(&space, src, dst, SearchOptions::default(), &mut st);
         (r.expect("route").steps, st)
     };
     let (steps1, st1) = run_once();

@@ -9,8 +9,8 @@
 //!
 //! - `UPDATE_GOLDEN=1 cargo test --test golden_layouts` regenerates the
 //!   snapshots (review the diff before committing!).
-//! - `RDL_TEST_THREADS=<n>` routes with the parallel sequential planner;
-//!   the snapshots must match for every thread count — that is the
+//! - `RDL_TEST_THREADS=<n>` routes with `n` worker threads; the
+//!   snapshots must match for every thread count — that is the
 //!   determinism guarantee CI's thread matrix locks down.
 
 use info_rdl::generators::{build_dense, dense_spec};
