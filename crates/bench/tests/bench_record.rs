@@ -77,7 +77,11 @@ fn table1_write_replaces_measured_circuits_and_carries_the_rest() {
     }
     for name in ["dense3", "dense4", "dense5"] {
         assert_eq!(circuit(&after, name), circuit(&before, name), "{name} carried");
-        assert!(circuit(&after, name).get("provenance").is_none(), "{name} got provenance");
+        assert_eq!(
+            circuit(&after, name).get("provenance"),
+            circuit(&before, name).get("provenance"),
+            "{name} was restamped"
+        );
     }
     for key in ["eco", "loadtest", "drc_stress", "telemetry_overhead"] {
         assert_eq!(after.get(key), before.get(key), "{key} carried");

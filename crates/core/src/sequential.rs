@@ -271,8 +271,8 @@ pub(crate) fn route_sequential_in_space(
                     tel,
                 )
             }));
-            // Wall clock of the whole trial — snapshot, evictions,
-            // re-routes, and restore included — so BENCH_rdl.json can
+            // Wall clock of the whole trial — layout snapshots, evictions,
+            // re-routes and rollbacks included — so BENCH_rdl.json can
             // attribute sequential-stage time to rip-up work.
             tel.count(Counter::RipupWallUs, rip_t0.elapsed().as_micros() as u64);
             match attempt {
@@ -284,6 +284,8 @@ pub(crate) fn route_sequential_in_space(
                     result.failed.push(id);
                 }
                 Err(payload) => {
+                    // The fresh space also discards a trial the panic
+                    // left open.
                     *layout = snapshot;
                     *space = build_stage_space(package, layout, cfg);
                     result.recovered.push((
@@ -299,7 +301,7 @@ pub(crate) fn route_sequential_in_space(
         }
     }
     // Edge-legality cache effectiveness, sampled from the surviving space.
-    // Rip-up restores replace the space (and its tallies) by value, so
+    // A rip-up rollback reverts the tallies to the trial's checkpoint, so
     // trial-only work is not included — the numbers describe the cache the
     // committed layout actually used.
     let (hits, misses) = space.adjacency_cache_stats();
@@ -781,11 +783,10 @@ fn route_negotiated_front(
 /// Tries to free a path for `id` by evicting nearby routed nets: up to
 /// six single victims, then the nearest pair. The failed net and every
 /// evicted net must all re-route for an eviction to stick; otherwise the
-/// layout **and the routing space** are restored exactly — the space by
-/// value from a pre-eviction clone, which is far cheaper than the
-/// corridor-wide rebuild it replaces and leaves bit-identical state (a
-/// clone carries its original revision tag precisely because it *is*
-/// that state).
+/// layout **and the routing space** are restored exactly — the layout
+/// from a clone, the space by rolling back its trial journal, which
+/// undoes only the cells the trial rebuilt and leaves the pre-trial
+/// state, revision tag included.
 #[allow(clippy::too_many_arguments)]
 fn ripup_and_reroute(
     package: &Package,
@@ -834,7 +835,7 @@ fn ripup_and_reroute(
         tel.count(Counter::RipupAttempts, 1);
         let victim_ids: Vec<u32> = victims.iter().map(|v| v.0).collect();
         let snapshot = layout.clone();
-        let space_snapshot = space.clone();
+        space.begin_trial();
         // Incremental rebuild over each victim's own geometry: removing a
         // net can only change cells its shapes touch, so the corridor —
         // whose cells the removals leave untouched — needs no rebuild.
@@ -869,14 +870,15 @@ fn ripup_and_reroute(
         if let Ok((stuck, draft)) = &attempt {
             tel.record(draft.to_record(id, Pass::RipUp, victim_ids));
             if *stuck {
+                space.commit_trial();
                 tel.count(Counter::RipupCommits, 1);
                 return Ok(true);
             }
         }
-        // Restore exactly — both by value, so no rebuild runs at all on
-        // the (common) failure path.
+        // Restore exactly: the layout by value and the space by rollback,
+        // so no rebuild runs at all on the (common) failure path.
         *layout = snapshot;
-        *space = space_snapshot;
+        space.rollback_trial();
         tel.count(Counter::SnapshotRestores, 1);
         // An internal failure during eviction aborts the search for this
         // net (the layout is already restored); geometric failure tries
@@ -1099,6 +1101,7 @@ mod tests {
 
         let mut space = RoutingSpace::build(&pkg, &layout, space_config(&pkg, &cfg));
         let before = layout.canonical_hash();
+        let space_before = observe(&space);
         let got = ripup_and_reroute(
             &pkg,
             &mut layout,
@@ -1119,6 +1122,103 @@ mod tests {
             "failed rip-up must restore every untouched net's geometry exactly"
         );
         assert!(drc::is_connected(&pkg, &layout, NetId(1)));
+        assert!(
+            observe(&space) == space_before,
+            "failed rip-up must roll the space back exactly, revision included"
+        );
+    }
+
+    /// Everything a search observes of a space: tile slots, revision,
+    /// every live tile, every `(layer, cell)` tile list, every cell's via
+    /// sites, and the planar neighbors of every live tile for every net.
+    #[allow(clippy::type_complexity)]
+    fn observe(
+        space: &RoutingSpace,
+    ) -> (usize, u64, Vec<(u32, String)>, Vec<Vec<u32>>, Vec<String>, Vec<String>) {
+        let tiles: Vec<(u32, String)> =
+            space.live_tiles().map(|(id, t)| (id.0, format!("{t:?}"))).collect();
+        let (cells_x, cells_y) = (space.config().cells_x, space.config().cells_y);
+        let mut cells = Vec::new();
+        let mut sites = Vec::new();
+        for cy in 0..cells_y {
+            for cx in 0..cells_x {
+                for l in 0..space.layer_count() {
+                    let layer = info_model::WireLayer(l as u8);
+                    cells.push(space.tiles_in_cell(layer, cx, cy).iter().map(|t| t.0).collect());
+                }
+                sites.push(format!("{:?}", space.via_sites(cx, cy)));
+            }
+        }
+        let neighbors = tiles
+            .iter()
+            .flat_map(|&(id, _)| [NetId(0), NetId(1)].map(|net| (id, net)))
+            .map(|(id, net)| format!("{:?}", space.planar_neighbors(info_tile::TileId(id), net)))
+            .collect();
+        (space.tile_slots(), space.revision(), tiles, cells, sites, neighbors)
+    }
+
+    /// Each `(layer, cell)`'s tiles as `(shape, blockers)`, in cell order.
+    fn cell_geometry(space: &RoutingSpace) -> Vec<Vec<String>> {
+        let (cells_x, cells_y) = (space.config().cells_x, space.config().cells_y);
+        let mut out = Vec::new();
+        for l in 0..space.layer_count() {
+            for cy in 0..cells_y {
+                for cx in 0..cells_x {
+                    let layer = info_model::WireLayer(l as u8);
+                    out.push(
+                        space
+                            .tiles_in_cell(layer, cx, cy)
+                            .iter()
+                            .map(|&id| {
+                                let t = space.tile(id);
+                                format!("{:?} {:?}", t.shape, t.blockers)
+                            })
+                            .collect(),
+                    );
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn committed_ripup_leaves_the_space_of_a_fresh_build() {
+        // Golden circuit g1 at 10 global cells: routed in net order, net 5
+        // fails both passes and a rip-up frees it.
+        let mut spec = info_gen::dense_spec(1);
+        spec.io_pads = 12;
+        spec.nets = 6;
+        spec.bump_pads = 30;
+        spec.seed = 7;
+        let pkg = info_gen::build_dense(spec, false);
+        let cfg = RouterConfig::default().with_global_cells(10);
+        let ctx = crate::resilience::FlowCtx::default();
+        let tel = Sink::disabled();
+        let mut stats = astar::SearchStats::default();
+        let nets: Vec<NetId> = pkg.nets().iter().map(|n| n.id).collect();
+        let mut layout = Layout::new(&pkg);
+        let mut space = build_stage_space(&pkg, &layout, &cfg);
+        let mut run = |todo: &[NetId], pass: Pass| {
+            route_pass(&pkg, &mut layout, &mut space, todo, &cfg, &ctx, pass, &mut stats, &tel)
+        };
+        let first = run(&nets, Pass::First);
+        let failed: Vec<NetId> = first.failed.iter().map(|&(id, _)| id).collect();
+        let retry = run(&failed, Pass::Retry);
+        assert_eq!(retry.failed.iter().map(|&(id, _)| id).collect::<Vec<_>>(), vec![NetId(5)]);
+        let routed: Vec<NetId> = first.routed.iter().chain(&retry.routed).copied().collect();
+
+        let mut space = build_stage_space(&pkg, &layout, &cfg);
+        let got = ripup_and_reroute(
+            &pkg, &mut layout, &mut space, NetId(5), &cfg, &routed, &ctx, 2, &mut stats, &tel,
+        )
+        .expect("no internal failure");
+        assert!(got, "evicting a neighbor must free net 5");
+        assert!(drc::is_connected(&pkg, &layout, NetId(5)));
+        let fresh = build_stage_space(&pkg, &layout, &cfg);
+        assert!(
+            cell_geometry(&space) == cell_geometry(&fresh),
+            "a committed rip-up must leave every cell as a fresh build of the final layout"
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@ use info_router::{
     FaultDirective, FaultKind, FaultPlan, FaultSite, InfoRouter, NetStatus, RouteOutcome,
     RouterConfig, RouterError, StageOutcome,
 };
-use info_telemetry::Pass;
+use info_telemetry::{AttemptOutcome, Pass};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -349,6 +349,96 @@ fn faults_inside_a_declined_run_keep_every_net_accounted_for() {
                 // The front ran exactly as on the clean run.
                 let stats = out.negotiation.as_ref().expect("negotiation stats");
                 assert!(stats.declined, "{kind:?} at {skip}: the untouched front must decline");
+            }
+        }
+    }
+}
+
+/// g3 of the golden suite (three chips, 8 nets) at 10 global cells: the
+/// rip-up pass tries net 4 (every eviction set fails) and then net 6
+/// (an eviction set sticks).
+fn g3() -> Package {
+    let mut spec = info_gen::dense_spec(2);
+    spec.io_pads = 16;
+    spec.nets = 8;
+    spec.bump_pads = 48;
+    spec.seed = 23;
+    info_gen::build_dense(spec, false)
+}
+
+/// Faults inside a rip-up trial: the `skip` of each site is the number of
+/// its checks a clean run makes in passes 1–2 (one `AstarExpand` per
+/// search, one `TileViaInsert` per commit), so the fault fires at that
+/// site's first check in the rip-up pass — after the trial has evicted
+/// its victims and rebuilt their cells. An error rolls the trial back; a
+/// panic rebuilds the space. Either way the faulted net is the only loss.
+/// The `AstarExpand` fault hits net 4's first trial, and the later rip-up
+/// of net 6 on the same space still commits as on the clean run; the
+/// first `TileViaInsert` check of the pass is net 6's own committing
+/// trial (no trial of net 4 routes its target).
+#[test]
+fn faults_inside_a_ripup_trial_cost_only_the_faulted_net() {
+    let pkg = g3();
+    let cfg = RouterConfig::default().with_global_cells(10);
+    let clean = InfoRouter::new(cfg.with_telemetry()).route(&pkg);
+    let journal = clean.telemetry.as_ref().expect("telemetry on").journal.clone();
+    let front: Vec<_> =
+        journal.iter().filter(|r| matches!(r.pass, Pass::First | Pass::Retry)).collect();
+    let searches = front.len() as u32;
+    let commits =
+        front.iter().filter(|r| matches!(r.outcome, AttemptOutcome::Routed { .. })).count();
+    let mut ripup_order: Vec<NetId> = Vec::new();
+    for r in journal.iter().filter(|r| r.pass == Pass::RipUp) {
+        if !ripup_order.contains(&NetId(r.net)) {
+            ripup_order.push(NetId(r.net));
+        }
+    }
+    let ripup_commits: Vec<NetId> = journal
+        .iter()
+        .filter(|r| r.pass == Pass::RipUp && matches!(r.outcome, AttemptOutcome::Routed { .. }))
+        .map(|r| NetId(r.net))
+        .collect();
+    assert_eq!(ripup_order, vec![NetId(4), NetId(6)], "g3 must rip up nets 4 then 6");
+    assert_eq!(ripup_commits, vec![NetId(6)], "g3's rip-up must commit net 6 only");
+
+    for (site, skip, hit) in [
+        (FaultSite::AstarExpand, searches, NetId(4)),
+        (FaultSite::TileViaInsert, commits as u32, NetId(6)),
+    ] {
+        for kind in [FaultKind::Error, FaultKind::Panic] {
+            let plan = FaultPlan::none().with(FaultDirective { site, kind, skip, fires: 1 });
+            let out = route_with_plan(&pkg, cfg, plan);
+            let at = format!("{kind:?} fault at {site} check {skip}");
+            assert!(
+                out.diagnostics.faults_fired.contains(&(site, 1)),
+                "{at}: fault did not fire: {:?}",
+                out.diagnostics.faults_fired
+            );
+            let faulted: Vec<NetId> =
+                out.diagnostics.net_failures.iter().map(|&(id, _)| id).collect();
+            assert_eq!(faulted, vec![hit], "{at}: the fault must cost net {hit} alone");
+            for v in out.drc.violations() {
+                assert!(
+                    matches!(v, drc::Violation::Disconnected { .. }),
+                    "{at}: non-disconnection violation {v}"
+                );
+            }
+            assert_eq!(
+                out.stats.routed_nets + out.drc.dirty_nets().len(),
+                out.stats.total_nets,
+                "{at}: nets unaccounted for"
+            );
+            assert!(
+                out.stats.routed_nets + 1 >= clean.stats.routed_nets,
+                "{at}: routed {} of clean {}",
+                out.stats.routed_nets,
+                clean.stats.routed_nets
+            );
+            for &id in ripup_commits.iter().filter(|&&id| id != hit) {
+                assert!(
+                    !out.failed.contains(&id),
+                    "{at}: net {id} committed by rip-up on the clean run but not after the fault"
+                );
             }
         }
     }

@@ -12,7 +12,7 @@
 //! so the **journal**, the **counters** and the **histograms** are
 //! identical at every thread count (the one wall-clock counter,
 //! `ripup_wall_us`, aside). Counters are monotonic: nothing ever
-//! decrements them, not even a rip-up snapshot restore. **Spans** are
+//! decrements them, not even a rip-up rollback. **Spans** are
 //! wall-clock measurements and inherently run-variant.
 //!
 //! This crate deliberately has zero dependencies (net ids are plain
@@ -171,7 +171,8 @@ pub enum Counter {
     RipupAttempts,
     /// Eviction sets that stuck (target and all victims re-routed).
     RipupCommits,
-    /// Layout/space snapshot restores after a failed eviction set.
+    /// Restores after a failed eviction set: the layout from its snapshot
+    /// and the routing space by rolling back its trial journal.
     SnapshotRestores,
     /// Global cells rebuilt by net commits.
     CellsRebuilt,
@@ -192,7 +193,7 @@ pub enum Counter {
     /// Adjacency/edge-legality cache misses (geometry work re-done).
     LegalityCacheMisses,
     /// Wall-clock microseconds spent inside pass-3 rip-up-and-reroute
-    /// trials (snapshot, eviction, re-route, and restore included).
+    /// trials (layout snapshot, eviction, re-route, and rollback included).
     RipupWallUs,
     /// Sequential-stage routing spaces served from the warm shared cache
     /// (repeat jobs on the same circuit skip the build).

@@ -20,7 +20,8 @@ use std::sync::{Arc, Mutex};
 
 /// Monotone source of space revisions: every (re)build of any space takes
 /// a fresh value, so two spaces with equal revisions hold identical tiles
-/// (a clone restored over a mutated space genuinely is the cloned state).
+/// (a clone carries its original's revision, and a rolled-back trial
+/// restores the pre-trial revision because it restores that exact state).
 static REVISION: AtomicU64 = AtomicU64::new(1);
 
 /// Identifier of a tile in a [`RoutingSpace`] (invalidated by rebuilds of
@@ -143,16 +144,23 @@ struct RawEdge {
 /// O(tiles) entry sweep), and a lookup treats a mismatched stamp as a
 /// miss. Tile ids are never reused by rebuilds (retired slots stay
 /// `None`, and their entries are dropped when the cell retires them), so
-/// a live entry can only describe the current tile.
+/// a live entry can only describe the current tile. A rolled-back trial
+/// does reuse the ids it truncates, but it drops their entries, and every
+/// entry stamped during the trial carries an epoch the monotone
+/// `epoch_counter` never hands out again.
 #[derive(Debug, Default)]
 struct AdjCache {
     state: Mutex<AdjState>,
 }
 
+/// One cached adjacency list: the owning cell's adjacency epoch at build
+/// time, and the edges.
+type AdjEntry = (u64, Arc<Vec<RawEdge>>);
+
 #[derive(Debug, Default, Clone)]
 struct AdjState {
-    /// Tile id → (owning cell's adjacency epoch at build, edges).
-    map: HashMap<u32, (u64, Arc<Vec<RawEdge>>)>,
+    /// Tile id → its cached adjacency list.
+    map: HashMap<u32, AdjEntry>,
     /// Legality-cache telemetry: lookups answered from a valid entry.
     hits: u64,
     /// Lookups that rebuilt the entry (first touch or stale stamp).
@@ -189,24 +197,72 @@ pub struct RoutingSpace {
     /// Per `(layer, cell)`: spatial index over the cell's tile bboxes, in
     /// `cell_tiles` order, so adjacency builds query the handful of tiles
     /// near a bbox instead of scanning the whole cell (dense cells hold
-    /// thousands of tiles). `Arc` so snapshots clone by reference; a
-    /// rebuild installs a fresh index rather than mutating the shared one.
+    /// thousands of tiles). `Arc` so clones and trial journals share it
+    /// by reference; a rebuild installs a fresh index rather than
+    /// mutating the shared one.
     tile_index: Vec<Arc<GridIndex<TileId>>>,
     /// Per `(layer, cell)`: adjacency epoch, bumped when the cell or a
     /// 4-adjacent cell rebuilds. [`AdjCache`] entries are valid only while
     /// their stamp matches their cell's epoch.
     adj_epoch: Vec<u64>,
-    /// Source of fresh adjacency epochs (per space; clones keep counting).
+    /// Source of fresh adjacency epochs (per space; clones keep counting,
+    /// and a trial rollback never rewinds it).
     epoch_counter: u64,
     /// Monotone state tag: two spaces with equal revisions are identical.
     /// Search-side caches (the per-target heuristic cache) key on it.
     revision: u64,
     /// Negotiated-congestion cost layers (see [`crate::congestion`]);
     /// `None` keeps edge costs purely geometric. Boxed and owned by
-    /// value: these fields are *mutable* stage state, and the rip-up
-    /// pass's snapshot/restore-by-value must capture them (an `Arc`
-    /// would alias mutations across snapshots).
+    /// value: these fields are *mutable* stage state, so an `Arc` would
+    /// alias mutations across clones. Trial journals do not cover them;
+    /// a trial must leave them alone (debug-asserted).
     congestion: Option<Box<crate::congestion::CongestionMap>>,
+    /// The undo journal of the open trial, if any (see
+    /// [`RoutingSpace::begin_trial`]).
+    trial: Option<Box<Trial>>,
+}
+
+/// Checkpoint and undo journal of one open trial. Opening a trial records
+/// the scalar state; the first rebuild of each cell inside the trial moves
+/// that cell's pre-trial state here instead of dropping it. Tile ids are
+/// append-only, so every tile born in the trial has an id at or above
+/// `tile_len` and rolling back is a truncation plus moving the saved
+/// cells back.
+#[derive(Debug, Clone)]
+struct Trial {
+    /// `tiles.len()` at the checkpoint.
+    tile_len: usize,
+    revision: u64,
+    adj_epoch: Vec<u64>,
+    /// Adjacency-cache tallies at the checkpoint.
+    hits: u64,
+    misses: u64,
+    /// Per global cell (row-major): already journaled in this trial.
+    saved: Vec<bool>,
+    cells: Vec<SavedCell>,
+}
+
+/// The pre-trial state of one global cell, moved out by its first rebuild
+/// inside a trial.
+#[derive(Debug, Clone)]
+struct SavedCell {
+    cx: usize,
+    cy: usize,
+    /// Per wire layer, in layer order.
+    layers: Vec<SavedLayer>,
+    via_sites: Vec<ViaSite>,
+    /// Adjacency entries of the cell's retired tiles.
+    adjacency: Vec<(u32, AdjEntry)>,
+}
+
+/// The pre-trial state of one `(layer, cell)` slot.
+#[derive(Debug, Clone)]
+struct SavedLayer {
+    ids: Vec<TileId>,
+    /// The tiles of `ids`, in the same order.
+    nodes: Vec<TileNode>,
+    wires: Vec<(NetId, Segment)>,
+    index: Arc<GridIndex<TileId>>,
 }
 
 /// Per-rebuild spatial indexes over the package and layout geometry, so
@@ -288,6 +344,7 @@ impl RoutingSpace {
             epoch_counter: 0,
             revision: REVISION.fetch_add(1, Ordering::Relaxed),
             congestion: None,
+            trial: None,
         };
         let mut scratch = GeomScratch::build(package, layout, layers);
         for cy in 0..cfg.cells_y {
@@ -326,6 +383,7 @@ impl RoutingSpace {
     /// geometric heuristic), but a fresh tag keeps every revision-keyed
     /// cache conservatively scoped to one cost regime.
     pub fn set_congestion(&mut self, map: Option<crate::congestion::CongestionMap>) {
+        debug_assert!(self.trial.is_none(), "congestion layers are not journaled");
         self.congestion = map.map(Box::new);
         self.revision = REVISION.fetch_add(1, Ordering::Relaxed);
     }
@@ -340,6 +398,7 @@ impl RoutingSpace {
     /// driver escalates history and refreshes present counts between
     /// iterations; no search runs concurrently with these updates).
     pub fn congestion_mut(&mut self) -> Option<&mut crate::congestion::CongestionMap> {
+        debug_assert!(self.trial.is_none(), "congestion layers are not journaled");
         self.congestion.as_deref_mut()
     }
 
@@ -455,6 +514,97 @@ impl RoutingSpace {
         cells
     }
 
+    /// Opens a trial: until [`RoutingSpace::commit_trial`] or
+    /// [`RoutingSpace::rollback_trial`], every rebuild journals the
+    /// pre-trial state of the cells it replaces, so a rollback restores
+    /// the space exactly (tiles, tile ids, via sites, revision, cache
+    /// tallies) at a cost proportional to the cells the trial rebuilt,
+    /// not to the whole space. Trials do not nest.
+    pub fn begin_trial(&mut self) {
+        debug_assert!(self.trial.is_none(), "nested trials are not supported");
+        let (hits, misses) = self.adjacency_cache_stats();
+        self.trial = Some(Box::new(Trial {
+            tile_len: self.tiles.len(),
+            revision: self.revision,
+            adj_epoch: self.adj_epoch.clone(),
+            hits,
+            misses,
+            saved: vec![false; self.cfg.cells_x * self.cfg.cells_y],
+            cells: Vec::new(),
+        }));
+    }
+
+    /// Keeps everything the open trial did and drops its journal.
+    pub fn commit_trial(&mut self) {
+        let trial = self.trial.take();
+        debug_assert!(trial.is_some(), "commit_trial without an open trial");
+    }
+
+    /// Undoes every rebuild since [`RoutingSpace::begin_trial`] and closes
+    /// the trial. Adjacency entries built during the trial for cells it
+    /// never rebuilt (nor bordered) stay: they are pure functions of
+    /// unchanged tiles, and their epochs match again.
+    pub fn rollback_trial(&mut self) {
+        let trial = *self.trial.take().expect("rollback_trial without an open trial");
+        let mut adj = self.adjacency.lock();
+        for id in trial.tile_len..self.tiles.len() {
+            adj.map.remove(&(id as u32));
+        }
+        self.tiles.truncate(trial.tile_len);
+        for cell in trial.cells {
+            for (layer, saved) in cell.layers.into_iter().enumerate() {
+                let idx = self.cell_index(layer, cell.cx, cell.cy);
+                for (id, node) in saved.ids.iter().zip(saved.nodes) {
+                    self.tiles[id.0 as usize] = Some(node);
+                }
+                self.cell_tiles[idx] = saved.ids;
+                self.cell_wires[idx] = saved.wires;
+                self.tile_index[idx] = saved.index;
+            }
+            self.via_sites[cell.cy * self.cfg.cells_x + cell.cx] = cell.via_sites;
+            adj.map.extend(cell.adjacency);
+        }
+        adj.hits = trial.hits;
+        adj.misses = trial.misses;
+        drop(adj);
+        self.adj_epoch = trial.adj_epoch;
+        self.revision = trial.revision;
+    }
+
+    /// Inside a trial, moves the pre-trial state of cell `(cx, cy)` into
+    /// the journal the first time the trial rebuilds it, leaving its slots
+    /// empty for the rebuild to fill. Moving (not cloning) keeps the
+    /// journal's cost at one pass over the cell.
+    fn journal_cell(&mut self, cx: usize, cy: usize) {
+        let slot = cy * self.cfg.cells_x + cx;
+        match self.trial.as_deref_mut() {
+            Some(t) if !t.saved[slot] => t.saved[slot] = true,
+            _ => return,
+        }
+        let mut adj = self.adjacency.lock();
+        let mut adjacency = Vec::new();
+        let mut layers = Vec::with_capacity(self.layers);
+        for layer in 0..self.layers {
+            let idx = self.cell_index(layer, cx, cy);
+            let ids = std::mem::take(&mut self.cell_tiles[idx]);
+            let nodes = ids
+                .iter()
+                .map(|id| self.tiles[id.0 as usize].take().expect("live tile"))
+                .collect();
+            adjacency.extend(ids.iter().filter_map(|id| adj.map.remove_entry(&id.0)));
+            layers.push(SavedLayer {
+                ids,
+                nodes,
+                wires: std::mem::take(&mut self.cell_wires[idx]),
+                index: Arc::clone(&self.tile_index[idx]),
+            });
+        }
+        drop(adj);
+        let via_sites = std::mem::take(&mut self.via_sites[slot]);
+        let trial = self.trial.as_deref_mut().expect("checked above");
+        trial.cells.push(SavedCell { cx, cy, layers, via_sites, adjacency });
+    }
+
     /// The global cell containing `p`, if inside the die.
     pub fn cell_of(&self, p: Point) -> Option<(usize, usize)> {
         self.cell_of_point(p)
@@ -486,6 +636,9 @@ impl RoutingSpace {
         // of every tile in a 4-adjacent cell (their cross-border edges
         // reference the tiles being replaced) become stale now.
         self.invalidate_adjacency(cx, cy);
+        // Inside a trial the cell's pre-trial state moves to the journal,
+        // which leaves nothing for the retire loop below.
+        self.journal_cell(cx, cy);
         let cell = self.cell_rect(cx, cy);
         let pad_nets = &scratch.pad_nets;
         for layer_idx in 0..self.layers {
@@ -858,9 +1011,9 @@ impl RoutingSpace {
     }
 
     /// Legality-cache counters: `(hits, misses)` of the adjacency cache
-    /// since this space was built (restored snapshots revert with the
-    /// snapshot's counts, so trial work discarded by a rip-up restore is
-    /// not double-reported).
+    /// since this space was built (a trial rollback reverts them to the
+    /// checkpoint's counts, so lookups of discarded trial work are not
+    /// reported).
     pub fn adjacency_cache_stats(&self) -> (u64, u64) {
         let s = self.adjacency.lock();
         (s.hits, s.misses)

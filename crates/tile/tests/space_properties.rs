@@ -1,9 +1,11 @@
 //! Property tests on the routing space: tiles partition the free space,
-//! blockage tagging is sound, and adjacency is symmetric.
+//! blockage tagging is sound, adjacency is symmetric, and a trial's undo
+//! journal rolls back (or commits) exactly.
 
-use info_geom::{Point, Polyline, Rect};
+use info_geom::{Octagon, Point, Polyline, Rect, Segment};
 use info_model::{DesignRules, Layout, NetId, Package, PackageBuilder, WireLayer};
-use info_tile::{RoutingSpace, SpaceConfig};
+use info_tile::space::{Blocker, ViaSite};
+use info_tile::{RoutingSpace, SpaceConfig, TileId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -145,5 +147,163 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// One live tile: `(id, layer, cell, shape, blockers)`.
+type TileRow = (TileId, WireLayer, (usize, usize), Octagon, Vec<Blocker>);
+
+/// Everything a search can observe of a space: tile slots, revision, every
+/// live tile, every cell's tile list and via sites, and the planar
+/// neighbors of every live tile for the committed wires' own net and for
+/// a foreign net. Querying neighbors fills (and so exercises) the
+/// adjacency cache.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    slots: usize,
+    revision: u64,
+    tiles: Vec<TileRow>,
+    cells: Vec<Vec<TileId>>,
+    via_sites: Vec<Vec<ViaSite>>,
+    neighbors: Vec<Vec<(TileId, Segment)>>,
+}
+
+fn observe(space: &RoutingSpace) -> Observed {
+    let tiles: Vec<_> = space
+        .live_tiles()
+        .map(|(id, t)| (id, t.layer, t.cell, t.shape, t.blockers.clone()))
+        .collect();
+    let mut cells = Vec::new();
+    let mut via_sites = Vec::new();
+    for cy in 0..5 {
+        for cx in 0..5 {
+            for layer in [WireLayer(0), WireLayer(1)] {
+                cells.push(space.tiles_in_cell(layer, cx, cy).to_vec());
+            }
+            via_sites.push(space.via_sites(cx, cy).to_vec());
+        }
+    }
+    let neighbors = tiles
+        .iter()
+        .flat_map(|&(id, ..)| [NetId(0), NetId(42)].map(|net| (id, net)))
+        .map(|(id, net)| {
+            space.planar_neighbors(id, net).iter().map(|e| (e.to, e.crossing)).collect()
+        })
+        .collect();
+    Observed {
+        slots: space.tile_slots(),
+        revision: space.revision(),
+        tiles,
+        cells,
+        via_sites,
+        neighbors,
+    }
+}
+
+/// One random layout edit — a wire of net 0–3 added (horizontal,
+/// vertical or diagonal) or every wire of one such net removed — and the
+/// rects it dirties. Net 0 is the package's own net, so removing all of
+/// its wires also reopens its pads' escape keepouts.
+fn random_edit(rng: &mut rand::rngs::StdRng, layout: &mut Layout) -> Vec<Rect> {
+    let net = NetId(rng.gen_range(0..4));
+    if rng.gen_bool(0.3) {
+        let dirty: Vec<Rect> = layout
+            .routes_of(net)
+            .flat_map(|r| r.path.segments().map(|s| Rect::new(s.a, s.b)).collect::<Vec<_>>())
+            .collect();
+        layout.remove_net(net);
+        return dirty;
+    }
+    let a = Point::new(rng.gen_range(20_000..400_000), rng.gen_range(20_000..400_000));
+    let len = rng.gen_range(20_000..180_000);
+    let b = match rng.gen_range(0..3) {
+        0 => Point::new(a.x + len, a.y),
+        1 => Point::new(a.x, a.y + len),
+        _ => Point::new(a.x + len, a.y + len),
+    };
+    layout.add_route(net, WireLayer(rng.gen_range(0..2)), Polyline::new(vec![a, b]));
+    vec![Rect::new(a, b)]
+}
+
+/// Runs 1–4 rounds of random edits, each followed by a dirty rebuild.
+/// With `probe`, every round also queries the neighbors of every live
+/// tile, so the trial stamps adjacency entries of its own.
+fn edit_rounds(
+    pkg: &Package,
+    layout: &mut Layout,
+    space: &mut RoutingSpace,
+    rng: &mut rand::rngs::StdRng,
+    probe: bool,
+) {
+    for _ in 0..rng.gen_range(1..=4) {
+        let dirty: Vec<Rect> =
+            (0..rng.gen_range(1..=3)).flat_map(|_| random_edit(rng, layout)).collect();
+        space.rebuild_dirty_multi(pkg, layout, &dirty);
+        if probe {
+            observe(space);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A rolled-back trial leaves the space observationally equal to a
+    /// pre-trial clone — tile ids, revision and cached adjacency included
+    /// — and both then evolve identically under the same next rebuild.
+    #[test]
+    fn rollback_restores_the_pre_trial_space(seed in 0u64..500) {
+        let (pkg, mut layout) = random_package(seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7121);
+        let mut space = RoutingSpace::build(&pkg, &layout, cfg());
+        // Warm the cache first: the journal must hand back the entries of
+        // the cells it retires.
+        let before = observe(&space);
+        let mut clone = space.clone();
+        let base = layout.clone();
+
+        space.begin_trial();
+        edit_rounds(&pkg, &mut layout, &mut space, &mut rng, true);
+        space.rollback_trial();
+        layout = base;
+        prop_assert_eq!(&observe(&space), &before);
+        prop_assert_eq!(&observe(&clone), &before);
+
+        // Truncated tile ids are handed out again exactly as the clone
+        // hands them out (a rebuild's revision is globally fresh, so that
+        // one field differs).
+        let dirty = random_edit(&mut rng, &mut layout);
+        space.rebuild_dirty_multi(&pkg, &layout, &dirty);
+        clone.rebuild_dirty_multi(&pkg, &layout, &dirty);
+        let (mut got, mut want) = (observe(&space), observe(&clone));
+        got.revision = 0;
+        want.revision = 0;
+        prop_assert_eq!(got, want);
+    }
+
+    /// A committed trial equals the same rebuild sequence run with no
+    /// trial open, tile ids included (revisions are globally fresh per
+    /// rebuild, so they are the one field that differs).
+    #[test]
+    fn commit_equals_untrialed_rebuilds(seed in 0u64..500) {
+        let (pkg, layout) = random_package(seed);
+        let mut space = RoutingSpace::build(&pkg, &layout, cfg());
+        observe(&space);
+        let mut plain = space.clone();
+
+        let mut trial_layout = layout.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7121);
+        space.begin_trial();
+        edit_rounds(&pkg, &mut trial_layout, &mut space, &mut rng, true);
+        space.commit_trial();
+
+        let mut plain_layout = layout;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x7121);
+        edit_rounds(&pkg, &mut plain_layout, &mut plain, &mut rng, false);
+
+        let (mut got, mut want) = (observe(&space), observe(&plain));
+        got.revision = 0;
+        want.revision = 0;
+        prop_assert_eq!(got, want);
     }
 }
