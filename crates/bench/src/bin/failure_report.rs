@@ -43,10 +43,11 @@ fn main() {
         report.counter("escalation_expansions"),
     );
     println!(
-        "rip-up: {} trials, {} committed, {} restored",
+        "rip-up: {} trials, {} committed, {} restored, {} attempts refuted without a search",
         report.counter("ripup_attempts"),
         report.counter("ripup_commits"),
         report.counter("snapshot_restores"),
+        report.counter("ripup_refuted"),
     );
     let reasons: Vec<String> = report
         .failure_counts()

@@ -1,6 +1,8 @@
 //! Quick development check: run only the via-based router on one circuit.
 //! `oursonly [idx] [neg]` — pass `neg` to route in negotiated-congestion
-//! mode; `RDL_THREADS=<n>` sets the sequential worker count.
+//! mode; `RDL_THREADS=<n>` sets the worker count of the parallel scans
+//! (rip-up victim scan, feature ordering, LP constraint generation). The
+//! sequential stage itself is serial, so threads never change a layout.
 use std::time::Instant;
 fn main() {
     let idx: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
@@ -34,6 +36,12 @@ fn main() {
         if !iters.is_empty() {
             println!("  negotiation_iteration spans (s): [{}]", iters.join(", "));
         }
-        println!("  ripup_wall {:.3}s", rep.counter("ripup_wall_us") as f64 / 1e6);
+        println!(
+            "  ripup_wall {:.3}s  trials {} committed {} refuted attempts {}",
+            rep.counter("ripup_wall_us") as f64 / 1e6,
+            rep.counter("ripup_attempts"),
+            rep.counter("ripup_commits"),
+            rep.counter("ripup_refuted"),
+        );
     }
 }

@@ -378,7 +378,7 @@ fn guarded_route_net(
     tel: &Sink,
 ) -> Result<(AttemptDraft, bool), RouterError> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        try_route_net(package, layout, space, id, cfg, ctx, stats, tel)
+        try_route_net(package, layout, space, id, cfg, ctx, false, stats, tel)
     }));
     match attempt {
         Ok(r) => r,
@@ -786,7 +786,8 @@ fn route_negotiated_front(
 /// layout **and the routing space** are restored exactly — the layout
 /// from a clone, the space by rolling back its trial journal, which
 /// undoes only the cells the trial rebuilt and leaves the pre-trial
-/// state, revision tag included.
+/// state, revision tag included. Every attempt inside a trial tries the
+/// bounded refutation sweep before its search (see [`try_route_net`]).
 #[allow(clippy::too_many_arguments)]
 fn ripup_and_reroute(
     package: &Package,
@@ -854,13 +855,13 @@ fn ripup_and_reroute(
         // through).
         let attempt: Result<(bool, AttemptDraft), RouterError> = (|| {
             let (draft, committed) =
-                try_route_net(package, layout, space, id, cfg, ctx, stats, tel)?;
+                try_route_net(package, layout, space, id, cfg, ctx, true, stats, tel)?;
             if !committed {
                 return Ok((false, draft));
             }
             for &v in &victims {
                 let (vdraft, vcommitted) =
-                    try_route_net(package, layout, space, v, cfg, ctx, stats, tel)?;
+                    try_route_net(package, layout, space, v, cfg, ctx, true, stats, tel)?;
                 if !vcommitted {
                     return Ok((false, AttemptDraft { outcome: vdraft.outcome, ..draft }));
                 }
@@ -896,6 +897,14 @@ fn ripup_and_reroute(
 /// rejected) — the normal retry path. `Err` is an internal failure
 /// (injected fault); both fault checks run before any mutation, so an
 /// `Err` leaves the layout untouched.
+///
+/// With `refute_first` (rip-up trials), [`astar::refute`] runs before the
+/// search, after the `AstarExpand` fault check. A trial's outcome feeds
+/// only its commit/rollback verdict, so a proven no-path fails as the
+/// search would have (`unreachable`, the sweep's visit count as its
+/// expansions) without sweeping the open side first. Passes 1–2 and the
+/// negotiated iterations keep the plain search: their failed-search
+/// expansions order the rip-up pass.
 #[allow(clippy::too_many_arguments)]
 fn try_route_net(
     package: &Package,
@@ -904,6 +913,7 @@ fn try_route_net(
     id: NetId,
     cfg: &RouterConfig,
     ctx: &FlowCtx,
+    refute_first: bool,
     stats: &mut astar::SearchStats,
     tel: &Sink,
 ) -> Result<(AttemptDraft, bool), RouterError> {
@@ -911,6 +921,20 @@ fn try_route_net(
     let src = (package.pad_layer(net.a), package.pad(net.a).center);
     let dst = (package.pad_layer(net.b), package.pad(net.b).center);
     ctx.check(FaultSite::AstarExpand)?;
+    // An interrupted flow goes on to the search, which reports the
+    // attempt cancelled rather than refuted.
+    if refute_first && !ctx.interrupted() {
+        if let Some(visited) = astar::refute(space, id, src, dst) {
+            tel.count(Counter::RipupRefuted, 1);
+            let draft = AttemptDraft {
+                windowed: false,
+                escalated: false,
+                expansions: visited,
+                outcome: AttemptOutcome::Failed(FailureReason::Unreachable),
+            };
+            return Ok((draft, false));
+        }
+    }
     let opts = astar::SearchOptions {
         windowed: cfg.search_window,
         expansion_budget: cfg.retry_expansion_budget,

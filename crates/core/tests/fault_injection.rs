@@ -4,12 +4,12 @@
 //! [`FlowDiagnostics`], and lose at most the nets the fault touched.
 
 use info_geom::{Point, Rect};
-use info_model::{drc, DesignRules, NetId, Package, PackageBuilder};
+use info_model::{drc, DesignRules, NetId, Package, PackageBuilder, WireLayer};
 use info_router::{
     FaultDirective, FaultKind, FaultPlan, FaultSite, InfoRouter, NetStatus, RouteOutcome,
     RouterConfig, RouterError, StageOutcome,
 };
-use info_telemetry::{AttemptOutcome, Pass};
+use info_telemetry::{AttemptOutcome, FailureReason, Pass};
 use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -440,6 +440,77 @@ fn faults_inside_a_ripup_trial_cost_only_the_faulted_net() {
                     "{at}: net {id} committed by rip-up on the clean run but not after the fault"
                 );
             }
+        }
+    }
+}
+
+/// Net 0 runs from an I/O pad to a bump pad walled in by an obstacle ring
+/// on both layers; nets 1 and 2 cross its pad-pair corridor to a second
+/// chip. Net 0 fails passes 1–2, and every rip-up trial (evict net 1, net
+/// 2, or both) leaves the ring standing, so the refutation probe settles
+/// each trial's target attempt without a search.
+fn walled_bump_package() -> Package {
+    let mut b = PackageBuilder::new(
+        Rect::new(Point::new(0, 0), Point::new(1_400_000, 900_000)),
+        DesignRules::default(),
+        2,
+    );
+    let c1 = b.add_chip(Rect::new(Point::new(150_000, 250_000), Point::new(500_000, 650_000)));
+    let c2 = b.add_chip(Rect::new(Point::new(900_000, 250_000), Point::new(1_250_000, 650_000)));
+    let io = b.add_io_pad(c1, Point::new(480_000, 400_000)).unwrap();
+    let bump = b.add_bump_pad(Point::new(700_000, 300_000)).unwrap();
+    b.add_net(io, bump).unwrap();
+    for y in [420_000, 360_000] {
+        let a = b.add_io_pad(c1, Point::new(480_000, y)).unwrap();
+        let z = b.add_io_pad(c2, Point::new(920_000, y)).unwrap();
+        b.add_net(a, z).unwrap();
+    }
+    let (lo, hi, t) = (Point::new(657_000, 257_000), Point::new(743_000, 343_000), 8_000);
+    for layer in [WireLayer(0), WireLayer(1)] {
+        for side in [
+            Rect::new(lo, Point::new(hi.x, lo.y + t)),
+            Rect::new(Point::new(lo.x, hi.y - t), hi),
+            Rect::new(lo, Point::new(lo.x + t, hi.y)),
+            Rect::new(Point::new(hi.x - t, lo.y), hi),
+        ] {
+            b.add_obstacle(layer, side).unwrap();
+        }
+    }
+    b.build().unwrap()
+}
+
+/// A fault armed on a rip-up attempt that the refutation probe settles
+/// without a search still fires — the `AstarExpand` check runs before the
+/// probe — and costs only that attempt's net. A refuted target attempt
+/// journals as a failed rip-up record that ran no windowed search and
+/// makes exactly one check, so each trial's check is indexed from the
+/// front passes' count.
+#[test]
+fn faults_on_refuted_ripup_attempts_still_fire_and_cost_only_that_net() {
+    let pkg = walled_bump_package();
+    let cfg = RouterConfig::default().with_global_cells(10).without_concurrent();
+    let clean = InfoRouter::new(cfg.with_telemetry()).route(&pkg);
+    assert_eq!(clean.failed, vec![NetId(0)], "only the walled-in net may fail");
+    let report = clean.telemetry.as_ref().expect("telemetry on");
+    let front =
+        report.journal.iter().filter(|r| matches!(r.pass, Pass::First | Pass::Retry)).count();
+    let trials: Vec<_> = report.journal.iter().filter(|r| r.pass == Pass::RipUp).collect();
+    assert_eq!(trials.len(), 3, "evict net 1, net 2, then both");
+    for r in &trials {
+        assert_eq!(r.net, 0);
+        assert!(!r.windowed, "every trial's target attempt must be refuted");
+        assert_eq!(r.outcome, AttemptOutcome::Failed(FailureReason::Unreachable));
+    }
+    assert_eq!(report.counter("ripup_refuted"), 3);
+    for skip in front as u32..(front + trials.len()) as u32 {
+        for kind in [FaultKind::Error, FaultKind::Panic] {
+            let site = FaultSite::AstarExpand;
+            let plan = FaultPlan::none().with(FaultDirective { site, kind, skip, fires: 1 });
+            let out = route_with_plan(&pkg, cfg, plan);
+            assert_isolated(&out, site, clean.stats.routed_nets, 0);
+            let faulted: Vec<NetId> =
+                out.diagnostics.net_failures.iter().map(|&(id, _)| id).collect();
+            assert_eq!(faulted, vec![NetId(0)], "{kind:?} fault at check {skip}: only net 0");
         }
     }
 }

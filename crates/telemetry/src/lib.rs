@@ -143,11 +143,13 @@ pub struct AttemptRecord {
     pub net: u32,
     /// The pass that made the attempt.
     pub pass: Pass,
-    /// Whether the A\* search ran windowed.
+    /// Whether the A\* search ran windowed (false when a rip-up attempt
+    /// was refuted without one).
     pub windowed: bool,
     /// Whether the windowed search escalated to the full graph.
     pub escalated: bool,
-    /// Nodes the authoritative search expanded.
+    /// Nodes the authoritative search expanded, or the tiles the
+    /// refutation sweep visited for a refuted rip-up attempt.
     pub expansions: u64,
     /// The outcome.
     pub outcome: AttemptOutcome,
@@ -209,11 +211,15 @@ pub enum Counter {
     /// Nets re-queued by the negotiation driver — evicted victims plus
     /// still-failed nets — summed over every iteration after the first.
     NegotiationReroutes,
+    /// Rip-up attempts (a trial's target or a victim re-route) proven
+    /// unroutable by the bounded refutation sweep instead of an A\*
+    /// search; they do not count as `Searches`.
+    RipupRefuted,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 22] = [
+    pub const ALL: [Counter; 23] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -236,6 +242,7 @@ impl Counter {
         Counter::NegotiationIterations,
         Counter::NegotiationOveruse,
         Counter::NegotiationReroutes,
+        Counter::RipupRefuted,
     ];
 
     /// Stable snake_case label.
@@ -263,6 +270,7 @@ impl Counter {
             Counter::NegotiationIterations => "negotiation_iterations",
             Counter::NegotiationOveruse => "negotiation_overuse",
             Counter::NegotiationReroutes => "negotiation_reroutes",
+            Counter::RipupRefuted => "ripup_refuted",
         }
     }
 }

@@ -33,6 +33,12 @@
 //! and parent chain bit for bit. Symmetrically, if the window exhausts
 //! without pruning anything (`pruned_min_f = ∞`), the windowed search
 //! *was* the full search and its failure is authoritative.
+//!
+//! **Refutation.** A search toward a pad walled into a small pocket
+//! exhausts the whole open side before it fails. [`refute`] proves the
+//! same no-path from the other end: a bounded sweep over the pocket,
+//! following a superset of the reversed search edges (see
+//! [`refute_steps`]).
 
 use crate::bucket::BucketQueue;
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
@@ -184,6 +190,119 @@ pub fn route_cancellable(
     })
 }
 
+/// Tile budget of [`refute`]: a sweep whose component outgrows this gives
+/// up without a verdict. The walled-in pads of the dense suite sit in
+/// pockets of at most a few hundred tiles, and an undecided probe costs
+/// no more than a small search.
+pub const REFUTE_LIMIT: usize = 1024;
+
+/// A bounded no-path proof: sweeps outward from the destination terminal
+/// tile over [`refute_steps`] and returns `Some(tiles visited)` when the
+/// sweep exhausts within [`REFUTE_LIMIT`] tiles without reaching the
+/// source terminal tile. Then no search of `net` from `src` to `dst` can
+/// succeed — windowed or not, with any budget — so a caller that only
+/// needs the verdict may skip it. `None` means no verdict: the component
+/// is too large, it holds the source, or a terminal has no passable tile
+/// (which the search itself reports as [`SearchFailure::BlockedTerminal`]).
+///
+/// Soundness: every search edge `u → v` has `u` in `refute_steps(v)`, so
+/// a search path `src → … → dst` walked backwards from `dst` never leaves
+/// the sweep's closure, which would then contain `src`.
+pub fn refute(
+    space: &RoutingSpace,
+    net: NetId,
+    src: (WireLayer, Point),
+    dst: (WireLayer, Point),
+) -> Option<u64> {
+    let src_tile = space.tile_at(src.0, src.1, net)?;
+    let dst_tile = space.tile_at(dst.0, dst.1, net)?;
+    if src_tile == dst_tile {
+        return None;
+    }
+    SCRATCH.with(|cell| {
+        let mut s = cell.borrow_mut();
+        let s = &mut *s;
+        s.ensure(space);
+        // The sweep borrows the node stamps; every search starts a fresh
+        // generation, so nothing it leaves behind is ever read.
+        s.next_gen();
+        let gen = s.gen;
+        let mut stack = std::mem::take(&mut s.sweep);
+        let mut nbr = std::mem::take(&mut s.nbr);
+        stack.clear();
+        s.stamp[dst_tile.0 as usize] = gen;
+        stack.push(dst_tile.0);
+        let mut visited = 1usize;
+        let mut reached_src = false;
+        while let Some(v) = stack.pop() {
+            for_each_refute_step(space, TileId(v), net, &mut nbr, |u| {
+                let ui = u.0 as usize;
+                if s.stamp[ui] != gen {
+                    s.stamp[ui] = gen;
+                    visited += 1;
+                    reached_src |= u == src_tile;
+                    stack.push(u.0);
+                }
+            });
+            if reached_src || visited > REFUTE_LIMIT {
+                break;
+            }
+        }
+        let exhausted = stack.is_empty() && !reached_src;
+        s.sweep = stack;
+        s.nbr = nbr;
+        exhausted.then_some(visited as u64)
+    })
+}
+
+/// The step relation of [`refute`] from tile `v` for `net`: every tile `u`
+/// with a search edge `u → v`, plus possibly more. It holds
+/// - `v`'s planar neighbors, because planar adjacency is symmetric (the
+///   shared boundary and the wires along it do not depend on which side
+///   asks, and both ends are passable);
+/// - for every via site inside `v` on a layer span containing `v`'s
+///   layer, every tile of the paired layer in `v`'s cell that is passable
+///   for `net` and covers the site: a superset of the one tile the search's
+///   via edge lands on.
+pub fn refute_steps(space: &RoutingSpace, v: TileId, net: NetId) -> Vec<TileId> {
+    let mut out = Vec::new();
+    for_each_refute_step(space, v, net, &mut Vec::new(), |u| out.push(u));
+    out
+}
+
+fn for_each_refute_step(
+    space: &RoutingSpace,
+    v: TileId,
+    net: NetId,
+    nbr: &mut Vec<PlanarEdge>,
+    mut step: impl FnMut(TileId),
+) {
+    space.planar_neighbors_into(v, net, nbr);
+    for e in nbr.iter() {
+        step(e.to);
+    }
+    let t = space.tile(v);
+    let (cx, cy) = t.cell;
+    for site in space.via_sites(cx, cy) {
+        let paired = if site.upper == t.layer {
+            site.lower
+        } else if site.lower == t.layer {
+            site.upper
+        } else {
+            continue;
+        };
+        if !t.shape.contains(site.at) {
+            continue;
+        }
+        for &u in space.tiles_in_cell(paired, cx, cy) {
+            let o = space.tile(u);
+            if o.passable_for(net) && o.shape.contains(site.at) {
+                step(u);
+            }
+        }
+    }
+}
+
 /// Sentinel for "no parent" in the scratch parent array.
 const NO_PARENT: u32 = u32::MAX;
 
@@ -221,6 +340,8 @@ struct SearchScratch {
     /// Edges the windowed run pruned, kept so an escalation can re-inject
     /// them instead of restarting the search from scratch.
     pruned: Vec<PrunedEdge>,
+    /// Work stack of [`refute`]'s sweep.
+    sweep: Vec<u32>,
 }
 
 /// One edge the windowed run refused to relax because its target cell was
@@ -256,6 +377,7 @@ impl SearchScratch {
             nbr: Vec::new(),
             vnbr: Vec::new(),
             pruned: Vec::new(),
+            sweep: Vec::new(),
         }
     }
 

@@ -3,7 +3,10 @@
 //! every hop an existing planar or via adjacency), its cost is exactly
 //! the sum of its edge costs, its realization obeys the 90°/135° turn
 //! rule, the windowed search agrees with the forced full-graph search,
-//! and unroutable instances return `None` instead of panicking.
+//! and unroutable instances return `None` instead of panicking. The
+//! rip-up refutation probe is sound: its step relation contains every
+//! reversed search edge, and each refutation it returns is a no-path the
+//! unbounded full-graph search confirms.
 
 use info_geom::{x_arch_len, Point, Polyline, Rect};
 use info_model::{DesignRules, Layout, NetId, Package, PackageBuilder, WireLayer};
@@ -283,6 +286,107 @@ proptest! {
         let no_vias = SearchOptions { allow_vias: false, ..SearchOptions::default() };
         let _ = search(&space, src, (src.0, dst.1), no_vias, &mut astar::SearchStats::default());
     }
+}
+
+/// Every search edge `u → v` for `net` — planar or via, from every live
+/// tile `u` passable for `net` — has `u` in `refute`'s step set from `v`,
+/// so a sweep from the destination can never miss a search path.
+fn assert_steps_contain_reversed_edges(space: &RoutingSpace, net: NetId) -> usize {
+    let mut edges = 0;
+    for (u, tile) in space.live_tiles() {
+        if !tile.passable_for(net) {
+            continue;
+        }
+        let planar = space.planar_neighbors(u, net).into_iter().map(|e| e.to);
+        let via = space.via_neighbors(u, net).into_iter().map(|(to, _)| to);
+        for v in planar.chain(via) {
+            edges += 1;
+            assert!(
+                astar::refute_steps(space, v, net).contains(&u),
+                "search edge {u:?} -> {v:?} of net {net:?} is missing from the steps of {v:?}"
+            );
+        }
+    }
+    edges
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The refutation step relation contains every reversed planar and
+    /// via edge, for the routed net and for the foreign wires' net.
+    fn refute_steps_contain_every_reversed_search_edge(seed in 0u64..1_000_000) {
+        let (pkg, layout) = random_instance(seed);
+        let space = RoutingSpace::build(&pkg, &layout, cfg());
+        let edges = assert_steps_contain_reversed_edges(&space, NetId(0))
+            + assert_steps_contain_reversed_edges(&space, NetId(7));
+        prop_assert!(edges > 0, "no search edges to check");
+    }
+}
+
+/// A random instance whose destination pad is boxed in by foreign wires:
+/// a square ring around the bump pad on every layer, except that some
+/// draws leave one side open on one layer (then the net may escape).
+fn boxed_instance(seed: u64) -> (Package, Layout) {
+    let (pkg, mut layout) = random_instance(seed);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+    let c = pkg.pad(pkg.net(NetId(0)).b).center;
+    let d = rng.gen_range(25_000..60_000);
+    let open = rng.gen_bool(0.3).then(|| (rng.gen_range(0..2u8), rng.gen_range(0..4usize)));
+    let corners = [
+        Point::new(c.x - d, c.y - d),
+        Point::new(c.x + d, c.y - d),
+        Point::new(c.x + d, c.y + d),
+        Point::new(c.x - d, c.y + d),
+    ];
+    for layer in 0..2u8 {
+        for side in 0..4 {
+            if open == Some((layer, side)) {
+                continue;
+            }
+            let (a, b) = (corners[side], corners[(side + 1) % 4]);
+            layout.add_route(NetId(7), WireLayer(layer), Polyline::new(vec![a, b]));
+        }
+    }
+    (pkg, layout)
+}
+
+/// Every refutation is a no-path the full-graph search with an unbounded
+/// budget confirms, and at least one boxed-in destination is refuted.
+#[test]
+fn refutations_are_confirmed_by_the_unbounded_full_search() {
+    let (mut refuted, mut routed) = (0, 0);
+    for seed in 0..48 {
+        let (pkg, layout) = boxed_instance(seed);
+        let space = RoutingSpace::build(&pkg, &layout, cfg());
+        let (src, dst) = terminals(&pkg);
+        let unbounded = SearchOptions {
+            windowed: false,
+            expansion_budget: Some(usize::MAX),
+            ..SearchOptions::default()
+        };
+        let mut stats = astar::SearchStats::default();
+        let full =
+            astar::route_cancellable(&space, NetId(0), src, dst, unbounded, None, &mut stats);
+        match astar::refute(&space, NetId(0), src, dst) {
+            Some(visited) => {
+                refuted += 1;
+                assert!(visited as usize <= astar::REFUTE_LIMIT, "seed {seed}: sweep overran");
+                assert!(
+                    matches!(
+                        full,
+                        Err(astar::SearchFailure::Exhausted
+                            | astar::SearchFailure::NoViaPath { .. })
+                    ),
+                    "seed {seed}: refuted, but the full search gave {:?}",
+                    full.map(|r| r.cost)
+                );
+            }
+            None => routed += usize::from(full.is_ok()),
+        }
+    }
+    assert!(refuted > 0, "no boxed-in destination was refuted");
+    assert!(routed > 0, "no open draw routed, so the refutations were never contrasted");
 }
 
 /// A pad pair close together but separated by a wall (on both layers)
