@@ -49,6 +49,11 @@ fn main() {
         report.counter("snapshot_restores"),
         report.counter("ripup_refuted"),
     );
+    println!(
+        "rebuilds: {} cells rebuilt, {} layer-cells reused their tiles",
+        report.counter("cells_rebuilt"),
+        report.counter("layer_cells_reused"),
+    );
     let reasons: Vec<String> = report
         .failure_counts()
         .iter()

@@ -43,5 +43,10 @@ fn main() {
             rep.counter("ripup_commits"),
             rep.counter("ripup_refuted"),
         );
+        println!(
+            "  cells rebuilt {}  layer-cells reused {}",
+            rep.counter("cells_rebuilt"),
+            rep.counter("layer_cells_reused"),
+        );
     }
 }

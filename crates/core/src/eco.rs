@@ -644,7 +644,7 @@ pub(crate) fn reroute_delta(
                 let (h0, _) = cache.stats();
                 let mut space = cache.get_or_build(package, &prior.layout, cfg, &tel);
                 stats.space_warm_hit = cache.stats().0 > h0;
-                stats.cells_invalidated = space.rebuild_dirty_multi(package, &layout, &dirty).len();
+                stats.cells_invalidated = space.rebuild_dirty_multi(package, &layout, &dirty).cells.len();
                 stats.space_dirty_rebuild = true;
                 space
             }

@@ -743,7 +743,8 @@ fn route_negotiated_front(
         }
         if !touched.is_empty() {
             let rebuilt = space.rebuild_dirty_multi(package, layout, &touched);
-            tel.count(Counter::CellsRebuilt, rebuilt.len() as u64);
+            tel.count(Counter::CellsRebuilt, rebuilt.cells.len() as u64);
+            tel.count(Counter::LayerCellsReused, rebuilt.layers_reused as u64);
         }
         refresh_present(layout, space, &routed);
 
@@ -846,7 +847,8 @@ fn ripup_and_reroute(
             layout.remove_net(v);
         }
         let rebuilt = space.rebuild_dirty_multi(package, layout, &touched);
-        tel.count(Counter::CellsRebuilt, rebuilt.len() as u64);
+        tel.count(Counter::CellsRebuilt, rebuilt.cells.len() as u64);
+        tel.count(Counter::LayerCellsReused, rebuilt.layers_reused as u64);
         // try_route_net rebuilds the space over each commit's own bbox.
         // One journal record per eviction-set trial: the target's own
         // draft when it decides the trial, or — when the target routed
@@ -1001,7 +1003,8 @@ fn try_route_net(
         layout.add_via(id, at, package.rules().via_width, top, bot, false);
     }
     let rebuilt = space.rebuild_dirty_multi(package, layout, &dirty);
-    tel.count(Counter::CellsRebuilt, rebuilt.len() as u64);
+    tel.count(Counter::CellsRebuilt, rebuilt.cells.len() as u64);
+    tel.count(Counter::LayerCellsReused, rebuilt.layers_reused as u64);
     Ok((routed, true))
 }
 

@@ -147,7 +147,9 @@ impl<T> GridIndex<T> {
         (((off * n as i128) / extent) as usize).min(n - 1)
     }
 
-    fn buckets_of(&self, bbox: Rect) -> impl Iterator<Item = usize> + '_ {
+    /// The buckets `bbox` covers, row-major. The iterator holds no borrow
+    /// of the index, so callers can mutate buckets while walking it.
+    fn buckets_of(&self, bbox: Rect) -> impl Iterator<Item = usize> {
         let (c0, c1) = self.col_span(bbox.lo.x, bbox.hi.x);
         let (r0, r1) = self.row_span(bbox.lo.y, bbox.hi.y);
         let cols = self.cols;
@@ -167,7 +169,7 @@ impl<T> GridIndex<T> {
                 (self.entries.len() - 1) as u32
             }
         };
-        for b in self.buckets_of(bbox).collect::<Vec<_>>() {
+        for b in self.buckets_of(bbox) {
             self.buckets[b].push(slot);
         }
         self.len += 1;
@@ -177,7 +179,7 @@ impl<T> GridIndex<T> {
     /// Removes an item, returning its value (`None` if already removed).
     pub fn remove(&mut self, id: EntryId) -> Option<T> {
         let entry = self.entries.get_mut(id.index())?.take()?;
-        for b in self.buckets_of(entry.bbox).collect::<Vec<_>>() {
+        for b in self.buckets_of(entry.bbox) {
             self.buckets[b].retain(|&s| s != id.0);
         }
         self.free.push(id.0);

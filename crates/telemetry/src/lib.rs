@@ -215,11 +215,15 @@ pub enum Counter {
     /// unroutable by the bounded refutation sweep instead of an A\*
     /// search; they do not count as `Searches`.
     RipupRefuted,
+    /// `(layer, cell)` slots whose rebuild found the inputs their tiles
+    /// were built from unchanged and reused the tiles (trial rebuilds
+    /// included, like `CellsRebuilt`).
+    LayerCellsReused,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 24] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -243,6 +247,7 @@ impl Counter {
         Counter::NegotiationOveruse,
         Counter::NegotiationReroutes,
         Counter::RipupRefuted,
+        Counter::LayerCellsReused,
     ];
 
     /// Stable snake_case label.
@@ -271,6 +276,7 @@ impl Counter {
             Counter::NegotiationOveruse => "negotiation_overuse",
             Counter::NegotiationReroutes => "negotiation_reroutes",
             Counter::RipupRefuted => "ripup_refuted",
+            Counter::LayerCellsReused => "layer_cells_reused",
         }
     }
 }

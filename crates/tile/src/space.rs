@@ -188,19 +188,24 @@ pub struct RoutingSpace {
     tiles: Vec<Option<TileNode>>,
     /// `cell_index(layer, cx, cy)` → tile ids in that cell.
     cell_tiles: Vec<Vec<TileId>>,
-    /// Wire segments per (layer, cell), for adjacency blocking.
-    cell_wires: Vec<Vec<(NetId, Segment)>>,
+    /// Per `(layer, cell)`: the inputs its tiles were partitioned from.
+    /// A rebuild that collects equal inputs reuses the tiles instead of
+    /// re-partitioning; adjacency reads the wires from here. `Arc` so
+    /// clones (the warm space cache) share them by reference.
+    layer_inputs: Vec<Arc<LayerInputs>>,
     /// Candidate via sites per cell column-major; refreshed on rebuild.
     via_sites: Vec<Vec<ViaSite>>,
     /// Lazily built planar-adjacency lists (see [`AdjCache`]).
     adjacency: AdjCache,
-    /// Per `(layer, cell)`: spatial index over the cell's tile bboxes, in
-    /// `cell_tiles` order, so adjacency builds query the handful of tiles
-    /// near a bbox instead of scanning the whole cell (dense cells hold
-    /// thousands of tiles). `Arc` so clones and trial journals share it
-    /// by reference; a rebuild installs a fresh index rather than
-    /// mutating the shared one.
-    tile_index: Vec<Arc<GridIndex<TileId>>>,
+    /// Per `(layer, cell)`: spatial index over the cell's tile bboxes,
+    /// holding each tile's position in `cell_tiles` (inserted in that
+    /// order), so adjacency builds query the handful of tiles near a bbox
+    /// instead of scanning the whole cell (dense cells hold thousands of
+    /// tiles). Positions rather than ids, so a slot that reuses its tiles
+    /// under fresh ids keeps its index. `Arc` so clones and trial journals
+    /// share it by reference; a re-partition installs a fresh index
+    /// rather than mutating the shared one.
+    tile_index: Vec<Arc<GridIndex<u32>>>,
     /// Per `(layer, cell)`: adjacency epoch, bumped when the cell or a
     /// 4-adjacent cell rebuilds. [`AdjCache`] entries are valid only while
     /// their stamp matches their cell's epoch.
@@ -222,9 +227,20 @@ pub struct RoutingSpace {
     trial: Option<Box<Trial>>,
 }
 
+/// What one [`RoutingSpace::rebuild_dirty_multi`] call rebuilt.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Rebuilt {
+    /// The rebuilt `(cx, cy)` cells, row-major.
+    pub cells: Vec<(usize, usize)>,
+    /// `(layer, cell)` slots among them whose inputs were unchanged, so
+    /// they reused their tiles instead of re-partitioning.
+    pub layers_reused: usize,
+}
+
 /// Checkpoint and undo journal of one open trial. Opening a trial records
 /// the scalar state; the first rebuild of each cell inside the trial moves
-/// that cell's pre-trial state here instead of dropping it. Tile ids are
+/// that cell's pre-trial state here instead of dropping it (a layer that
+/// reuses its tiles installs copies of the moved ones). Tile ids are
 /// append-only, so every tile born in the trial has an id at or above
 /// `tile_len` and rolling back is a truncation plus moving the saved
 /// cells back.
@@ -261,8 +277,26 @@ struct SavedLayer {
     ids: Vec<TileId>,
     /// The tiles of `ids`, in the same order.
     nodes: Vec<TileNode>,
+    inputs: Arc<LayerInputs>,
+    index: Arc<GridIndex<u32>>,
+}
+
+/// Everything one `(layer, cell)` slot's tiles are a function of, besides
+/// the slot itself (see [`tile_layer`]). Collected afresh by every
+/// rebuild and compared with the slot's stored value: equal inputs mean
+/// equal tiles, so the rebuild reuses them.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct LayerInputs {
+    /// Inflated blockages with their tags, in collection order.
+    blockages: Vec<(Blocker, Octagon)>,
+    /// Frame cuts inside the cell (its bounds included), sorted, deduped.
+    xcuts: Vec<Coord>,
+    ycuts: Vec<Coord>,
+    /// Diagonal cut lines, deduped in first-seen order.
+    diag_lines: Vec<XLine>,
+    /// Wire segments near the cell: the source of the wire cuts above,
+    /// and what adjacency subtracts from shared boundaries.
     wires: Vec<(NetId, Segment)>,
-    index: Arc<GridIndex<TileId>>,
 }
 
 /// Per-rebuild spatial indexes over the package and layout geometry, so
@@ -320,6 +354,146 @@ impl GeomScratch {
         }
         GeomScratch { pads, obstacles, vias, route_segs, pad_nets }
     }
+
+    /// Collects the [`LayerInputs`] of one `(layer, cell)` slot: every
+    /// blockage within reach of the cell, with the cuts and diagonal
+    /// lines it induces, and the wires nearby.
+    ///
+    /// Each query returns entry ids in insertion (= package / layout
+    /// iteration) order and over-approximates the original intersection
+    /// predicate, which is re-applied exactly below, so the lists match
+    /// full scans byte for byte.
+    fn layer_inputs(
+        &mut self,
+        package: &Package,
+        layout: &Layout,
+        cfg: &SpaceConfig,
+        cell: Rect,
+        layer: WireLayer,
+    ) -> LayerInputs {
+        let reach = cfg.clearance;
+        let probe = cell.inflate(reach + cfg.via_width);
+        let mut blockages: Vec<(Blocker, Octagon)> = Vec::new();
+        let mut xcuts: Vec<Coord> = vec![cell.lo.x, cell.hi.x];
+        let mut ycuts: Vec<Coord> = vec![cell.lo.y, cell.hi.y];
+        let mut diag_lines: Vec<XLine> = Vec::new();
+        let mut wires: Vec<(NetId, Segment)> = Vec::new();
+
+        // Cuts are taken at *inflated* blockage boundaries so that the
+        // clearance band around each blocker occupies its own tiles and
+        // never poisons surrounding free space.
+        for id in self.obstacles.query(probe.inflate(reach)) {
+            let o = &package.obstacles()[*self.obstacles.get(id).expect("live entry").1];
+            if o.layer == layer && o.rect.inflate(reach).intersects(probe) {
+                let shape = Octagon::from_rect(o.rect).inflate(reach);
+                let inf = o.rect.inflate(reach);
+                xcuts.extend([o.rect.lo.x, o.rect.hi.x, inf.lo.x, inf.hi.x]);
+                ycuts.extend([o.rect.lo.y, o.rect.hi.y, inf.lo.y, inf.hi.y]);
+                blockages.push((Blocker::Hard, shape));
+            }
+        }
+        // Pad keepouts reach at most 2×clearance (escape lanes below), so
+        // probe that superset and re-check the exact reach per pad.
+        for id in self.pads.query(probe.inflate(reach * 2)) {
+            let p = &package.pads()[*self.pads.get(id).expect("live entry").1];
+            // Pads of still-unrouted nets carry an extra keepout so a
+            // foreign wire cannot seal off their escape lane before their
+            // own net gets its chance.
+            let owner = self.pad_nets[p.id.index()];
+            let needs_escape = owner.is_some_and(|n| !layout.has_geometry(n));
+            let pad_reach = if needs_escape { reach * 2 } else { reach };
+            if package.pad_layer(p.id) == layer && p.bbox().inflate(pad_reach).intersects(probe) {
+                let shape = p.shape().inflate(pad_reach);
+                let bb = p.bbox();
+                let inf = bb.inflate(pad_reach);
+                xcuts.extend([bb.lo.x, bb.hi.x, inf.lo.x, inf.hi.x]);
+                ycuts.extend([bb.lo.y, bb.hi.y, inf.lo.y, inf.hi.y]);
+                let tag = match owner {
+                    Some(n) => Blocker::Net(n),
+                    None => Blocker::Hard,
+                };
+                blockages.push((tag, shape));
+            }
+        }
+        for id in self.vias.query(probe.inflate(reach)) {
+            let &(net, shape, top, bottom) = self.vias.get(id).expect("live entry").1;
+            if layer >= top && layer <= bottom {
+                let bb = shape.bbox();
+                if bb.inflate(reach).intersects(probe) {
+                    let inf = bb.inflate(reach);
+                    xcuts.extend([bb.lo.x, bb.hi.x, inf.lo.x, inf.hi.x]);
+                    ycuts.extend([bb.lo.y, bb.hi.y, inf.lo.y, inf.hi.y]);
+                    blockages.push((Blocker::Net(net), shape.inflate(reach)));
+                }
+            }
+        }
+        let diag_reach = ((reach as f64) * info_geom::SQRT2).ceil() as Coord;
+        let seg_index = &mut self.route_segs[layer.index()];
+        for id in seg_index.query(probe.inflate(reach)) {
+            let &(net, seg) = seg_index.get(id).expect("live entry").1;
+            let (lo, hi) = seg.bbox();
+            if !Rect::new(lo, hi).inflate(reach).intersects(probe) {
+                continue;
+            }
+            wires.push((net, seg));
+            // The wire's clearance band is carved out as its own strip of
+            // tiles: cut at the conductor line and at the band edges
+            // (± clearance), plus endpoint caps.
+            for p in [seg.a, seg.b] {
+                xcuts.extend([p.x - reach, p.x, p.x + reach]);
+                ycuts.extend([p.y - reach, p.y, p.y + reach]);
+            }
+            match seg.orient() {
+                Some(Orient4::H) => {
+                    ycuts.extend([seg.a.y - reach, seg.a.y + reach]);
+                }
+                Some(Orient4::V) => {
+                    xcuts.extend([seg.a.x - reach, seg.a.x + reach]);
+                }
+                Some(o @ (Orient4::D45 | Orient4::D135)) => {
+                    let line = XLine::through(seg.a, o);
+                    diag_lines.push(line);
+                    diag_lines.push(XLine::new(o, line.c() - diag_reach));
+                    diag_lines.push(XLine::new(o, line.c() + diag_reach));
+                }
+                None => {}
+            }
+            // Band blockage: the octagon hull of the segment, inflated by
+            // the clearance.
+            let hull = Octagon::from_bounds(
+                seg.a.x.min(seg.b.x),
+                seg.a.x.max(seg.b.x),
+                seg.a.y.min(seg.b.y),
+                seg.a.y.max(seg.b.y),
+                seg.a.sum().min(seg.b.sum()),
+                seg.a.sum().max(seg.b.sum()),
+                seg.a.diff().min(seg.b.diff()),
+                seg.a.diff().max(seg.b.diff()),
+            );
+            blockages.push((Blocker::Net(net), hull.inflate(reach)));
+        }
+
+        xcuts.retain(|&x| x >= cell.lo.x && x <= cell.hi.x);
+        ycuts.retain(|&y| y >= cell.lo.y && y <= cell.hi.y);
+        xcuts.sort_unstable();
+        xcuts.dedup();
+        ycuts.sort_unstable();
+        ycuts.dedup();
+        // Duplicate diagonal lines (shared clearance-band edges of
+        // collinear wires) are dropped: clipping by the same line twice is
+        // a no-op, so the resulting pieces — and their order — are
+        // identical, at a fraction of the clip work.
+        let mut seen: Vec<XLine> = Vec::with_capacity(diag_lines.len());
+        diag_lines.retain(|l| {
+            if seen.contains(l) {
+                false
+            } else {
+                seen.push(*l);
+                true
+            }
+        });
+        LayerInputs { blockages, xcuts, ycuts, diag_lines, wires }
+    }
 }
 
 impl RoutingSpace {
@@ -327,16 +501,18 @@ impl RoutingSpace {
     pub fn build(package: &Package, layout: &Layout, cfg: SpaceConfig) -> Self {
         let layers = package.wire_layer_count();
         let ncells = cfg.cells_x * cfg.cells_y;
-        // Every cell starts on one shared empty placeholder index; the
-        // first rebuild of a cell installs its own Arc.
+        // Every cell starts on one shared empty placeholder index and
+        // inputs (which equal no collected inputs); the first rebuild of
+        // a cell installs its own Arcs.
         let empty_index = Arc::new(GridIndex::with_grid(package.die(), 1, 1));
+        let no_inputs = Arc::new(LayerInputs::default());
         let mut space = RoutingSpace {
             cfg,
             die: package.die(),
             layers,
             tiles: Vec::new(),
             cell_tiles: vec![Vec::new(); ncells * layers],
-            cell_wires: vec![Vec::new(); ncells * layers],
+            layer_inputs: vec![no_inputs; ncells * layers],
             via_sites: vec![Vec::new(); ncells],
             adjacency: AdjCache::default(),
             tile_index: vec![empty_index; ncells * layers],
@@ -484,14 +660,13 @@ impl RoutingSpace {
 
     /// Rebuilds the union of the global cells touched by each rect in
     /// `dirty` (each inflated by the clearance), refreshing tiles and via
-    /// sites and visiting every affected cell exactly once. Returns the
-    /// rebuilt `(cx, cy)` cells in row-major order.
+    /// sites and visiting every affected cell exactly once.
     pub fn rebuild_dirty_multi(
         &mut self,
         package: &Package,
         layout: &Layout,
         dirty: &[Rect],
-    ) -> Vec<(usize, usize)> {
+    ) -> Rebuilt {
         let margin = self.cfg.clearance + self.cfg.via_width;
         let areas: Vec<Rect> = dirty.iter().map(|r| r.inflate(margin)).collect();
         let mut cells = Vec::new();
@@ -504,14 +679,15 @@ impl RoutingSpace {
             }
         }
         if cells.is_empty() {
-            return cells;
+            return Rebuilt::default();
         }
         let mut scratch = GeomScratch::build(package, layout, self.layers);
+        let mut layers_reused = 0;
         for &(cx, cy) in &cells {
-            self.rebuild_cell(package, layout, &mut scratch, cx, cy);
+            layers_reused += self.rebuild_cell(package, layout, &mut scratch, cx, cy);
         }
         self.revision = REVISION.fetch_add(1, Ordering::Relaxed);
-        cells
+        Rebuilt { cells, layers_reused }
     }
 
     /// Opens a trial: until [`RoutingSpace::commit_trial`] or
@@ -558,7 +734,7 @@ impl RoutingSpace {
                     self.tiles[id.0 as usize] = Some(node);
                 }
                 self.cell_tiles[idx] = saved.ids;
-                self.cell_wires[idx] = saved.wires;
+                self.layer_inputs[idx] = saved.inputs;
                 self.tile_index[idx] = saved.index;
             }
             self.via_sites[cell.cy * self.cfg.cells_x + cell.cx] = cell.via_sites;
@@ -569,40 +745,6 @@ impl RoutingSpace {
         drop(adj);
         self.adj_epoch = trial.adj_epoch;
         self.revision = trial.revision;
-    }
-
-    /// Inside a trial, moves the pre-trial state of cell `(cx, cy)` into
-    /// the journal the first time the trial rebuilds it, leaving its slots
-    /// empty for the rebuild to fill. Moving (not cloning) keeps the
-    /// journal's cost at one pass over the cell.
-    fn journal_cell(&mut self, cx: usize, cy: usize) {
-        let slot = cy * self.cfg.cells_x + cx;
-        match self.trial.as_deref_mut() {
-            Some(t) if !t.saved[slot] => t.saved[slot] = true,
-            _ => return,
-        }
-        let mut adj = self.adjacency.lock();
-        let mut adjacency = Vec::new();
-        let mut layers = Vec::with_capacity(self.layers);
-        for layer in 0..self.layers {
-            let idx = self.cell_index(layer, cx, cy);
-            let ids = std::mem::take(&mut self.cell_tiles[idx]);
-            let nodes = ids
-                .iter()
-                .map(|id| self.tiles[id.0 as usize].take().expect("live tile"))
-                .collect();
-            adjacency.extend(ids.iter().filter_map(|id| adj.map.remove_entry(&id.0)));
-            layers.push(SavedLayer {
-                ids,
-                nodes,
-                wires: std::mem::take(&mut self.cell_wires[idx]),
-                index: Arc::clone(&self.tile_index[idx]),
-            });
-        }
-        drop(adj);
-        let via_sites = std::mem::take(&mut self.via_sites[slot]);
-        let trial = self.trial.as_deref_mut().expect("checked above");
-        trial.cells.push(SavedCell { cx, cy, layers, via_sites, adjacency });
     }
 
     /// The global cell containing `p`, if inside the die.
@@ -623,7 +765,14 @@ impl RoutingSpace {
         cells
     }
 
-    /// Rebuilds one global cell across all layers plus its via sites.
+    /// Rebuilds one global cell across all layers plus its via sites, and
+    /// returns how many of its layers reused their tiles.
+    ///
+    /// Per layer: collect the slot's [`LayerInputs`], retire its tiles,
+    /// then install either the old tiles (inputs equal to the stored
+    /// ones) or a fresh [`tile_layer`] partition, under fresh ids in
+    /// order. Both branches produce the same tiles and ids, since
+    /// `tile_layer` is a pure function of the inputs.
     fn rebuild_cell(
         &mut self,
         package: &Package,
@@ -631,314 +780,82 @@ impl RoutingSpace {
         scratch: &mut GeomScratch,
         cx: usize,
         cy: usize,
-    ) {
+    ) -> usize {
         // Adjacency lists of this cell's tiles (about to be retired) and
         // of every tile in a 4-adjacent cell (their cross-border edges
         // reference the tiles being replaced) become stale now.
         self.invalidate_adjacency(cx, cy);
-        // Inside a trial the cell's pre-trial state moves to the journal,
-        // which leaves nothing for the retire loop below.
-        self.journal_cell(cx, cy);
+        // Inside a trial, the first rebuild of a cell moves its pre-trial
+        // state into the journal instead of dropping it.
+        let slot = cy * self.cfg.cells_x + cx;
+        let mut saved = match self.trial.as_deref_mut() {
+            Some(t) if !t.saved[slot] => {
+                t.saved[slot] = true;
+                Some(SavedCell {
+                    cx,
+                    cy,
+                    layers: Vec::with_capacity(self.layers),
+                    via_sites: std::mem::take(&mut self.via_sites[slot]),
+                    adjacency: Vec::new(),
+                })
+            }
+            _ => None,
+        };
         let cell = self.cell_rect(cx, cy);
-        let pad_nets = &scratch.pad_nets;
+        let mut reused = 0;
         for layer_idx in 0..self.layers {
             let layer = WireLayer(layer_idx as u8);
             let idx = self.cell_index(layer_idx, cx, cy);
-            // Retire old tiles, dropping their cached adjacency (their ids
-            // are never reused, so the entries could only leak).
-            let retired = std::mem::take(&mut self.cell_tiles[idx]);
-            if !retired.is_empty() {
-                let mut adj = self.adjacency.lock();
-                for id in &retired {
-                    adj.map.remove(&id.0);
-                }
-            }
-            for id in retired {
-                self.tiles[id.0 as usize] = None;
-            }
-            self.cell_wires[idx].clear();
+            let inputs = scratch.layer_inputs(package, layout, &self.cfg, cell, layer);
+            let reuse = inputs == *self.layer_inputs[idx];
 
-            // --- Collect geometry relevant to this cell & layer.
-            let reach = self.cfg.clearance;
-            let probe = cell.inflate(reach + self.cfg.via_width);
-            let mut blockages: Vec<(Blocker, Octagon)> = Vec::new();
-            let mut xcuts: Vec<Coord> = vec![cell.lo.x, cell.hi.x];
-            let mut ycuts: Vec<Coord> = vec![cell.lo.y, cell.hi.y];
-            let mut diag_lines: Vec<XLine> = Vec::new();
-            let mut wires: Vec<(NetId, Segment)> = Vec::new();
+            // Retire the old tiles with their cached adjacency (their ids
+            // are never handed out again, so the entries could only leak).
+            let ids = std::mem::take(&mut self.cell_tiles[idx]);
+            let old: Vec<TileNode> = ids
+                .iter()
+                .map(|id| self.tiles[id.0 as usize].take().expect("live tile"))
+                .collect();
+            let mut adj = self.adjacency.lock();
+            for id in &ids {
+                let entry = adj.map.remove_entry(&id.0);
+                if let (Some(s), Some(entry)) = (saved.as_mut(), entry) {
+                    s.adjacency.push(entry);
+                }
+            }
+            drop(adj);
+            let old_inputs = std::mem::replace(&mut self.layer_inputs[idx], Arc::new(inputs));
+            let fresh = (!reuse).then(|| tile_layer(layer, (cx, cy), &self.layer_inputs[idx]));
+            let nodes = match saved.as_mut() {
+                Some(s) => {
+                    let nodes = fresh.unwrap_or_else(|| old.clone());
+                    let index = Arc::clone(&self.tile_index[idx]);
+                    s.layers.push(SavedLayer { ids, nodes: old, inputs: old_inputs, index });
+                    nodes
+                }
+                None => fresh.unwrap_or(old),
+            };
 
-            // Cuts are taken at *inflated* blockage boundaries so that the
-            // clearance band around each blocker occupies its own tiles
-            // and never poisons surrounding free space.
-            //
-            // Each scratch query returns entry ids in insertion (= package /
-            // layout iteration) order and over-approximates the original
-            // intersection predicate, which is re-applied exactly below —
-            // so blockage and cut lists match the full scans byte for byte.
-            for id in scratch.obstacles.query(probe.inflate(reach)) {
-                let o = &package.obstacles()[*scratch.obstacles.get(id).expect("live entry").1];
-                if o.layer == layer && o.rect.inflate(reach).intersects(probe) {
-                    let shape = Octagon::from_rect(o.rect).inflate(reach);
-                    let inf = o.rect.inflate(reach);
-                    xcuts.extend([o.rect.lo.x, o.rect.hi.x, inf.lo.x, inf.hi.x]);
-                    ycuts.extend([o.rect.lo.y, o.rect.hi.y, inf.lo.y, inf.hi.y]);
-                    blockages.push((Blocker::Hard, shape));
+            // --- Install in order under fresh ids. A reused slot keeps its
+            // position index; a re-partitioned one gets a new one.
+            if reuse {
+                reused += 1;
+            } else {
+                let mut index = GridIndex::with_capacity_hint(cell, nodes.len());
+                for (pos, t) in nodes.iter().enumerate() {
+                    index.insert(t.shape.bbox(), pos as u32);
                 }
+                self.tile_index[idx] = Arc::new(index);
             }
-            // Pad keepouts reach at most 2×clearance (escape lanes below),
-            // so probe that superset and re-check the exact reach per pad.
-            for id in scratch.pads.query(probe.inflate(reach * 2)) {
-                let p = &package.pads()[*scratch.pads.get(id).expect("live entry").1];
-                // Pads of still-unrouted nets carry an extra keepout so a
-                // foreign wire cannot seal off their escape lane before
-                // their own net gets its chance.
-                let owner = pad_nets[p.id.index()];
-                let needs_escape =
-                    owner.is_some_and(|n| !layout.has_geometry(n));
-                let pad_reach = if needs_escape { reach * 2 } else { reach };
-                if package.pad_layer(p.id) == layer
-                    && p.bbox().inflate(pad_reach).intersects(probe)
-                {
-                    let shape = p.shape().inflate(pad_reach);
-                    let bb = p.bbox();
-                    let inf = bb.inflate(pad_reach);
-                    xcuts.extend([bb.lo.x, bb.hi.x, inf.lo.x, inf.hi.x]);
-                    ycuts.extend([bb.lo.y, bb.hi.y, inf.lo.y, inf.hi.y]);
-                    let tag = match owner {
-                        Some(n) => Blocker::Net(n),
-                        None => Blocker::Hard,
-                    };
-                    blockages.push((tag, shape));
-                }
-            }
-            for id in scratch.vias.query(probe.inflate(reach)) {
-                let &(net, shape, top, bottom) = scratch.vias.get(id).expect("live entry").1;
-                if layer >= top && layer <= bottom {
-                    let bb = shape.bbox();
-                    if bb.inflate(reach).intersects(probe) {
-                        let inf = bb.inflate(reach);
-                        xcuts.extend([bb.lo.x, bb.hi.x, inf.lo.x, inf.hi.x]);
-                        ycuts.extend([bb.lo.y, bb.hi.y, inf.lo.y, inf.hi.y]);
-                        blockages.push((Blocker::Net(net), shape.inflate(reach)));
-                    }
-                }
-            }
-            let diag_reach = ((reach as f64) * info_geom::SQRT2).ceil() as Coord;
-            {
-                let seg_index = &mut scratch.route_segs[layer_idx];
-                for id in seg_index.query(probe.inflate(reach)) {
-                    let &(net, seg) = seg_index.get(id).expect("live entry").1;
-                    let (lo, hi) = seg.bbox();
-                    if !Rect::new(lo, hi).inflate(reach).intersects(probe) {
-                        continue;
-                    }
-                    wires.push((net, seg));
-                    // The wire's clearance band is carved out as its own
-                    // strip of tiles: cut at the conductor line and at the
-                    // band edges (± clearance), plus endpoint caps.
-                    for p in [seg.a, seg.b] {
-                        xcuts.extend([p.x - reach, p.x, p.x + reach]);
-                        ycuts.extend([p.y - reach, p.y, p.y + reach]);
-                    }
-                    match seg.orient() {
-                        Some(Orient4::H) => {
-                            ycuts.extend([seg.a.y - reach, seg.a.y + reach]);
-                        }
-                        Some(Orient4::V) => {
-                            xcuts.extend([seg.a.x - reach, seg.a.x + reach]);
-                        }
-                        Some(o @ (Orient4::D45 | Orient4::D135)) => {
-                            let line = XLine::through(seg.a, o);
-                            diag_lines.push(line);
-                            diag_lines.push(XLine::new(o, line.c() - diag_reach));
-                            diag_lines.push(XLine::new(o, line.c() + diag_reach));
-                        }
-                        None => {}
-                    }
-                    // Band blockage: the octagon hull of the segment,
-                    // inflated by the clearance.
-                    let hull = Octagon::from_bounds(
-                        seg.a.x.min(seg.b.x),
-                        seg.a.x.max(seg.b.x),
-                        seg.a.y.min(seg.b.y),
-                        seg.a.y.max(seg.b.y),
-                        seg.a.sum().min(seg.b.sum()),
-                        seg.a.sum().max(seg.b.sum()),
-                        seg.a.diff().min(seg.b.diff()),
-                        seg.a.diff().max(seg.b.diff()),
-                    );
-                    blockages.push((Blocker::Net(net), hull.inflate(reach)));
-                }
-            }
-            self.cell_wires[idx] = wires.clone();
-
-            // --- Frames: rectangular partition of the cell by the cuts.
-            xcuts.retain(|&x| x >= cell.lo.x && x <= cell.hi.x);
-            ycuts.retain(|&y| y >= cell.lo.y && y <= cell.hi.y);
-            xcuts.sort_unstable();
-            xcuts.dedup();
-            ycuts.sort_unstable();
-            ycuts.dedup();
-
-            // Duplicate diagonal lines (shared clearance-band edges of
-            // collinear wires) are dropped: clipping by the same line twice
-            // is a no-op, so the resulting pieces — and their order — are
-            // identical, at a fraction of the clip work.
-            {
-                let mut seen: Vec<XLine> = Vec::with_capacity(diag_lines.len());
-                diag_lines.retain(|l| {
-                    if seen.contains(l) {
-                        false
-                    } else {
-                        seen.push(*l);
-                        true
-                    }
-                });
-            }
-            // Blockage bboxes, computed once: an octagon can only reach a
-            // frame (or tile piece) whose bbox its own bbox touches, so the
-            // exact intersection below runs on the handful of nearby
-            // blockages instead of the cell's whole list.
-            let blk_bbox: Vec<Rect> = blockages.iter().map(|(_, oct)| oct.bbox()).collect();
-
-            // Partition frames into completely free rectangles (merged to
-            // fight fragmentation, per Lee et al.) and frames needing the
-            // full split/tag pipeline. A busy frame carries the subset of
-            // diagonal lines that actually cross it — every other line
-            // would leave its pieces untouched.
-            let mut free_frames: Vec<Rect> = Vec::new();
-            // Frames fully swallowed by a single blockage merge per tag.
-            let mut swallowed: std::collections::HashMap<Blocker, Vec<Rect>> =
-                std::collections::HashMap::new();
-            let mut busy_frames: Vec<(Rect, Vec<XLine>)> = Vec::new();
-            for wx in xcuts.windows(2) {
-                for wy in ycuts.windows(2) {
-                    let frame = Rect::new(Point::new(wx[0], wy[0]), Point::new(wx[1], wy[1]));
-                    if frame.width() == 0 || frame.height() == 0 {
-                        continue;
-                    }
-                    let crossing: Vec<XLine> = diag_lines
-                        .iter()
-                        .filter(|l| {
-                            let evals = frame.corners().map(|p| l.eval(p));
-                            evals.iter().any(|&e| e > 0) && evals.iter().any(|&e| e < 0)
-                        })
-                        .copied()
-                        .collect();
-                    if !crossing.is_empty() {
-                        busy_frames.push((frame, crossing));
-                        continue;
-                    }
-                    let hits: Vec<&(Blocker, Octagon)> = blockages
-                        .iter()
-                        .zip(&blk_bbox)
-                        .filter(|((_, oct), bb)| {
-                            frame.intersects(**bb) && {
-                                let ix = Octagon::from_rect(frame).intersection(oct);
-                                !ix.is_empty() && ix.area() > 0
-                            }
-                        })
-                        .map(|(b, _)| b)
-                        .collect();
-                    if hits.is_empty() {
-                        free_frames.push(frame);
-                    } else if hits.len() == 1
-                        && frame.corners().iter().all(|&p| hits[0].1.contains(p))
-                    {
-                        swallowed.entry(hits[0].0).or_default().push(frame);
-                    } else {
-                        busy_frames.push((frame, Vec::new()));
-                    }
-                }
-            }
-
-            let mut new_ids: Vec<TileId> = Vec::new();
-            for rect in strip_merge(free_frames) {
-                let id = TileId(self.tiles.len() as u32);
-                self.tiles.push(Some(TileNode {
-                    layer,
-                    cell: (cx, cy),
-                    shape: Octagon::from_rect(rect),
-                    blockers: Vec::new(),
-                }));
-                new_ids.push(id);
-            }
-            let mut tags: Vec<Blocker> = swallowed.keys().copied().collect();
-            tags.sort_by_key(|t| match t {
-                Blocker::Hard => (0u8, 0u32),
-                Blocker::Net(n) => (1, n.0),
-            });
-            for tag in tags {
-                for rect in strip_merge(swallowed.remove(&tag).expect("key exists")) {
-                    let id = TileId(self.tiles.len() as u32);
-                    self.tiles.push(Some(TileNode {
-                        layer,
-                        cell: (cx, cy),
-                        shape: Octagon::from_rect(rect),
-                        blockers: vec![tag],
-                    }));
-                    new_ids.push(id);
-                }
-            }
-            for (frame, crossing) in busy_frames {
-                // --- Split the frame by the diagonal wires crossing it.
-                // Lines that miss the frame cannot split any piece inside
-                // it, so only the crossing subset is clipped against.
-                let mut pieces = vec![Octagon::from_rect(frame)];
-                for line in &crossing {
-                    let mut next = Vec::with_capacity(pieces.len() + 1);
-                    for piece in pieces {
-                        let lo = piece.clip_halfplane(*line, true);
-                        let hi = piece.clip_halfplane(*line, false);
-                        let lo_ok = !lo.is_empty() && lo.area() > 0;
-                        let hi_ok = !hi.is_empty() && hi.area() > 0;
-                        if lo_ok && hi_ok {
-                            next.push(lo);
-                            next.push(hi);
-                        } else {
-                            next.push(piece);
-                        }
-                    }
-                    pieces = next;
-                }
-                for shape in pieces {
-                    // --- Tag blockers overlapping the tile interior.
-                    let piece_bbox = shape.bbox();
-                    let mut blockers: Vec<Blocker> = Vec::new();
-                    for ((tag, oct), bb) in blockages.iter().zip(&blk_bbox) {
-                        if !piece_bbox.intersects(*bb) {
-                            continue;
-                        }
-                        let ix = shape.intersection(oct);
-                        if !ix.is_empty() && ix.area() > 0 && !blockers.contains(tag) {
-                            blockers.push(*tag);
-                        }
-                    }
-                    let id = TileId(self.tiles.len() as u32);
-                    self.tiles.push(Some(TileNode {
-                        layer,
-                        cell: (cx, cy),
-                        shape,
-                        blockers,
-                    }));
-                    new_ids.push(id);
-                }
-            }
-            // Fresh spatial index over the new tiles, in `cell_tiles`
-            // order, so adjacency builds probe it instead of the full list.
-            let mut index = GridIndex::with_capacity_hint(cell, new_ids.len());
-            for &id in &new_ids {
-                let bbox = self.tiles[id.0 as usize]
-                    .as_ref()
-                    .expect("freshly built tile")
-                    .shape
-                    .bbox();
-                index.insert(bbox, id);
-            }
-            self.tile_index[idx] = Arc::new(index);
-            self.cell_tiles[idx] = new_ids;
+            let first = self.tiles.len() as u32;
+            self.cell_tiles[idx] = (first..first + nodes.len() as u32).map(TileId).collect();
+            self.tiles.extend(nodes.into_iter().map(Some));
         }
         self.refresh_via_sites(cx, cy);
+        if let Some(cell) = saved {
+            self.trial.as_deref_mut().expect("journaling trial").cells.push(cell);
+        }
+        reused
     }
 
     /// Re-derives the candidate via sites of one cell: for each adjacent
@@ -1101,9 +1018,11 @@ impl RoutingSpace {
             // insertion (= `cell_tiles`) order — the same candidate order
             // the full scan used, so edge order (and thus A\* tie-breaks)
             // is unchanged.
-            let index = &self.tile_index[self.cell_index(layer.index(), ox, oy)];
+            let slot = self.cell_index(layer.index(), ox, oy);
+            let index = &self.tile_index[slot];
             for entry in index.query_ref(my_bbox) {
-                let (_, &other) = index.get(entry).expect("live index entry");
+                let (_, &pos) = index.get(entry).expect("live index entry");
+                let other = self.cell_tiles[slot][pos as usize];
                 if other == id {
                     continue;
                 }
@@ -1146,7 +1065,7 @@ impl RoutingSpace {
         }
         for (ox, oy) in cells {
             let idx = self.cell_index(layer.index(), ox, oy);
-            for (wnet, w) in &self.cell_wires[idx] {
+            for (wnet, w) in &self.layer_inputs[idx].wires {
                 let Some(wline) = w.supporting_line() else { continue };
                 if wline != line {
                     continue;
@@ -1253,6 +1172,124 @@ fn open_from_covered(
     Some(Segment::new(at(lo), at(hi)))
 }
 
+/// Partitions one `(layer, cell)` slot into tiles, in install order (the
+/// cuts include the cell's bounds, so the frames cover the cell): free
+/// rectangles (strip-merged), then rectangles swallowed by one blockage
+/// (merged per tag), then the pieces of busy frames split by the diagonal
+/// lines crossing them, each tagged with the blockers overlapping its
+/// interior. A pure function of its arguments, which is what lets a
+/// rebuild with equal inputs reuse the slot's tiles.
+fn tile_layer(layer: WireLayer, at: (usize, usize), inputs: &LayerInputs) -> Vec<TileNode> {
+    let LayerInputs { blockages, xcuts, ycuts, diag_lines, .. } = inputs;
+    let tile = |shape: Octagon, blockers: Vec<Blocker>| TileNode { layer, cell: at, shape, blockers };
+    // Blockage bboxes, computed once: an octagon can only reach a frame
+    // (or tile piece) whose bbox its own bbox touches, so the exact
+    // intersection below runs on the handful of nearby blockages instead
+    // of the cell's whole list.
+    let blk_bbox: Vec<Rect> = blockages.iter().map(|(_, oct)| oct.bbox()).collect();
+
+    // --- Frames: rectangular partition of the cell by the cuts, sorted
+    // into completely free rectangles (merged to fight fragmentation, per
+    // Lee et al.) and frames needing the full split/tag pipeline. A busy
+    // frame carries the subset of diagonal lines that actually cross it —
+    // every other line would leave its pieces untouched.
+    let mut free_frames: Vec<Rect> = Vec::new();
+    // Frames fully swallowed by a single blockage merge per tag.
+    let mut swallowed: HashMap<Blocker, Vec<Rect>> = HashMap::new();
+    let mut busy_frames: Vec<(Rect, Vec<XLine>)> = Vec::new();
+    for wx in xcuts.windows(2) {
+        for wy in ycuts.windows(2) {
+            let frame = Rect::new(Point::new(wx[0], wy[0]), Point::new(wx[1], wy[1]));
+            if frame.width() == 0 || frame.height() == 0 {
+                continue;
+            }
+            let crossing: Vec<XLine> = diag_lines
+                .iter()
+                .filter(|l| {
+                    let evals = frame.corners().map(|p| l.eval(p));
+                    evals.iter().any(|&e| e > 0) && evals.iter().any(|&e| e < 0)
+                })
+                .copied()
+                .collect();
+            if !crossing.is_empty() {
+                busy_frames.push((frame, crossing));
+                continue;
+            }
+            let hits: Vec<&(Blocker, Octagon)> = blockages
+                .iter()
+                .zip(&blk_bbox)
+                .filter(|((_, oct), bb)| {
+                    frame.intersects(**bb) && {
+                        let ix = Octagon::from_rect(frame).intersection(oct);
+                        !ix.is_empty() && ix.area() > 0
+                    }
+                })
+                .map(|(b, _)| b)
+                .collect();
+            if hits.is_empty() {
+                free_frames.push(frame);
+            } else if hits.len() == 1 && frame.corners().iter().all(|&p| hits[0].1.contains(p)) {
+                swallowed.entry(hits[0].0).or_default().push(frame);
+            } else {
+                busy_frames.push((frame, Vec::new()));
+            }
+        }
+    }
+
+    let mut out: Vec<TileNode> = strip_merge(free_frames)
+        .into_iter()
+        .map(|rect| tile(Octagon::from_rect(rect), Vec::new()))
+        .collect();
+    let mut tags: Vec<Blocker> = swallowed.keys().copied().collect();
+    tags.sort_by_key(|t| match t {
+        Blocker::Hard => (0u8, 0u32),
+        Blocker::Net(n) => (1, n.0),
+    });
+    for tag in tags {
+        for rect in strip_merge(swallowed.remove(&tag).expect("key exists")) {
+            out.push(tile(Octagon::from_rect(rect), vec![tag]));
+        }
+    }
+    for (frame, crossing) in busy_frames {
+        // --- Split the frame by the diagonal wires crossing it. Lines
+        // that miss the frame cannot split any piece inside it, so only
+        // the crossing subset is clipped against.
+        let mut pieces = vec![Octagon::from_rect(frame)];
+        for line in &crossing {
+            let mut next = Vec::with_capacity(pieces.len() + 1);
+            for piece in pieces {
+                let lo = piece.clip_halfplane(*line, true);
+                let hi = piece.clip_halfplane(*line, false);
+                let lo_ok = !lo.is_empty() && lo.area() > 0;
+                let hi_ok = !hi.is_empty() && hi.area() > 0;
+                if lo_ok && hi_ok {
+                    next.push(lo);
+                    next.push(hi);
+                } else {
+                    next.push(piece);
+                }
+            }
+            pieces = next;
+        }
+        for shape in pieces {
+            // --- Tag blockers overlapping the tile interior.
+            let piece_bbox = shape.bbox();
+            let mut blockers: Vec<Blocker> = Vec::new();
+            for ((tag, oct), bb) in blockages.iter().zip(&blk_bbox) {
+                if !piece_bbox.intersects(*bb) {
+                    continue;
+                }
+                let ix = shape.intersection(oct);
+                if !ix.is_empty() && ix.area() > 0 && !blockers.contains(tag) {
+                    blockers.push(*tag);
+                }
+            }
+            out.push(tile(shape, blockers));
+        }
+    }
+    out
+}
+
 /// Two-pass strip merging of disjoint rectangles: first horizontally
 /// within equal y-spans, then vertically within equal x-spans.
 fn strip_merge(mut rects: Vec<Rect>) -> Vec<Rect> {
@@ -1288,7 +1325,9 @@ fn strip_merge(mut rects: Vec<Rect>) -> Vec<Rect> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use info_model::{DesignRules, PackageBuilder};
+    use info_geom::Polyline;
+    use info_model::{DesignRules, PackageBuilder, Via};
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn small_package() -> Package {
         let mut b = PackageBuilder::new(
@@ -1443,5 +1482,160 @@ mod tests {
         assert!(space.tiles[far_tile.0 as usize].is_some());
         // Near the new wire, a foreign net is now blocked.
         assert!(space.tile_at(WireLayer(0), Point::new(350_000, 61_000), NetId(5)).is_none());
+    }
+
+    impl RoutingSpace {
+        /// Forgets the partition inputs every slot stores (its wires stay:
+        /// adjacency reads them), so the next rebuild re-partitions every
+        /// slot it visits. A collected input never equals the forgotten
+        /// one, whose cut lists lack even the cell bounds.
+        fn forget_inputs(&mut self) {
+            for inputs in &mut self.layer_inputs {
+                let wires = inputs.wires.clone();
+                *inputs = Arc::new(LayerInputs { wires, ..LayerInputs::default() });
+            }
+        }
+    }
+
+    /// One live tile: id, layer, cell, shape and blockers.
+    type TileRow = (TileId, WireLayer, (usize, usize), Octagon, Vec<Blocker>);
+
+    /// Everything a search reads from a space, tile ids included (the
+    /// revision excluded: every rebuild takes a globally fresh one).
+    #[derive(Debug, PartialEq)]
+    struct Seen {
+        slots: usize,
+        tiles: Vec<TileRow>,
+        cells: Vec<Vec<TileId>>,
+        wires: Vec<Vec<(NetId, Segment)>>,
+        via_sites: Vec<Vec<ViaSite>>,
+        /// Planar neighbors of every fifth live tile, for nets 0 and 42.
+        neighbors: Vec<Vec<(TileId, Segment)>>,
+        cache_stats: (u64, u64),
+    }
+
+    fn seen(space: &RoutingSpace) -> Seen {
+        let tiles: Vec<_> = space
+            .live_tiles()
+            .map(|(id, t)| (id, t.layer, t.cell, t.shape, t.blockers.clone()))
+            .collect();
+        let neighbors = tiles
+            .iter()
+            .step_by(5)
+            .flat_map(|&(id, ..)| [NetId(0), NetId(42)].map(|net| (id, net)))
+            .map(|(id, net)| {
+                space.planar_neighbors(id, net).iter().map(|e| (e.to, e.crossing)).collect()
+            })
+            .collect();
+        Seen {
+            slots: space.tile_slots(),
+            tiles,
+            cells: space.cell_tiles.clone(),
+            wires: space.layer_inputs.iter().map(|i| i.wires.clone()).collect(),
+            via_sites: space.via_sites.clone(),
+            neighbors,
+            cache_stats: space.adjacency_cache_stats(),
+        }
+    }
+
+    /// One random layout edit and the rects it dirties: a wire (H, V or
+    /// diagonal) or a via of net 0–3, every shape of one net removed, or
+    /// every shape of one net handed to another — the same geometry under
+    /// new blocker tags. Vias land on three fixed points, so vias of
+    /// different nets meet at the same place.
+    fn random_edit(rng: &mut StdRng, layout: &mut Layout) -> Vec<Rect> {
+        let net = NetId(rng.gen_range(0..4));
+        let mut dirty = Vec::new();
+        match rng.gen_range(0..10) {
+            0..=3 => {
+                let a = Point::new(rng.gen_range(20_000..380_000), rng.gen_range(20_000..380_000));
+                let len = rng.gen_range(20_000..150_000);
+                let b = match rng.gen_range(0..3) {
+                    0 => Point::new(a.x + len, a.y),
+                    1 => Point::new(a.x, a.y + len),
+                    _ => Point::new(a.x + len, a.y + len),
+                };
+                layout.add_route(net, WireLayer(rng.gen_range(0..2)), Polyline::new(vec![a, b]));
+                dirty.push(Rect::new(a, b));
+            }
+            4..=5 => {
+                let sites = [(250_000, 110_000), (120_000, 320_000), (330_000, 330_000)];
+                let (x, y) = sites[rng.gen_range(0..sites.len())];
+                let at = Point::new(x, y);
+                layout.add_via(net, at, 5_000, WireLayer(0), WireLayer(1), false);
+                dirty.push(Rect::new(at, at));
+            }
+            keep => {
+                let routes: Vec<(WireLayer, Polyline)> =
+                    layout.routes_of(net).map(|r| (r.layer, r.path.clone())).collect();
+                let vias: Vec<Via> = layout.vias_of(net).cloned().collect();
+                layout.remove_net(net);
+                let heir = (keep >= 8).then(|| NetId((net.0 + rng.gen_range(1..4)) % 4));
+                for (layer, path) in routes {
+                    dirty.extend(path.segments().map(|s| Rect::new(s.a, s.b)));
+                    if let Some(heir) = heir {
+                        layout.add_route(heir, layer, path);
+                    }
+                }
+                for v in vias {
+                    dirty.push(Rect::new(v.center, v.center));
+                    if let Some(heir) = heir {
+                        layout.add_via(heir, v.center, v.width, v.top, v.bottom, false);
+                    }
+                }
+            }
+        }
+        dirty
+    }
+
+    /// Differential check of the input memo: two twins of one space take
+    /// the same random rebuilds, outside trials and inside trials that
+    /// roll back or commit, and one forgets its stored inputs before every
+    /// rebuild. Reusing tiles must never be observable.
+    #[test]
+    fn memoized_rebuilds_match_forgetful_rebuilds() {
+        let pkg = small_package();
+        let mut reused = 0;
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut layout = Layout::new(&pkg);
+            let mut memo = RoutingSpace::build(&pkg, &layout, cfg());
+            let mut plain = memo.clone();
+            for round in 0..8 {
+                // 0: no trial, 1: a trial rolled back, 2: a trial committed.
+                let mode = rng.gen_range(0..3);
+                let base = layout.clone();
+                if mode > 0 {
+                    memo.begin_trial();
+                    plain.begin_trial();
+                }
+                for _ in 0..rng.gen_range(1..=3) {
+                    let dirty: Vec<Rect> = (0..rng.gen_range(1..=3))
+                        .flat_map(|_| random_edit(&mut rng, &mut layout))
+                        .collect();
+                    let got = memo.rebuild_dirty_multi(&pkg, &layout, &dirty);
+                    plain.forget_inputs();
+                    let want = plain.rebuild_dirty_multi(&pkg, &layout, &dirty);
+                    assert_eq!(got.cells, want.cells);
+                    assert_eq!(want.layers_reused, 0);
+                    reused += got.layers_reused;
+                    assert_eq!(seen(&memo), seen(&plain), "seed {seed} round {round} mode {mode}");
+                }
+                match mode {
+                    1 => {
+                        memo.rollback_trial();
+                        plain.rollback_trial();
+                        layout = base;
+                    }
+                    2 => {
+                        memo.commit_trial();
+                        plain.commit_trial();
+                    }
+                    _ => {}
+                }
+                assert_eq!(seen(&memo), seen(&plain), "seed {seed} after round {round}");
+            }
+        }
+        assert!(reused > 0, "the memo never reused a layer-cell");
     }
 }
