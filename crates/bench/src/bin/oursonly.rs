@@ -1,41 +1,20 @@
 //! Quick development check: run only the via-based router on one circuit.
-//! `oursonly [idx] [neg]` — pass `neg` to route in negotiated-congestion
-//! mode; `RDL_THREADS=<n>` sets the worker count of the parallel scans
-//! (rip-up victim scan, feature ordering, LP constraint generation). The
+//! `oursonly [idx]`; `RDL_THREADS=<n>` sets the worker count of the
+//! parallel scans (rip-up victim scan, LP constraint generation). The
 //! sequential stage itself is serial, so threads never change a layout.
 use std::time::Instant;
 fn main() {
     let idx: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let neg = std::env::args().any(|a| a == "neg");
     let threads: usize =
         std::env::var("RDL_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let pkg = info_gen::dense(idx);
-    let mut cfg = info_router::RouterConfig::default().with_threads(threads).with_telemetry();
-    if neg {
-        cfg = cfg.with_congestion_mode();
-    }
+    let cfg = info_router::RouterConfig::default().with_threads(threads).with_telemetry();
     let t = Instant::now();
     let out = info_router::InfoRouter::new(cfg).route(&pkg);
     println!("dense{idx} OURS: {} in {:?} (conc {} seq {} fail {:?})",
         out.stats, t.elapsed(), out.concurrent_routed, out.sequential_routed, out.failed);
     println!("  sequential {:?}  hash {:016x}", out.timings.sequential, out.layout.canonical_hash());
-    if let Some(n) = out.negotiation {
-        println!(
-            "  negotiation: iters {} converged {} declined {} overuse {} reroutes {} history {:?}",
-            n.iterations, n.converged, n.declined, n.final_overuse,
-            n.reroutes, n.history_totals
-        );
-    }
     if let Some(rep) = &out.telemetry {
-        let iters: Vec<String> = rep
-            .spans
-            .iter()
-            .filter(|(n, _)| *n == "negotiation_iteration")
-            .map(|(_, s)| format!("{s:.2}"))
-            .collect();
-        if !iters.is_empty() {
-            println!("  negotiation_iteration spans (s): [{}]", iters.join(", "));
-        }
         println!(
             "  ripup_wall {:.3}s  trials {} committed {} refuted attempts {}",
             rep.counter("ripup_wall_us") as f64 / 1e6,

@@ -303,37 +303,6 @@ fn main() -> std::io::Result<()> {
             ]));
         }
 
-        // Negotiated-congestion run of the same circuit (DESIGN.md §4h):
-        // same config plus `congestion_mode`, timed and journaled
-        // separately so the JSON carries both sides of the comparison.
-        let cfg_neg =
-            RouterConfig::default().with_threads(threads).with_telemetry().with_congestion_mode();
-        let t2 = Instant::now();
-        let negotiated = InfoRouter::new(cfg_neg).route(&pkg);
-        let neg_time = t2.elapsed().as_secs_f64();
-        let negst = negotiated.negotiation.clone().unwrap_or_default();
-        let neg_report = negotiated.telemetry.unwrap_or_default();
-        let neg_rt = negotiated.stats.routability_pct;
-        let neg_seq = negotiated.timings.sequential.as_secs_f64();
-        let neg_ripup = neg_report.counter("ripup_wall_us") as f64 / 1e6;
-        println!(
-            "  negotiated: rt {neg_rt:.1}%  seq {neg_seq:.2}s (total {neg_time:.2}s)  iters {}  \
-             converged {}  declined {}  reroutes {}  ripup {neg_ripup:.2}s",
-            negst.iterations, negst.converged, negst.declined, negst.reroutes,
-        );
-        let neg = obj([
-            ("routability_pct", fixed(neg_rt, 3)),
-            ("wirelength_um", fixed(negotiated.stats.total_wirelength_um, 1)),
-            ("runtime_s", fixed(neg_time, 4)),
-            ("sequential_s", fixed(neg_seq, 4)),
-            ("layout_hash", hash_json(negotiated.layout.canonical_hash())),
-            ("iterations", Json::Num(f64::from(negst.iterations))),
-            ("converged", Json::Bool(negst.converged)),
-            ("declined", Json::Bool(negst.declined)),
-            ("final_overuse", Json::Num(f64::from(negst.final_overuse))),
-            ("reroutes", Json::Num(negst.reroutes as f64)),
-            ("ripup_wall_s", fixed(neg_ripup, 4)),
-        ]);
         println!(
             "{:<8} {:>6} {:>5} {:>5} {:>5} {:>4} {:>4} | {:>9.1} {:>9.1} | {:>12.0} {:>12.0} | {:>8} {:>8}",
             format!("dense{idx}"),
@@ -430,7 +399,6 @@ fn main() -> std::io::Result<()> {
             ),
             ("ripup_wall_s", fixed(report.counter("ripup_wall_us") as f64 / 1e6, 4)),
             ("thread_scaling", Json::Arr(scaling)),
-            ("negotiated", neg),
             ("failure_reasons", counts(&report.failure_counts())),
             ("counters", counts(&report.counters)),
             ("journal", journal(&report)),

@@ -37,12 +37,11 @@ pub struct RouterConfig {
     /// Extra cost per via in A\*, as a multiple of the via width.
     pub via_cost_factor: f64,
     /// Worker threads for the read-only scans around the sequential
-    /// stage's per-net loop: the rip-up victim scan, negotiation victim
-    /// selection, ordering-feature scoring, and the LP constraint rows
-    /// per wire layer. Nets themselves are always searched and committed
-    /// one at a time on the caller's thread, so layouts, route journals
-    /// and telemetry counters are identical at every value; `1` (the
-    /// default) spawns no threads.
+    /// stage's per-net loop: the rip-up victim scan and the LP constraint
+    /// rows per wire layer. Nets themselves are always searched and
+    /// committed one at a time on the caller's thread, so layouts, route
+    /// journals and telemetry counters are identical at every value; `1`
+    /// (the default) spawns no threads.
     pub threads: usize,
     /// Windowed A\*: each sequential-stage search first explores an
     /// inflated bounding box of its pad pair and escalates to the full
@@ -64,21 +63,6 @@ pub struct RouterConfig {
     ///
     /// [`RouteOutcome::telemetry`]: crate::flow::RouteOutcome::telemetry
     pub telemetry: bool,
-    /// Negotiated-congestion sequential routing (DESIGN.md §4h): replace
-    /// the two fixed shortest-first passes with a feature-ordered
-    /// convergence loop — every net routes under history + present
-    /// congestion costs, contested corridors escalate between
-    /// iterations, and nets blocking a failed net are evicted and
-    /// re-queued until the layout converges (or the iteration cap hands
-    /// the stragglers to the terminal-aware rip-up fallback). A front
-    /// whose first iterations mass-fail *declines* and the stage runs the
-    /// legacy path instead, so a declined run's layout is the legacy one
-    /// byte for byte. Only a declined run is never worse than legacy: on
-    /// g4 of the golden suite, sequential-only with
-    /// `retry_expansion_budget` 100, this mode routes 3 nets and legacy 6.
-    /// Off by default; layouts in this mode are deterministic at every
-    /// thread count but differ from the rip-up path's.
-    pub congestion_mode: bool,
     /// Per-search A\* expansion-budget override for the sequential stage
     /// (`None` keeps the tile layer's default cap). A testing/ablation
     /// knob: shrinking it makes searches fail cheaply on demand, at the
@@ -105,7 +89,6 @@ impl Default for RouterConfig {
             stage_budget: None,
             fault_plan: FaultPlan::none(),
             telemetry: false,
-            congestion_mode: false,
             retry_expansion_budget: None,
         }
     }
@@ -180,13 +163,6 @@ impl RouterConfig {
         self.telemetry = true;
         self
     }
-
-    /// Enables negotiated-congestion sequential routing (see
-    /// [`RouterConfig::congestion_mode`]).
-    pub fn with_congestion_mode(mut self) -> Self {
-        self.congestion_mode = true;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -207,8 +183,6 @@ mod tests {
         assert!(!c.without_search_window().search_window);
         assert!(!c.telemetry, "telemetry is off by default");
         assert!(c.with_telemetry().telemetry);
-        assert!(!c.congestion_mode, "negotiated congestion is off by default");
-        assert!(c.with_congestion_mode().congestion_mode);
     }
 
     #[test]

@@ -469,7 +469,6 @@ pub(crate) fn reroute_delta(
         out.lp_final = None;
         out.diagnostics = FlowDiagnostics::default();
         out.telemetry = None;
-        out.negotiation = None;
         out.eco = Some(EcoStats {
             nets_reused: package.nets().len(),
             ..EcoStats::default()
@@ -584,7 +583,7 @@ pub(crate) fn reroute_delta(
         // the pad-pair span cannot unlock them — and each futile retry
         // re-runs the failure's full escalating search, which is what an
         // ECO exists to avoid.
-        let retry_reach = 8 * (uni.rules().min_spacing + uni.rules().wire_width);
+        let retry_reach = crate::sequential::wall_reach(uni.rules());
         for (old, st) in &prior.net_status {
             if *st == NetStatus::Routed {
                 continue;
@@ -858,7 +857,6 @@ pub(crate) fn reroute_delta(
         lp_final,
         diagnostics: FlowDiagnostics::default(),
         telemetry: tel.report(),
-        negotiation: seq.negotiation,
         eco: Some(stats),
         eco_stash,
     })

@@ -125,10 +125,6 @@ pub struct RouteOutcome {
     /// [`RouterConfig::telemetry`] is set; the layout is byte-identical
     /// either way.
     pub telemetry: Option<TelemetryReport>,
-    /// Convergence statistics of the negotiated-congestion front
-    /// (`Some` exactly when [`RouterConfig::congestion_mode`] is set and
-    /// the sequential stage ran).
-    pub negotiation: Option<crate::sequential::NegotiationStats>,
     /// ECO telemetry (`Some` exactly when this outcome came from
     /// [`InfoRouter::reroute_delta`]): nets re-routed vs reused, cells
     /// invalidated, warm-space and warm-basis reuse.
@@ -383,7 +379,6 @@ impl InfoRouter {
             lp_final,
             diagnostics,
             telemetry: tel.report(),
-            negotiation: seq.negotiation,
             eco: None,
             eco_stash: Vec::new(),
         }

@@ -50,7 +50,6 @@ pub mod concurrent;
 pub mod eco;
 pub mod free_assign;
 pub mod lpopt;
-pub mod ordering;
 pub mod pool;
 pub mod preprocess;
 pub mod resilience;
@@ -70,5 +69,4 @@ pub use resilience::{
     FaultDirective, FaultKind, FaultPlan, FaultSite, FlowCtx, FlowDiagnostics, RouterError, Stage,
     StageOutcome,
 };
-pub use sequential::NegotiationStats;
 pub use warm::WarmSpaceCache;

@@ -1,7 +1,6 @@
 //! Order-preserving scoped parallel map (std::thread only — the workspace
-//! builds offline, so no rayon) used by the rip-up victim scan, the
-//! negotiation victim selection, the ordering-feature scoring, and the LP
-//! constraint generator.
+//! builds offline, so no rayon) used by the rip-up victim scan and the
+//! LP constraint generator.
 //!
 //! Every caller maps a handful of roughly uniform items, so the items are
 //! split into one contiguous chunk per worker and no load balancing is

@@ -8,8 +8,8 @@
 use crate::config::RouterConfig;
 use crate::pool::parallel_map;
 use crate::resilience::{panic_message, FaultSite, FlowCtx, RouterError, Stage};
-use info_geom::{x_arch_len, Rect};
-use info_model::{Layout, NetId, Package};
+use info_geom::{x_arch_len, Coord, Rect};
+use info_model::{DesignRules, Layout, NetId, Package};
 use info_telemetry::{AttemptOutcome, AttemptRecord, Counter, FailureReason, Pass, Sink};
 use info_tile::{astar, realize, RoutingSpace, SpaceConfig};
 use std::collections::{BTreeMap, BTreeSet};
@@ -33,87 +33,7 @@ pub struct SequentialResult {
     pub recovered: Vec<(NetId, RouterError)>,
     /// Aggregate A\* statistics over every search this stage ran.
     pub search: astar::SearchStats,
-    /// Convergence statistics of the negotiated-congestion front
-    /// (`Some` exactly when [`RouterConfig::congestion_mode`] is set).
-    pub negotiation: Option<NegotiationStats>,
 }
-
-/// Convergence statistics of the negotiated-congestion front (DESIGN.md
-/// §4h). All fields are deterministic at every thread count: iteration
-/// outcomes derive from the committed layout only. On a *declined* run
-/// every field describes the front's discarded iterations, not the
-/// legacy layout the stage returns.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct NegotiationStats {
-    /// Iterations the convergence loop ran (at least 1, at most
-    /// [`NEGOTIATION_MAX_ITERS`]).
-    pub iterations: u32,
-    /// True when the final iteration routed every queued net (no failures
-    /// and no interrupt); false when the iteration cap, stagnation or an
-    /// interrupt handed the stragglers to the rip-up fallback, or the
-    /// front declined.
-    pub converged: bool,
-    /// True when the first iterations hit the mass-failure bail
-    /// ([`NEGOTIATION_MASS_FAILURE`]): the front discarded its work and
-    /// the stage re-ran the legacy two-pass + rip-up path from the
-    /// stage-entry layout, so the routed layout is the legacy one byte
-    /// for byte.
-    pub declined: bool,
-    /// Contested corridor cells observed in the *last* iteration (0 on
-    /// convergence).
-    pub final_overuse: u32,
-    /// Total nets re-queued across all iterations (evicted victims plus
-    /// retried failures).
-    pub reroutes: u64,
-    /// Total accumulated history cost after each iteration — monotone
-    /// non-decreasing by construction (`tests/congestion_props.rs` pins
-    /// this).
-    pub history_totals: Vec<f64>,
-}
-
-/// Iteration cap of the negotiated-congestion loop: a layout that has not
-/// converged by then goes to the terminal-aware rip-up fallback with
-/// whatever history the loop accumulated.
-pub const NEGOTIATION_MAX_ITERS: u32 = 16;
-/// Victims evicted per failed net per iteration, ranked
-/// nearest-to-terminal first like the rip-up candidate ordering.
-const NEGOTIATION_VICTIMS_PER_FAILED: usize = 2;
-/// Present-congestion weight as a multiple of the mean global-cell pitch.
-/// Deliberately mild: geometric legality already encodes hard occupancy,
-/// so present cost only breaks ties away from busy cells — a heavy
-/// weight detours the whole layout and loosens the (geometric) heuristic
-/// enough to blow up every search.
-const NEGOTIATION_PRESENT_WEIGHT: f64 = 0.05;
-/// History weight as a multiple of the mean global-cell pitch.
-const NEGOTIATION_HISTORY_WEIGHT: f64 = 0.5;
-/// History added to every contested corridor cell per failed iteration.
-/// Uniform on purpose: both a global 2× step and a per-net
-/// consecutive-failure scaling were tried, and each prices evicted
-/// victims out of *their* re-routes — the cascade stops resolving and
-/// the loop runs to the cap. Escalation must stay gentle enough that a
-/// freed corridor is still affordable one iteration later.
-const NEGOTIATION_HISTORY_STEP: f64 = 1.0;
-/// Stagnation patience: iterations allowed without a new minimum of the
-/// failed-net count before the loop stops negotiating and hands the
-/// stragglers to the rip-up fallback. A converging run keeps setting
-/// minimums (dense2's failure trajectory makes a new one every ≤ 3
-/// iterations on the way to 0); a run that plateaus for this long is
-/// churning victims, and every further iteration entrenches history the
-/// fallback then has to route around.
-const NEGOTIATION_PATIENCE: u32 = 4;
-/// Failed-net count (floor of a 10%-of-batch scale) above which the loop
-/// *declines*: it discards its commits, restores the stage-entry layout,
-/// and the stage re-runs the legacy two-pass + rip-up front instead.
-/// Negotiation resolves the last few walled nets — terminal-ring
-/// escalation and two-victim eviction. When failure is *mass* (dense3's
-/// front leaves ~15 of 80, dense5's ~40 of 208), per-failure eviction
-/// churns a large fraction of the committed layout, the loop burns
-/// minutes re-proving walls, and the rip-up fallback then starts from
-/// wreckage measurably worse than the plain layout it would otherwise
-/// get — keeping the feature-ordered, congestion-priced first iteration
-/// cost dense3 2.6 routability points versus legacy. A declined run
-/// returns the legacy layout byte for byte.
-const NEGOTIATION_MASS_FAILURE: usize = 8;
 
 /// Derives the tile-space configuration from the router configuration.
 pub fn space_config(package: &Package, cfg: &RouterConfig) -> SpaceConfig {
@@ -187,27 +107,9 @@ pub(crate) fn route_sequential_in_space(
     // ordering below.
     let mut fail_expansions: BTreeMap<NetId, u64> = BTreeMap::new();
 
-    let negotiated = cfg.congestion_mode
-        && route_negotiated_front(
-            package,
-            layout,
-            nets,
-            cfg,
-            ctx,
-            threads,
-            &mut *space,
-            &mut stats,
-            tel,
-            &mut result,
-            &mut fail_expansions,
-        );
-
-    // Legacy two-pass front; when the negotiated loop above handled the
-    // batch both passes run over empty lists. A *declined* negotiated
-    // front (mass-failure bail) restored the stage-entry layout, so the
-    // legacy front runs in full, exactly as if congestion mode were off.
-    // Each pass retries the previous pass's geometric failures.
-    let mut todo: Vec<NetId> = if negotiated { Vec::new() } else { nets.to_vec() };
+    // Two-pass front: each pass retries the previous pass's geometric
+    // failures.
+    let mut todo: Vec<NetId> = nets.to_vec();
     todo.sort_by(|&x, &y| {
         let d = |id: NetId| {
             let n = package.net(id);
@@ -422,10 +324,9 @@ impl SequentialResult {
 }
 
 /// Routes `todo` one net at a time, in order, journaling each attempt
-/// under `pass` — the per-net loop shared by the legacy passes and every
-/// negotiated iteration. Once the flow is interrupted the remaining nets
-/// are skipped; a cancelled search counts as skipped too (it was aborted,
-/// not refuted).
+/// under `pass` — the per-net loop of passes 1 and 2. Once the flow is
+/// interrupted the remaining nets are skipped; a cancelled search counts
+/// as skipped too (it was aborted, not refuted).
 #[allow(clippy::too_many_arguments)]
 fn route_pass(
     package: &Package,
@@ -475,82 +376,20 @@ pub(crate) fn net_geometry_rects(layout: &Layout, n: NetId, out: &mut Vec<Rect>)
     }
 }
 
-/// Rebuilds the present-congestion counts from the committed stage nets:
-/// one unit per distinct `(layer, cell)` a net's wires touch and one via
-/// unit per distinct cell holding its vias. Runs only at iteration
-/// boundaries, so every search within an iteration sees one frozen cost
-/// field — which is also why update order cannot matter
-/// (`tests/congestion_props.rs`).
-fn refresh_present(layout: &Layout, space: &mut RoutingSpace, routed: &BTreeSet<NetId>) {
-    let mut wire_cells: Vec<(usize, usize, usize)> = Vec::new();
-    let mut via_cells: Vec<(usize, usize)> = Vec::new();
-    for &id in routed {
-        let mut seen: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
-        for r in layout.routes_of(id) {
-            let l = r.layer.index();
-            for s in r.path.segments() {
-                for (cx, cy) in space.cells_touching(Rect::new(s.a, s.b)) {
-                    seen.insert((l, cx, cy));
-                }
-            }
-        }
-        wire_cells.extend(seen);
-        let mut vseen: BTreeSet<(usize, usize)> = BTreeSet::new();
-        for v in layout.vias_of(id) {
-            if let Some(c) = space.cell_of(v.center) {
-                vseen.insert(c);
-            }
-        }
-        via_cells.extend(vseen);
-    }
-    if let Some(m) = space.congestion_mut() {
-        m.clear_present();
-        for (l, cx, cy) in wire_cells {
-            m.note_present(l, cx, cy, 1);
-        }
-        for (cx, cy) in via_cells {
-            m.note_via_present(cx, cy, 1);
-        }
-    }
-}
-
-/// Contested cells: the 3×3 cell ring around each failed net's
-/// terminals, on that terminal's layer. The route journal shows failed
-/// nets dying walled in right at a pad, so this is where competitors
-/// must be priced out; corridor-wide escalation (the obvious PathFinder
-/// transliteration) inflates costs over so much area that every search
-/// slows down and the whole layout detours.
-fn contested_cells(
-    package: &Package,
-    space: &RoutingSpace,
-    failed: impl Iterator<Item = NetId>,
-) -> BTreeSet<(usize, usize, usize)> {
-    let (cells_x, cells_y) = (space.config().cells_x, space.config().cells_y);
-    let mut contested: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
-    for id in failed {
-        let n = package.net(id);
-        for pad in [n.a, n.b] {
-            let l = package.pad_layer(pad).index();
-            if let Some((cx, cy)) = space.cell_of(package.pad(pad).center) {
-                for dy in -1i64..=1 {
-                    for dx in -1i64..=1 {
-                        let (x, y) = (cx as i64 + dx, cy as i64 + dy);
-                        if x >= 0 && y >= 0 && (x as usize) < cells_x && (y as usize) < cells_y {
-                            contested.insert((l, x as usize, y as usize));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    contested
+/// How far from a pad the wall that starves a failed net stands: eight
+/// wire pitches. The route journal shows failed nets dying walled in
+/// right at a pad, so rip-up looks for victims within this reach of the
+/// pad-pair box, and an ECO retries a prior failure only when its edit
+/// frees space within this reach of one of the net's pads.
+pub(crate) fn wall_reach(rules: &DesignRules) -> Coord {
+    8 * (rules.min_spacing + rules.wire_width)
 }
 
 /// Routed nets with geometry inside `id`'s pad-pair corridor, as
 /// `(net, da, db)` — the squared distance from the net's geometry to
 /// pad a and to pad b — ranked nearest-to-either-terminal first (ties by
-/// net id). This is the victim scan of both the rip-up pass and the
-/// negotiated front's evictions.
+/// net id). This is the rip-up pass's victim scan; the corridor is the
+/// pad-pair box inflated by [`wall_reach`].
 ///
 /// A failed net is usually starved right at a pad (the route journal
 /// shows such nets dying with a tiny reachable component), and the wall
@@ -571,8 +410,7 @@ fn corridor_victims(
 ) -> Vec<(NetId, i128, i128)> {
     let net = package.net(id);
     let (pa, pb) = (package.pad(net.a).center, package.pad(net.b).center);
-    let rules = package.rules();
-    let corridor = Rect::new(pa, pb).inflate(8 * (rules.min_spacing + rules.wire_width));
+    let corridor = Rect::new(pa, pb).inflate(wall_reach(package.rules()));
     let mut keyed: Vec<(NetId, i128, i128)> = parallel_map(routed, threads, |_, &c| {
         let mut da = i128::MAX;
         let mut db = i128::MAX;
@@ -591,194 +429,6 @@ fn corridor_victims(
     .collect();
     keyed.sort_by_key(|&(n, da, db)| (da.min(db), n));
     keyed
-}
-
-/// The negotiated-congestion front (DESIGN.md §4h): replaces the legacy
-/// two-pass front when [`RouterConfig::congestion_mode`] is set.
-///
-/// Every commit stays geometrically legal (this router never routes
-/// through occupied tiles), so classic PathFinder overuse cannot occur
-/// *inside* an iteration. The negotiated signal is instead the set of
-/// failed nets: each failure marks its pad-pair corridor's cells as
-/// contested, history escalates there between iterations, the routed
-/// nets nearest the failed terminals are evicted, and everything
-/// re-queues in feature order until an iteration ends with no failures.
-/// Iteration boundaries also rebuild the present-congestion counts from
-/// the committed layout, so history is the only state that persists —
-/// monotone by construction.
-///
-/// Determinism: iteration decisions (failure set, contested cells,
-/// victims, re-queue order) read only the committed layout and the
-/// failure records of the serial per-net loop, so the negotiated layout
-/// and the iteration count are thread-invariant.
-///
-/// Returns `false` when the front *declined* (mass-failure bail): the
-/// layout is restored to its stage-entry state, the result is reset
-/// (only the negotiation statistics remain), and the caller must run
-/// the legacy front instead.
-#[allow(clippy::too_many_arguments)]
-fn route_negotiated_front(
-    package: &Package,
-    layout: &mut Layout,
-    nets: &[NetId],
-    cfg: &RouterConfig,
-    ctx: &FlowCtx,
-    threads: usize,
-    space: &mut RoutingSpace,
-    stats: &mut astar::SearchStats,
-    tel: &Sink,
-    result: &mut SequentialResult,
-    fail_expansions: &mut BTreeMap<NetId, u64>,
-) -> bool {
-    let t0 = std::time::Instant::now();
-    // Declining must restore the exact stage-entry state; one clone up
-    // front is far cheaper than the first iteration it may discard.
-    let entry = layout.clone();
-    // History and present weights scale with the mean global-cell pitch.
-    let die = package.die();
-    let cell_step =
-        ((die.width() + die.height()) / 2) as f64 / cfg.global_cells.max(1) as f64;
-    let (cells_x, cells_y, layers) =
-        (space.config().cells_x, space.config().cells_y, space.layer_count());
-    let fresh_map = || {
-        info_tile::CongestionMap::new(
-            cells_x,
-            cells_y,
-            layers,
-            NEGOTIATION_PRESENT_WEIGHT * cell_step,
-            NEGOTIATION_HISTORY_WEIGHT * cell_step,
-        )
-    };
-    space.set_congestion(Some(fresh_map()));
-
-    let mut neg = NegotiationStats::default();
-    let mut routed: BTreeSet<NetId> = BTreeSet::new();
-    let mut queue = crate::ordering::feature_order(package, space, nets, fail_expansions, threads);
-    let mut last_failed: BTreeMap<NetId, u64>;
-    let mut best_failed = usize::MAX;
-    let mut stagnant = 0u32;
-
-    loop {
-        neg.iterations += 1;
-        tel.count(Counter::NegotiationIterations, 1);
-        let iter_t0 = std::time::Instant::now();
-        let tally =
-            route_pass(package, layout, space, &queue, cfg, ctx, Pass::Negotiated, stats, tel);
-        result.file_aborts(tally.internal, tally.skipped);
-        routed.extend(tally.routed.iter().copied());
-        fail_expansions.extend(tally.failed.iter().copied());
-        last_failed = tally.failed.into_iter().collect();
-
-        let contested = contested_cells(package, space, last_failed.keys().copied());
-        neg.final_overuse = contested.len() as u32;
-        tel.count(Counter::NegotiationOveruse, contested.len() as u64);
-        neg.history_totals
-            .push(space.congestion().map_or(0.0, |m| m.total_history()));
-        tel.record_span("negotiation_iteration", iter_t0.elapsed().as_secs_f64());
-        if last_failed.is_empty() {
-            // Converged only when no net was lost to an interrupt or an
-            // internal failure either (both are filed in `result.failed`).
-            neg.converged = result.failed.is_empty();
-            break;
-        }
-        if last_failed.len() < best_failed {
-            best_failed = last_failed.len();
-            stagnant = 0;
-        } else {
-            stagnant += 1;
-        }
-        if ctx.interrupted() {
-            break;
-        }
-        // Mass failure means this circuit is not negotiation's regime:
-        // decline (restore the entry state, let the legacy front run)
-        // rather than churning victims or handing rip-up the wreckage.
-        // Checked after the interrupt — a cancelled run keeps its legal
-        // partial layout instead of redoing work it has no budget for.
-        if last_failed.len() > NEGOTIATION_MASS_FAILURE.max(nets.len() / 10) {
-            neg.declined = true;
-            break;
-        }
-        if neg.iterations >= NEGOTIATION_MAX_ITERS || stagnant >= NEGOTIATION_PATIENCE {
-            break;
-        }
-
-        // Iteration boundary: escalate history on the contested cells (a
-        // panic-path space rebuild drops the map; reinstall fresh rather
-        // than silently degrading to plain shortest-path).
-        if space.congestion().is_none() {
-            space.set_congestion(Some(fresh_map()));
-        }
-        {
-            let m = space.congestion_mut().expect("installed above");
-            let mut via_cells: BTreeSet<(usize, usize)> = BTreeSet::new();
-            for &(l, cx, cy) in &contested {
-                m.add_history(l, cx, cy, NEGOTIATION_HISTORY_STEP);
-                via_cells.insert((cx, cy));
-            }
-            for (cx, cy) in via_cells {
-                m.add_via_history(cx, cy, NEGOTIATION_HISTORY_STEP);
-            }
-        }
-
-        // Victims: routed nets with geometry inside a failed net's
-        // corridor, nearest-to-terminal first — the rip-up ranking, but
-        // negotiated evictions re-route under escalated history instead
-        // of trial-and-restore.
-        let candidates: Vec<NetId> = routed.iter().copied().collect();
-        let victims: BTreeSet<NetId> = last_failed
-            .keys()
-            .flat_map(|&id| {
-                corridor_victims(package, layout, id, &candidates, threads)
-                    .into_iter()
-                    .take(NEGOTIATION_VICTIMS_PER_FAILED)
-                    .map(|(c, ..)| c)
-            })
-            .collect();
-        let mut touched: Vec<Rect> = Vec::new();
-        for &v in &victims {
-            net_geometry_rects(layout, v, &mut touched);
-            layout.remove_net(v);
-            routed.remove(&v);
-        }
-        if !touched.is_empty() {
-            let rebuilt = space.rebuild_dirty_multi(package, layout, &touched);
-            tel.count(Counter::CellsRebuilt, rebuilt.cells.len() as u64);
-            tel.count(Counter::LayerCellsReused, rebuilt.layers_reused as u64);
-        }
-        refresh_present(layout, space, &routed);
-
-        let requeue: Vec<NetId> =
-            victims.iter().chain(last_failed.keys()).copied().collect();
-        tel.count(Counter::NegotiationReroutes, requeue.len() as u64);
-        neg.reroutes += requeue.len() as u64;
-        queue = crate::ordering::feature_order(package, space, &requeue, fail_expansions, threads);
-    }
-
-    if neg.declined {
-        // Mass-failure bail: discard everything this front did and hand
-        // the stage back exactly its entry state — the legacy front then
-        // runs as if congestion mode were off, so a declined run returns
-        // the legacy layout. That includes the front's internal failures:
-        // their nets get their normal legacy attempts, so they leave
-        // `recovered` (the fired fault stays in the flow's fault record).
-        *layout = entry;
-        *space = build_stage_space(package, layout, cfg);
-        *result = SequentialResult::default();
-        fail_expansions.clear();
-        tel.record_span("negotiation", t0.elapsed().as_secs_f64());
-        result.negotiation = Some(neg);
-        return false;
-    }
-    // Unconverged stragglers go to the shared rip-up fallback.
-    result.failed.extend(last_failed.keys().copied());
-    result.routed.extend(routed.iter().copied());
-    // Strip the cost layers so the fallback (and any later consumer of
-    // this space) searches exactly like the legacy path.
-    space.set_congestion(None);
-    tel.record_span("negotiation", t0.elapsed().as_secs_f64());
-    result.negotiation = Some(neg);
-    true
 }
 
 /// Tries to free a path for `id` by evicting nearby routed nets: up to
@@ -904,9 +554,9 @@ fn ripup_and_reroute(
 /// search, after the `AstarExpand` fault check. A trial's outcome feeds
 /// only its commit/rollback verdict, so a proven no-path fails as the
 /// search would have (`unreachable`, the sweep's visit count as its
-/// expansions) without sweeping the open side first. Passes 1–2 and the
-/// negotiated iterations keep the plain search: their failed-search
-/// expansions order the rip-up pass.
+/// expansions) without sweeping the open side first. Passes 1–2 keep
+/// the plain search: their failed-search expansions order the rip-up
+/// pass.
 #[allow(clippy::too_many_arguments)]
 fn try_route_net(
     package: &Package,

@@ -461,15 +461,35 @@ pub enum Request {
     Shutdown,
 }
 
-/// Parses the shared `config` object of `route`/`eco` requests.
+/// The keys a request's `config` object may carry.
+const CONFIG_KEYS: [&str; 8] = [
+    "global_cells",
+    "threads",
+    "lp",
+    "concurrent",
+    "window",
+    "stage_budget_ms",
+    "deadline_ms",
+    "net_status",
+];
+
+/// Parses the shared `config` object of `route`/`eco` requests. A key
+/// outside [`CONFIG_KEYS`] is rejected rather than ignored, so a client
+/// never silently gets a configuration it did not ask for.
 fn parse_config(v: &Json) -> Result<(RouterConfig, Option<Duration>, bool), RouterError> {
     let bad = |reason: String| RouterError::BadInput { reason };
     let mut cfg = RouterConfig::default();
     let mut deadline = None;
     let mut net_status = false;
     if let Some(c) = v.get("config") {
-        if c.as_obj().is_none() {
+        let Some(members) = c.as_obj() else {
             return Err(bad("field 'config' must be an object".into()));
+        };
+        if let Some((key, _)) = members
+            .iter()
+            .find(|(k, _)| !CONFIG_KEYS.contains(&k.as_str()))
+        {
+            return Err(bad(format!("unknown config key '{key}'")));
         }
         if let Some(n) = int_field(c, "global_cells", 1, 512)? {
             cfg.global_cells = n as usize;
@@ -485,9 +505,6 @@ fn parse_config(v: &Json) -> Result<(RouterConfig, Option<Duration>, bool), Rout
         }
         if let Some(b) = bool_field(c, "window")? {
             cfg.search_window = b;
-        }
-        if let Some(b) = bool_field(c, "congestion")? {
-            cfg.congestion_mode = b;
         }
         if let Some(ms) = int_field(c, "stage_budget_ms", 0, 86_400_000)? {
             cfg.stage_budget = Some(Duration::from_millis(ms));
@@ -677,20 +694,6 @@ pub fn response_json(r: &JobResult, include_net_status: bool) -> Json {
                         (
                             "lp_warm_basis_reuses".to_string(),
                             Json::Num(eco.lp_warm_basis_reuses as f64),
-                        ),
-                    ]),
-                ));
-            }
-            if let Some(neg) = &out.negotiation {
-                members.push((
-                    "negotiation".to_string(),
-                    Json::Obj(vec![
-                        ("iterations".to_string(), Json::Num(neg.iterations as f64)),
-                        ("converged".to_string(), Json::Bool(neg.converged)),
-                        ("declined".to_string(), Json::Bool(neg.declined)),
-                        (
-                            "final_overuse".to_string(),
-                            Json::Num(neg.final_overuse as f64),
                         ),
                     ]),
                 ));

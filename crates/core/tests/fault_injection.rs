@@ -240,50 +240,23 @@ fn empty_fault_plan_changes_nothing() {
     assert_eq!(planned.stats.routed_nets, clean.stats.routed_nets);
 }
 
-/// g4 of the golden suite (three chips, 10 nets): dense enough that the
-/// negotiated front iterates past its first pass.
-fn g4() -> Package {
-    let mut spec = info_gen::dense_spec(2);
+/// g5 of the golden suite (six chips, 10 nets): routed sequential-only
+/// at 20 global cells, passes 1–2 leave a net to the rip-up pass, whose
+/// trials both search and refute.
+fn g5() -> Package {
+    let mut spec = info_gen::dense_spec(3);
     spec.io_pads = 20;
     spec.nets = 10;
-    spec.bump_pads = 56;
-    spec.seed = 31;
+    spec.bump_pads = 40;
+    spec.seed = 41;
     info_gen::build_dense(spec, false)
 }
 
-/// `AstarExpand` checks the negotiated front makes on a clean run: one
-/// per attempt, and the front journals every attempt under
-/// [`Pass::Negotiated`].
-fn front_checks(pkg: &Package, cfg: RouterConfig) -> u32 {
-    let out = InfoRouter::new(cfg.with_telemetry()).route(pkg);
-    let report = out.telemetry.expect("telemetry on");
-    report.journal.iter().filter(|r| r.pass == Pass::Negotiated).count() as u32
-}
-
-/// Routes under one `kind` fault at the `skip`-th `AstarExpand` check and
-/// asserts the accounting every faulted congestion-mode route keeps:
-/// every net has exactly one status, `failed` is exactly the non-routed
-/// nets, every recovered net is failed, and the only DRC violations are
-/// unrouted nets.
-fn assert_faulted_run_accounts_for_every_net(
-    pkg: &Package,
-    cfg: RouterConfig,
-    kind: FaultKind,
-    skip: u32,
-) -> RouteOutcome {
-    let plan = FaultPlan::none().with(FaultDirective {
-        site: FaultSite::AstarExpand,
-        kind,
-        skip,
-        fires: 1,
-    });
-    let out = route_with_plan(pkg, cfg, plan);
-    let at = format!("{kind:?} fault at check {skip}");
-    assert!(
-        out.diagnostics.faults_fired.contains(&(FaultSite::AstarExpand, 1)),
-        "{at}: fault did not fire: {:?}",
-        out.diagnostics.faults_fired
-    );
+/// Asserts the accounting every faulted route keeps (`at` names the
+/// fault): every net has exactly one status, `failed` is exactly the
+/// non-routed nets, every recovered net is failed, and the only DRC
+/// violations are unrouted nets.
+fn assert_faulted_run_accounts_for_every_net(pkg: &Package, out: &RouteOutcome, at: &str) {
     let ids: Vec<NetId> = out.net_status.iter().map(|&(id, _)| id).collect();
     let all: Vec<NetId> = pkg.nets().iter().map(|n| n.id).collect();
     assert_eq!(ids, all, "{at}: every net needs exactly one status, in net order");
@@ -301,56 +274,47 @@ fn assert_faulted_run_accounts_for_every_net(
             "{at}: non-disconnection violation {v}"
         );
     }
-    out
 }
 
-/// Faults inside the negotiated front: the first check of the first
-/// iteration, the first check after it (the first re-route iteration)
-/// and the front's last check. g4 at 14 global cells negotiates for
-/// several iterations without converging or declining.
+/// A fault at every `AstarExpand` check a clean run makes: one per
+/// attempt in passes 1–2, per target and victim attempt inside a rip-up
+/// trial, and per refuted attempt. A faulted run matches the clean run up
+/// to its fault, so the fault at check `k` fires exactly when the clean
+/// run makes more than `k` checks; the first run whose fault does not
+/// fire ends the sweep.
 #[test]
-fn faults_inside_negotiated_iterations_keep_every_net_accounted_for() {
-    let pkg = g4();
-    let cfg = RouterConfig::default().with_global_cells(14).with_congestion_mode();
-    let clean = InfoRouter::new(cfg).route(&pkg);
-    let stats = clean.negotiation.as_ref().expect("negotiation stats");
-    assert!(stats.iterations >= 2 && !stats.declined, "g4 must iterate: {stats:?}");
-    let first_iteration = (pkg.nets().len() - clean.concurrent_routed) as u32;
-    let checks = front_checks(&pkg, cfg);
-    assert!(checks > first_iteration, "no check after the first iteration");
+fn a_fault_at_any_search_check_keeps_every_net_accounted_for() {
+    let pkg = g5();
+    let cfg = RouterConfig::default().with_global_cells(20).without_concurrent();
+    let clean = InfoRouter::new(cfg.with_telemetry()).route(&pkg);
+    let report = clean.telemetry.as_ref().expect("telemetry on");
+    let front =
+        report.journal.iter().filter(|r| matches!(r.pass, Pass::First | Pass::Retry)).count();
+    assert!(
+        report.counter("ripup_attempts") > 0 && report.counter("ripup_refuted") > 0,
+        "g5 must reach rip-up trials that refute attempts"
+    );
     for kind in [FaultKind::Error, FaultKind::Panic] {
-        for skip in [0, first_iteration, checks - 1] {
-            assert_faulted_run_accounts_for_every_net(&pkg, cfg, kind, skip);
-        }
-    }
-}
-
-/// Faults inside a declined run: at every check of the negotiated
-/// iterations the front then discards, and at the first checks of the
-/// legacy passes that re-route from the stage-entry layout after the
-/// decline. g4, sequential-only, with a 30-expansion search budget
-/// mass-fails the front.
-#[test]
-fn faults_inside_a_declined_run_keep_every_net_accounted_for() {
-    let pkg = g4();
-    let mut cfg = RouterConfig::default()
-        .with_global_cells(14)
-        .with_congestion_mode()
-        .without_concurrent()
-        .without_lp();
-    cfg.retry_expansion_budget = Some(30);
-    let clean = InfoRouter::new(cfg).route(&pkg);
-    assert!(clean.negotiation.as_ref().expect("negotiation stats").declined);
-    let checks = front_checks(&pkg, cfg);
-    for kind in [FaultKind::Error, FaultKind::Panic] {
-        for skip in 0..checks + 8 {
-            let out = assert_faulted_run_accounts_for_every_net(&pkg, cfg, kind, skip);
-            if skip >= checks {
-                // The front ran exactly as on the clean run.
-                let stats = out.negotiation.as_ref().expect("negotiation stats");
-                assert!(stats.declined, "{kind:?} at {skip}: the untouched front must decline");
+        let mut checks = 0u32;
+        loop {
+            let plan = FaultPlan::none().with(FaultDirective {
+                site: FaultSite::AstarExpand,
+                kind,
+                skip: checks,
+                fires: 1,
+            });
+            let out = route_with_plan(&pkg, cfg, plan);
+            if !out.diagnostics.faults_fired.contains(&(FaultSite::AstarExpand, 1)) {
+                break;
             }
+            let at = format!("{kind:?} fault at check {checks}");
+            assert_faulted_run_accounts_for_every_net(&pkg, &out, &at);
+            checks += 1;
         }
+        assert!(
+            checks as usize > front,
+            "{kind:?}: the sweep must reach past passes 1-2 ({checks} checks, {front} in passes 1-2)"
+        );
     }
 }
 

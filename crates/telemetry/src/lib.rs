@@ -35,9 +35,6 @@ pub enum Pass {
     /// Sequential pass 3 (rip-up-and-reroute; one record per eviction-set
     /// trial).
     RipUp,
-    /// Negotiated-congestion iteration (one record per authoritative
-    /// attempt in any iteration of the convergence loop).
-    Negotiated,
 }
 
 impl Pass {
@@ -48,7 +45,6 @@ impl Pass {
             Pass::First => "first",
             Pass::Retry => "retry",
             Pass::RipUp => "ripup",
-            Pass::Negotiated => "negotiated",
         }
     }
 }
@@ -203,14 +199,6 @@ pub enum Counter {
     /// Sequential-stage routing spaces built cold (and, when a warm
     /// cache is attached, deposited into it).
     WarmSpaceMisses,
-    /// Negotiated-congestion iterations run (first pass included).
-    NegotiationIterations,
-    /// Contested global cells whose history was escalated, summed over
-    /// every iteration (the per-iteration overuse signal).
-    NegotiationOveruse,
-    /// Nets re-queued by the negotiation driver — evicted victims plus
-    /// still-failed nets — summed over every iteration after the first.
-    NegotiationReroutes,
     /// Rip-up attempts (a trial's target or a victim re-route) proven
     /// unroutable by the bounded refutation sweep instead of an A\*
     /// search; they do not count as `Searches`.
@@ -223,7 +211,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 21] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -243,9 +231,6 @@ impl Counter {
         Counter::RipupWallUs,
         Counter::WarmSpaceHits,
         Counter::WarmSpaceMisses,
-        Counter::NegotiationIterations,
-        Counter::NegotiationOveruse,
-        Counter::NegotiationReroutes,
         Counter::RipupRefuted,
         Counter::LayerCellsReused,
     ];
@@ -272,9 +257,6 @@ impl Counter {
             Counter::RipupWallUs => "ripup_wall_us",
             Counter::WarmSpaceHits => "warm_space_hits",
             Counter::WarmSpaceMisses => "warm_space_misses",
-            Counter::NegotiationIterations => "negotiation_iterations",
-            Counter::NegotiationOveruse => "negotiation_overuse",
-            Counter::NegotiationReroutes => "negotiation_reroutes",
             Counter::RipupRefuted => "ripup_refuted",
             Counter::LayerCellsReused => "layer_cells_reused",
         }

@@ -715,12 +715,6 @@ fn run(
 ) -> RunOutcome {
     let via_cost = space.config().via_cost;
     let cells_x = space.config().cells_x;
-    // Negotiated-congestion cost layers, when installed: a non-negative
-    // penalty added to g whenever a move enters a new (layer, cell)
-    // resource. Penalties only increase edge costs, so the geometric
-    // heuristic stays an admissible, consistent lower bound and every
-    // fence comparison below sees consistently inflated f values.
-    let cong = space.congestion();
 
     let mut expansions = 0usize;
 
@@ -731,7 +725,6 @@ fn run(
         let node_g = s.g[ti];
         let node_entry = s.entry[ti];
         let layer = space.tile(tid).layer;
-        let node_cell = space.tile(tid).cell;
         // Stale heap entry?
         if f_popped > node_g + s.h(tid_raw, node_entry, layer, &dst, via_cost) + 1e-6 {
             continue;
@@ -802,12 +795,7 @@ fn run(
             let cross = e.crossing.midpoint();
             let to = e.to.0 as usize;
             let to_layer = space.tile(e.to).layer;
-            let to_cell = space.tile(e.to).cell;
-            let pen = match cong {
-                Some(m) if to_cell != node_cell => m.cell_penalty(to_layer.index(), to_cell),
-                _ => 0.0,
-            };
-            let g2 = node_g + x_arch_len(node_entry, cross) + pen;
+            let g2 = node_g + x_arch_len(node_entry, cross);
             if windowed && !s.in_window(cells_x, space.tile(e.to).cell) {
                 if let Some((min_f, edges)) = pruned_sink.as_mut() {
                     let f2 = g2 + s.h(e.to.0, cross, to_layer, &dst, via_cost);
@@ -847,13 +835,7 @@ fn run(
         for &(to_tile, site) in &vnbr {
             let to = to_tile.0 as usize;
             let to_layer = space.tile(to_tile).layer;
-            // A via always enters a new (layer, cell) resource: charge
-            // the landing layer's cell plus the cell's via layer.
-            let pen = cong.map_or(0.0, |m| {
-                let tc = space.tile(to_tile).cell;
-                m.via_penalty(tc) + m.cell_penalty(to_layer.index(), tc)
-            });
-            let g2 = node_g + x_arch_len(node_entry, site) + via_cost + pen;
+            let g2 = node_g + x_arch_len(node_entry, site) + via_cost;
             let (upper, lower) =
                 if to_layer > layer { (layer, to_layer) } else { (to_layer, layer) };
             if windowed && !s.in_window(cells_x, space.tile(to_tile).cell) {

@@ -17,7 +17,6 @@ pub mod astar;
 pub mod bucket;
 pub mod cancel;
 pub mod cell_graph;
-pub mod congestion;
 pub mod mcmf;
 pub mod partition;
 pub mod realize;
@@ -27,6 +26,5 @@ pub use astar::{AstarResult, PathStep, SearchOptions, SearchStats};
 pub use bucket::BucketQueue;
 pub use cancel::CancelToken;
 pub use cell_graph::{CellGraph, MstEdge};
-pub use congestion::CongestionMap;
 pub use partition::{line_extension_partition, merge_cells};
 pub use space::{RoutingSpace, SpaceConfig, TileId, TileNode};

@@ -216,12 +216,6 @@ pub struct RoutingSpace {
     /// Monotone state tag: two spaces with equal revisions are identical.
     /// Search-side caches (the per-target heuristic cache) key on it.
     revision: u64,
-    /// Negotiated-congestion cost layers (see [`crate::congestion`]);
-    /// `None` keeps edge costs purely geometric. Boxed and owned by
-    /// value: these fields are *mutable* stage state, so an `Arc` would
-    /// alias mutations across clones. Trial journals do not cover them;
-    /// a trial must leave them alone (debug-asserted).
-    congestion: Option<Box<crate::congestion::CongestionMap>>,
     /// The undo journal of the open trial, if any (see
     /// [`RoutingSpace::begin_trial`]).
     trial: Option<Box<Trial>>,
@@ -519,7 +513,6 @@ impl RoutingSpace {
             adj_epoch: vec![0; ncells * layers],
             epoch_counter: 0,
             revision: REVISION.fetch_add(1, Ordering::Relaxed),
-            congestion: None,
             trial: None,
         };
         let mut scratch = GeomScratch::build(package, layout, layers);
@@ -552,40 +545,6 @@ impl RoutingSpace {
     /// outside the space key their validity on it.
     pub fn revision(&self) -> u64 {
         self.revision
-    }
-
-    /// Installs (or clears) the negotiated-congestion cost layers. Bumps
-    /// the revision: congestion only shifts edge costs `g` (never the
-    /// geometric heuristic), but a fresh tag keeps every revision-keyed
-    /// cache conservatively scoped to one cost regime.
-    pub fn set_congestion(&mut self, map: Option<crate::congestion::CongestionMap>) {
-        debug_assert!(self.trial.is_none(), "congestion layers are not journaled");
-        self.congestion = map.map(Box::new);
-        self.revision = REVISION.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The congestion cost layers, when installed.
-    #[inline]
-    pub fn congestion(&self) -> Option<&crate::congestion::CongestionMap> {
-        self.congestion.as_deref()
-    }
-
-    /// Mutable access to the congestion cost layers (the negotiation
-    /// driver escalates history and refreshes present counts between
-    /// iterations; no search runs concurrently with these updates).
-    pub fn congestion_mut(&mut self) -> Option<&mut crate::congestion::CongestionMap> {
-        debug_assert!(self.trial.is_none(), "congestion layers are not journaled");
-        self.congestion.as_deref_mut()
-    }
-
-    /// Occupancy of one `(layer, cell)`: `(blocked, total)` live tiles,
-    /// where a blocked tile carries at least one blocker. The ordering
-    /// features of the negotiation driver read this as a cheap local
-    /// congestion estimate.
-    pub fn cell_occupancy(&self, layer: WireLayer, cx: usize, cy: usize) -> (usize, usize) {
-        let ids = self.tiles_in_cell(layer, cx, cy);
-        let blocked = ids.iter().filter(|&&id| !self.tile(id).is_free()).count();
-        (blocked, ids.len())
     }
 
     /// The rectangle of global cell `(cx, cy)`.
@@ -745,11 +704,6 @@ impl RoutingSpace {
         drop(adj);
         self.adj_epoch = trial.adj_epoch;
         self.revision = trial.revision;
-    }
-
-    /// The global cell containing `p`, if inside the die.
-    pub fn cell_of(&self, p: Point) -> Option<(usize, usize)> {
-        self.cell_of_point(p)
     }
 
     /// Every global cell whose rectangle intersects `area`, row-major.

@@ -17,10 +17,10 @@
 //!   edit never dirtied (the ECO deliberately does not retry failures
 //!   the edit cannot have helped). The converse — the ECO routing a net
 //!   the full flow fails — is allowed and observed (g4/del5, g6/del2):
-//!   reuse preserves prior successes that a from-scratch negotiation
+//!   reuse preserves prior successes that a from-scratch route
 //!   re-loses. Exact status equality is *not* a property any
 //!   runtime-bounded incremental method can hold: the full flow's global
-//!   stages (partitioning, weighted-MPSC layer assignment, negotiated
+//!   stages (partitioning, weighted-MPSC layer assignment, sequential
 //!   rip-up) are path-dependent across an edit, and we measured its
 //!   result landing both ~15% longer (g1/del0) and ~35% shorter
 //!   (g5/del1) than the reuse ideal on the same golden suite;

@@ -170,3 +170,45 @@ fn id_length_boundary() {
     assert!(matches!(parse_request(&mk(256)), Ok(Request::Route(..))));
     assert!(matches!(parse_request(&mk(257)), Err(RouterError::BadInput { .. })));
 }
+
+/// The `config` object takes exactly its eight keys: all eight together
+/// are accepted, and any other key is rejected by name rather than
+/// ignored — a client still sending `congestion` must not silently get a
+/// different router than it asked for.
+#[test]
+fn config_accepts_its_eight_keys_and_names_any_other() {
+    let netlist = valid_netlist();
+    let mk = |config: &str| {
+        format!(
+            "{{\"op\":\"route\",\"id\":\"c1\",\"netlist\":{},\"config\":{config}}}",
+            json::Json::Str(netlist.clone())
+        )
+    };
+    let all = mk(
+        "{\"global_cells\":8,\"threads\":2,\"lp\":false,\"concurrent\":true,\
+         \"window\":true,\"stage_budget_ms\":60000,\"deadline_ms\":120000,\
+         \"net_status\":true}",
+    );
+    match parse_request(&all) {
+        Ok(Request::Route(job, net_status)) => {
+            assert!(net_status);
+            assert_eq!(job.cfg.global_cells, 8);
+            assert_eq!(job.cfg.threads, 2);
+            assert!(!job.cfg.lp_enabled);
+            assert_eq!(
+                job.deadline,
+                Some(std::time::Duration::from_millis(120_000))
+            );
+        }
+        other => panic!("all eight config keys must be accepted: {other:?}"),
+    }
+    match parse_request(&mk("{\"global_cells\":8,\"congestion\":true}")) {
+        Err(RouterError::BadInput { reason }) => {
+            assert!(
+                reason.contains("'congestion'"),
+                "reason must name the key: {reason}"
+            )
+        }
+        other => panic!("an unknown config key must be rejected: {other:?}"),
+    }
+}

@@ -1,10 +1,9 @@
 //! Thread-scaling determinism suite.
 //!
 //! The worker count only parallelizes read-only scans around the serial
-//! per-net loop (rip-up and negotiation victim scans, ordering features,
-//! LP constraint rows), so it must never change what gets routed. This
-//! suite pins that across the published scaling matrix (1/2/4/8
-//! threads):
+//! per-net loop (the rip-up victim scan, LP constraint rows), so it must
+//! never change what gets routed. This suite pins that across the
+//! published scaling matrix (1/2/4/8 threads):
 //!
 //! 1. layout hash **and** route journal are identical at every thread
 //!    count, on placid and rip-up-heavy circuits alike;
