@@ -1,6 +1,9 @@
 //! Regenerates the Fig. 7 claim: LP-based layout optimization shortens an
 //! initial routing solution, converging within the paper's observed
-//! iteration budget (≤ 50 on the largest benchmark).
+//! iteration budget (≤ 50 on the largest benchmark). `after` is the
+//! wirelength of the layout that is kept; `applied` says whether the
+//! optimized layout survived the safety net (`no` = reverted to the
+//! initial one because applying it added DRC violations or wirelength).
 //!
 //! Usage: `fig7_lpopt [max_index]` (default 3).
 
@@ -11,8 +14,8 @@ fn main() {
     let max_index: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(3);
     println!("Fig. 7 — wirelength before/after LP-based layout optimization");
     println!(
-        "{:<8} | {:>12} | {:>12} | {:>7} | {:>6} | {:>8}",
-        "Circuit", "before (um)", "after (um)", "gain %", "iters", "time (s)"
+        "{:<8} | {:>12} | {:>12} | {:>7} | {:>6} | {:>7} | {:>8}",
+        "Circuit", "before (um)", "after (um)", "gain %", "iters", "applied", "time (s)"
     );
     for idx in 1..=max_index {
         let pkg = info_gen::dense(idx);
@@ -29,12 +32,13 @@ fn main() {
             0.0
         };
         println!(
-            "{:<8} | {:>12.0} | {:>12.0} | {:>7.2} | {:>6} | {:>8.2}",
+            "{:<8} | {:>12.0} | {:>12.0} | {:>7.2} | {:>6} | {:>7} | {:>8.2}",
             format!("dense{idx}"),
             rep.wirelength_before / 1_000.0,
             rep.wirelength_after / 1_000.0,
             gain,
             rep.iterations,
+            if rep.applied { "yes" } else { "no" },
             dt.as_secs_f64()
         );
         if rep.iterations > 50 {

@@ -27,5 +27,12 @@ fn main() {
             rep.counter("cells_rebuilt"),
             rep.counter("layer_cells_reused"),
         );
+        println!(
+            "  lp {:?}  simplex iterations {}  passes reverted {}/{}",
+            out.timings.lp,
+            rep.counter("lp_simplex_iterations"),
+            rep.counter("lp_reverted"),
+            rep.counter("lp_passes"),
+        );
     }
 }

@@ -63,11 +63,6 @@ pub struct RouterConfig {
     ///
     /// [`RouteOutcome::telemetry`]: crate::flow::RouteOutcome::telemetry
     pub telemetry: bool,
-    /// Per-search A\* expansion-budget override for the sequential stage
-    /// (`None` keeps the tile layer's default cap). A testing/ablation
-    /// knob: shrinking it makes searches fail cheaply on demand, at the
-    /// price of losing nets whose paths legitimately need the expansions.
-    pub retry_expansion_budget: Option<usize>,
 }
 
 impl Default for RouterConfig {
@@ -89,7 +84,6 @@ impl Default for RouterConfig {
             stage_budget: None,
             fault_plan: FaultPlan::none(),
             telemetry: false,
-            retry_expansion_budget: None,
         }
     }
 }

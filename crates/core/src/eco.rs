@@ -18,8 +18,8 @@
 //!   any kept net whose segments intersect a dirty rect (defensive — a
 //!   DRC-legal prior never has one);
 //! - the LP re-runs only on components touched by the edit
-//!   ([`crate::lpopt::optimize_seeded`]), with [`Model::solve_warm`]
-//!   reuse inside exactly as in a full run.
+//!   ([`crate::lpopt::optimize_seeded`]), each sub-LP started at the
+//!   current layout exactly as in a full run.
 //!
 //! Net removals renumber [`NetId`]s, so the edit produces a *derived*
 //! package ([`EcoPlan::package`]) — the design a full route would be
@@ -38,7 +38,6 @@
 //!
 //! [`WarmSpaceCache`]: crate::warm::WarmSpaceCache
 //! [`RoutingSpace::rebuild_dirty_multi`]: info_tile::RoutingSpace::rebuild_dirty_multi
-//! [`Model::solve_warm`]: info_lp::Model::solve_warm
 
 use crate::flow::{Completion, InfoRouter, NetStatus, RouteOutcome, StageTimings};
 use crate::lpopt;
@@ -304,8 +303,6 @@ pub struct EcoStats {
     pub space_dirty_rebuild: bool,
     /// Nets seeding the dirty LP pass (0 = LP skipped entirely).
     pub lp_dirty_nets: usize,
-    /// Warm-basis (`solve_warm`) reuses inside the dirty LP pass.
-    pub lp_warm_basis_reuses: usize,
     /// LP components skipped as disjoint from the dirty seed.
     pub lp_components_skipped: usize,
 }
@@ -733,7 +730,6 @@ pub(crate) fn reroute_delta(
     if cfg.lp_enabled && !touched.is_empty() && !ctx.interrupted() {
         stats.lp_dirty_nets = touched.len();
         let rep = lpopt::optimize_seeded(uni, &mut layout, cfg, &ctx, Some(&touched));
-        stats.lp_warm_basis_reuses = rep.warm_basis_reuses;
         stats.lp_components_skipped = rep.components_skipped;
         lp_final = Some(rep);
     }

@@ -435,6 +435,8 @@ impl InfoRouter {
             Some(rep) => {
                 tel.count(Counter::LpPasses, 1);
                 tel.count(Counter::LpIterations, rep.iterations as u64);
+                tel.count(Counter::LpSimplexIterations, rep.simplex_iterations as u64);
+                tel.count(Counter::LpReverted, rep.reverted as u64);
                 let outcome = match (&outcome, rep.failures.first()) {
                     (StageOutcome::Ok, Some(e)) => StageOutcome::Recovered(e.clone()),
                     _ => outcome,

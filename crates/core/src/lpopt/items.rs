@@ -454,6 +454,43 @@ impl ItemModel {
         }
     }
 
+    /// The positions of the layout the model was extracted from.
+    pub fn initial_positions(&self) -> SolvedPositions {
+        SolvedPositions {
+            points: self.points.iter().map(|p| (p.initial.x as f64, p.initial.y as f64)).collect(),
+            vias: self.vias.iter().map(|v| (v.initial.x as f64, v.initial.y as f64)).collect(),
+            segs: self
+                .segs
+                .iter()
+                .map(|s| {
+                    let (a, b) = s.orient.coeffs();
+                    (a * s.initial.a.x + b * s.initial.a.y) as f64
+                })
+                .collect(),
+        }
+    }
+
+    /// Makes `pos` the model's start point: the inverse of
+    /// [`ItemModel::positions_from`].
+    pub fn set_start(&self, model: &mut Model, vars: &Vars, pos: &SolvedPositions) {
+        let mut set = |v: VRef, value: f64| {
+            if let VRef::Var(id) = v {
+                model.set_start(id, value);
+            }
+        };
+        for (&(x, y), &(px, py)) in vars.via_xy.iter().zip(&pos.vias) {
+            set(x, px);
+            set(y, py);
+        }
+        for (&(x, y), &(px, py)) in vars.point_xy.iter().zip(&pos.points) {
+            set(x, px);
+            set(y, py);
+        }
+        for (&c, &pc) in vars.seg_c.iter().zip(&pos.segs) {
+            set(c, pc);
+        }
+    }
+
     /// Reads solved positions out of an LP solution.
     pub fn positions_from(&self, sol: &Solution, vars: &Vars) -> SolvedPositions {
         let val = |v: VRef| -> f64 {

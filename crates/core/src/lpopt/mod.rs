@@ -20,6 +20,8 @@
 //! - **Feasibility clamp**: each interactive constraint's required gap is
 //!   clamped to the gap the *initial* layout achieves, so the initial
 //!   layout is always LP-feasible and optimization can only improve it.
+//!   The current positions are also each sub-LP's simplex start point,
+//!   so no solve spends phase 1 searching for a feasible point.
 //! - **Trust region**: every variable may move at most a bounded distance
 //!   from its initial value, which makes the nearest-blockage constraint
 //!   set sufficient (far-apart items cannot teleport into collision).
@@ -37,7 +39,7 @@ pub use items::{extract as extract_items, ItemModel, PointAnchor, SolvedPosition
 use crate::config::RouterConfig;
 use crate::resilience::{FaultSite, FlowCtx, RouterError};
 use constraints::ExprRef;
-use info_lp::{Model, WarmBasis};
+use info_lp::Model;
 use info_model::{Layout, NetId, Package};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -52,6 +54,9 @@ pub struct LpOptReport {
     pub iterations: usize,
     /// Whether optimization was applied (false = kept the initial layout).
     pub applied: bool,
+    /// Whether the solved layout was thrown away by the safety net because
+    /// applying it added DRC violations or wirelength.
+    pub reverted: bool,
     /// Solver failures encountered; each froze exactly one component at
     /// its pre-LP geometry while the rest kept optimizing.
     pub failures: Vec<RouterError>,
@@ -60,9 +65,8 @@ pub struct LpOptReport {
     /// Component visits skipped because the component was disjoint from
     /// the dirty set — untouched geometry an ECO pass never re-solves.
     pub components_skipped: usize,
-    /// Sub-LP solves seeded by a cached final basis from a previous
-    /// solve of the same subset ([`Model::solve_warm`] reuse).
-    pub warm_basis_reuses: usize,
+    /// Simplex iterations summed over every sub-LP solve.
+    pub simplex_iterations: usize,
 }
 
 fn net_of(items: &ItemModel, e: ExprRef) -> Option<NetId> {
@@ -145,10 +149,11 @@ pub fn optimize_seeded(
         wirelength_after: before,
         iterations: 0,
         applied: false,
+        reverted: false,
         failures: Vec::new(),
         components_solved: 0,
         components_skipped: 0,
-        warm_basis_reuses: 0,
+        simplex_iterations: 0,
     };
     let Some(items) = items::extract(package, layout) else {
         return report;
@@ -172,39 +177,11 @@ pub fn optimize_seeded(
     }
 
     // Global solved positions, initialized to the current layout.
-    let mut solved = items::SolvedPositions {
-        points: items
-            .points
-            .iter()
-            .map(|p| (p.initial.x as f64, p.initial.y as f64))
-            .collect(),
-        vias: items
-            .vias
-            .iter()
-            .map(|v| (v.initial.x as f64, v.initial.y as f64))
-            .collect(),
-        segs: items
-            .segs
-            .iter()
-            .map(|s| {
-                let (a, b) = s.orient.coeffs();
-                (a * s.initial.a.x + b * s.initial.a.y) as f64
-            })
-            .collect(),
-    };
+    let mut solved = items.initial_positions();
 
     let mut extra: Vec<Separation> = Vec::new();
     let mut frozen: BTreeSet<NetId> = BTreeSet::new();
     let mut dirty: Option<BTreeSet<NetId>> = seed.cloned(); // None = all dirty
-                                                            // Warm-start cache: final simplex basis per solved subset. The same
-                                                            // subset re-solves with an identically-shaped model on every
-                                                            // Gauss-Seidel sweep and on every crossing-repair iteration that
-                                                            // leaves its constraint set unchanged (only `required` right-hand
-                                                            // sides drift as neighbors move), so the previous basis usually
-                                                            // prices out immediately. Shape changes are detected by the solver
-                                                            // itself and fall back to a cold start, so the cache never needs
-                                                            // invalidation for correctness.
-    let mut warm: BTreeMap<BTreeSet<NetId>, WarmBasis> = BTreeMap::new();
     let max_iters = if cfg.lp_max_iterations > 0 {
         cfg.lp_max_iterations
     } else {
@@ -262,25 +239,16 @@ pub fn optimize_seeded(
                 if ctx.interrupted() {
                     break;
                 }
-                if warm.contains_key(&subset) {
-                    report.warm_basis_reuses += 1;
-                }
-                if let Err(e) = solve_subset(
-                    package,
-                    &items,
-                    &base,
-                    &extra,
-                    &subset,
-                    &mut solved,
-                    &mut warm,
-                    ctx,
-                ) {
-                    // Solver failure: this component keeps its pre-LP
-                    // geometry; everything else continues to optimize.
-                    frozen.extend(comp.iter().copied());
-                    reset_to_initial(&items, &comp, &mut solved);
-                    report.failures.push(e);
-                    break;
+                match solve_subset(package, &items, &base, &extra, &subset, &mut solved, ctx) {
+                    Ok(iterations) => report.simplex_iterations += iterations,
+                    Err(e) => {
+                        // Solver failure: this component keeps its pre-LP
+                        // geometry; everything else continues to optimize.
+                        frozen.extend(comp.iter().copied());
+                        reset_to_initial(&items, &comp, &mut solved);
+                        report.failures.push(e);
+                        break;
+                    }
                 }
             }
         }
@@ -307,25 +275,8 @@ pub fn optimize_seeded(
         if !progressed {
             // The same crossing persists without new information: freeze
             // the offenders at their initial geometry.
-            for n in &now_dirty {
-                frozen.insert(*n);
-            }
-            for (pi, p) in items.points.iter().enumerate() {
-                if now_dirty.contains(&p.net) {
-                    solved.points[pi] = (p.initial.x as f64, p.initial.y as f64);
-                }
-            }
-            for (si, s) in items.segs.iter().enumerate() {
-                if now_dirty.contains(&s.net) {
-                    let (a, b) = s.orient.coeffs();
-                    solved.segs[si] = (a * s.initial.a.x + b * s.initial.a.y) as f64;
-                }
-            }
-            for (vi, v) in items.vias.iter().enumerate() {
-                if now_dirty.contains(&v.net) {
-                    solved.vias[vi] = (v.initial.x as f64, v.initial.y as f64);
-                }
-            }
+            frozen.extend(now_dirty.iter().copied());
+            reset_to_initial(&items, &now_dirty, &mut solved);
             if apply::find_crossings(&items, &solved).is_empty() {
                 break;
             }
@@ -347,6 +298,7 @@ pub fn optimize_seeded(
         let wl_after: f64 = layout.routes().map(|r| r.length()).sum();
         if violations_after > violations_before || wl_after > report.wirelength_before {
             *layout = snapshot;
+            report.reverted = true;
             return report;
         }
         report.applied = true;
@@ -397,10 +349,10 @@ fn reset_to_initial(
 
 /// Builds and solves the LP restricted to `subset`, with all other nets
 /// fixed at their current solved positions; writes the solution back into
-/// `solved`. The subset's previous final basis (if cached in `warm`) seeds
-/// the solve and the new one replaces it. Returns the typed solver error
-/// on an LP failure.
-#[allow(clippy::too_many_arguments)]
+/// `solved`. The subset's current positions are the simplex's start point:
+/// every constraint is clamped to its current gap, so that start is
+/// feasible and the solve skips phase 1. Returns the simplex iterations
+/// spent, or the typed solver error on an LP failure.
 fn solve_subset(
     package: &Package,
     items: &ItemModel,
@@ -408,9 +360,8 @@ fn solve_subset(
     extra: &[Separation],
     subset: &BTreeSet<NetId>,
     solved: &mut items::SolvedPositions,
-    warm: &mut BTreeMap<BTreeSet<NetId>, WarmBasis>,
     ctx: &FlowCtx,
-) -> Result<(), RouterError> {
+) -> Result<usize, RouterError> {
     let (sub, pmap, smap, vmap) = items.filter_nets(subset);
     let mut model = Model::new();
     let vars = sub.build_variables(&mut model, package);
@@ -452,12 +403,18 @@ fn solve_subset(
         rc.add_to(&mut model, &vars, &sub);
     }
     ctx.check(FaultSite::LpFactorize)?;
-    let mut basis = warm.remove(subset);
-    let outcome = model.solve_warm(&mut basis);
-    if let Some(b) = basis {
-        warm.insert(subset.clone(), b);
+    let mut start = sub.initial_positions();
+    for (&g, &l) in &pmap {
+        start.points[l] = solved.points[g];
     }
-    match outcome {
+    for (&g, &l) in &smap {
+        start.segs[l] = solved.segs[g];
+    }
+    for (&g, &l) in &vmap {
+        start.vias[l] = solved.vias[g];
+    }
+    sub.set_start(&mut model, &vars, &start);
+    match model.solve() {
         Ok(sol) => {
             let sub_solved = sub.positions_from(&sol, &vars);
             for (&g, &l) in &pmap {
@@ -469,7 +426,7 @@ fn solve_subset(
             for (&g, &l) in &vmap {
                 solved.vias[g] = sub_solved.vias[l];
             }
-            Ok(())
+            Ok(sol.iterations)
         }
         Err(e) => Err(RouterError::Lp(e)),
     }

@@ -587,11 +587,7 @@ fn try_route_net(
             return Ok((draft, false));
         }
     }
-    let opts = astar::SearchOptions {
-        windowed: cfg.search_window,
-        expansion_budget: cfg.retry_expansion_budget,
-        ..Default::default()
-    };
+    let opts = astar::SearchOptions { windowed: cfg.search_window, ..Default::default() };
     let mut search = astar::SearchStats::default();
     let found =
         astar::route_cancellable(space, id, src, dst, opts, Some(ctx.token()), &mut search);

@@ -522,16 +522,24 @@ fn parse_config(v: &Json) -> Result<(RouterConfig, Option<Duration>, bool), Rout
 /// Parses the `changes` object of an `eco` request:
 /// `{"remove": [net, ...], "add": [[padA, padB], ...],
 ///   "re_pair": [[net, padA, padB], ...]}` — indices into the base
-/// netlist's net/pad tables. Semantic validation (unknown ids, pad
-/// conflicts) happens when the change set is planned against the
-/// package, so malformed edits come back as typed rejections.
+/// netlist's net/pad tables. Any other key is rejected rather than
+/// ignored, so a misspelled edit never comes back as a successful no-op.
+/// Semantic validation (unknown ids, pad conflicts) happens when the
+/// change set is planned against the package, so malformed edits come
+/// back as typed rejections.
 fn parse_changes(v: &Json) -> Result<EcoChangeSet, RouterError> {
     let bad = |reason: String| RouterError::BadInput { reason };
     let c = v
         .get("changes")
         .ok_or_else(|| bad("eco requires object field 'changes'".into()))?;
-    if c.as_obj().is_none() {
+    let Some(members) = c.as_obj() else {
         return Err(bad("field 'changes' must be an object".into()));
+    };
+    if let Some((key, _)) = members
+        .iter()
+        .find(|(k, _)| !["remove", "add", "re_pair"].contains(&k.as_str()))
+    {
+        return Err(bad(format!("unknown changes key '{key}'")));
     }
     let index = |item: &Json, what: &str| -> Result<usize, RouterError> {
         let n = item
@@ -690,10 +698,6 @@ pub fn response_json(r: &JobResult, include_net_status: bool) -> Json {
                         (
                             "lp_dirty_nets".to_string(),
                             Json::Num(eco.lp_dirty_nets as f64),
-                        ),
-                        (
-                            "lp_warm_basis_reuses".to_string(),
-                            Json::Num(eco.lp_warm_basis_reuses as f64),
                         ),
                     ]),
                 ));

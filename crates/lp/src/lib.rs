@@ -12,8 +12,11 @@
 //! - all variables carry individual `[lower, upper]` bounds (either may be
 //!   infinite), so geometric LPs with free coordinates need no variable
 //!   splitting;
-//! - phase 1 minimizes the sum of artificial variables; phase 2 the real
-//!   objective.
+//! - the solve starts from a caller-given point ([`Model::set_start`]):
+//!   every column sits nonbasic at its start value and slacks take up the
+//!   rows' residuals, so a feasible start goes straight to phase 2; phase 1
+//!   minimizes the sum of artificial variables on the rows a start
+//!   violates, phase 2 the real objective.
 //!
 //! A deliberately simple dense-inverse basis engine backs the same simplex
 //! driver and serves as a cross-checking oracle in the test suite.
@@ -46,4 +49,4 @@ mod simplex;
 
 pub use error::LpError;
 pub use model::{Cmp, Model, RowId, Solution, VarId};
-pub use simplex::{CoreLp, SimplexOptions, SolveStatus, WarmBasis};
+pub use simplex::{CoreLp, SimplexOptions, SolveStatus};

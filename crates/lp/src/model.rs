@@ -2,7 +2,7 @@
 
 use crate::basis::LuBasis;
 use crate::error::LpError;
-use crate::simplex::{CoreLp, SimplexOptions, SolveStatus, WarmBasis};
+use crate::simplex::{bound_start, CoreLp, SimplexOptions, SolveStatus};
 use crate::sparse::{ColMatrix, SparseVec};
 use std::ops::Index;
 
@@ -54,6 +54,7 @@ pub struct Model {
     lb: Vec<f64>,
     ub: Vec<f64>,
     obj: Vec<f64>,
+    start: Vec<Option<f64>>,
     rows: Vec<RowData>,
     options: SimplexOptions,
 }
@@ -96,6 +97,7 @@ impl Model {
         self.lb.push(lb);
         self.ub.push(ub);
         self.obj.push(obj);
+        self.start.push(None);
         VarId(self.lb.len() - 1)
     }
 
@@ -138,6 +140,19 @@ impl Model {
         self.ub[v.0] = ub;
     }
 
+    /// Sets the value `v` takes in the simplex's starting point (clamped
+    /// into its bounds). A variable without one starts at its finite lower
+    /// bound, else its finite upper bound, else zero. A start that
+    /// satisfies every row goes straight to phase 2; rows it violates are
+    /// repaired by phase 1.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` does not belong to this model.
+    pub fn set_start(&mut self, v: VarId, value: f64) {
+        self.start[v.0] = Some(value);
+    }
+
     /// Lowers the model into computational form: every row gets a slack
     /// column (`≤` → slack in `[0, ∞)`, `≥` → `(-∞, 0]`, `=` → fixed 0),
     /// turning all rows into equalities.
@@ -158,6 +173,9 @@ impl Model {
         let mut lb = self.lb.clone();
         let mut ub = self.ub.clone();
         let mut obj = self.obj.clone();
+        let mut start: Vec<f64> = (0..n)
+            .map(|j| self.start[j].unwrap_or_else(|| bound_start(self.lb[j], self.ub[j])))
+            .collect();
         let mut rhs = Vec::with_capacity(m);
         for (i, row) in self.rows.iter().enumerate() {
             cols.push_col(SparseVec::from_entries([(i, 1.0)]));
@@ -169,41 +187,27 @@ impl Model {
             lb.push(slb);
             ub.push(sub);
             obj.push(0.0);
+            start.push(0.0);
             rhs.push(row.rhs);
         }
-        CoreLp { cols, obj, lb, ub, rhs }
+        CoreLp { cols, obj, lb, ub, rhs, start }
     }
 
-    /// Solves the model to optimality with the sparse LU engine.
+    /// Solves the model to optimality with the sparse LU engine, from the
+    /// start point set by [`Model::set_start`].
     ///
-    /// A light presolve runs first: variables fixed by their bounds
-    /// (`lb == ub`) are substituted into the rows, and rows left without
-    /// variables are checked for consistency (inconsistent constants make
-    /// the model [`LpError::Infeasible`] without a simplex run).
+    /// A light presolve runs first: every one-variable row is folded into
+    /// its variable's bounds (an `=` row fixes it), then variables fixed by
+    /// their bounds (`lb == ub`) are substituted into the rows, and rows
+    /// left without variables are checked for consistency. Crossed bounds
+    /// and inconsistent constants make the model [`LpError::Infeasible`]
+    /// without a simplex run.
     ///
     /// # Errors
     ///
     /// [`LpError::Infeasible`], [`LpError::Unbounded`], or a numerical
     /// failure ([`LpError::SingularBasis`], [`LpError::IterationLimit`]).
     pub fn solve(&self) -> Result<Solution, LpError> {
-        self.solve_warm(&mut None)
-    }
-
-    /// Solves the model like [`Model::solve`], additionally reading a
-    /// warm-start basis hint from `warm` and writing the final basis back
-    /// into it for the next call.
-    ///
-    /// The snapshot corresponds to the *presolved* core problem, so it
-    /// transfers between calls only when the model keeps its shape
-    /// (same variables, same fixed-variable pattern, same rows) — exactly
-    /// the repeated re-solve pattern of the layout optimizer's sweeps.
-    /// A hint that does not fit is ignored (cold start), never an error,
-    /// so callers may cache snapshots without tracking shape themselves.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Model::solve`].
-    pub fn solve_warm(&self, warm: &mut Option<WarmBasis>) -> Result<Solution, LpError> {
         for (j, (&l, &u)) in self.lb.iter().zip(self.ub.iter()).enumerate() {
             if l > u {
                 return Err(LpError::InvalidModel(format!("variable {j}: lb {l} > ub {u}")));
@@ -222,48 +226,58 @@ impl Model {
                 }
             }
         }
+        const FEAS_EPS: f64 = 1e-7;
 
-        // --- Presolve: substitute fixed variables, drop empty rows.
+        // --- Presolve 1: fold one-variable rows into bounds.
         let n = self.num_vars();
-        let fixed: Vec<bool> = (0..n).map(|j| self.lb[j] == self.ub[j]).collect();
-        let n_free = fixed.iter().filter(|f| !*f).count();
-        if n_free == n {
-            // Nothing to presolve: solve directly.
-            let core = self.to_core();
-            let (sol, next) = core.solve_warm_with(
-                LuBasis::new(self.options.refactor_every),
-                self.options,
-                warm.as_ref(),
-            )?;
-            *warm = Some(next);
-            let mut values = sol.x;
-            values.truncate(n);
-            return Ok(Solution {
-                status: SolveStatus::Optimal,
-                objective: sol.objective,
-                values,
-                iterations: sol.iterations,
-            });
+        let (mut lb, mut ub) = (self.lb.clone(), self.ub.clone());
+        let mut rows: Vec<&RowData> = Vec::with_capacity(self.rows.len());
+        for row in &self.rows {
+            let Some(&(j, _)) = row.entries.first() else {
+                rows.push(row);
+                continue;
+            };
+            let a: f64 = row.entries.iter().map(|&(_, c)| c).sum();
+            if a == 0.0 || row.entries.iter().any(|&(k, _)| k != j) {
+                rows.push(row); // several variables, or a vanishing one
+                continue;
+            }
+            let v = row.rhs / a;
+            match (row.cmp, a > 0.0) {
+                (Cmp::Eq, _) => (lb[j], ub[j]) = (lb[j].max(v), ub[j].min(v)),
+                (Cmp::Le, true) | (Cmp::Ge, false) => ub[j] = ub[j].min(v),
+                (Cmp::Ge, true) | (Cmp::Le, false) => lb[j] = lb[j].max(v),
+            }
+            if lb[j] > ub[j] {
+                if lb[j] - ub[j] > FEAS_EPS {
+                    return Err(LpError::Infeasible);
+                }
+                let mid = 0.5 * (lb[j] + ub[j]);
+                (lb[j], ub[j]) = (mid, mid);
+            }
         }
-        // Map old variable index → reduced index.
+
+        // --- Presolve 2: substitute fixed variables, drop empty rows.
+        let fixed: Vec<bool> = (0..n).map(|j| lb[j] == ub[j]).collect();
         let mut reduced = Model::new();
         reduced.set_options(self.options);
         let mut map = vec![usize::MAX; n];
         let mut fixed_obj = 0.0;
         for j in 0..n {
             if fixed[j] {
-                fixed_obj += self.obj[j] * self.lb[j];
+                fixed_obj += self.obj[j] * lb[j];
             } else {
-                map[j] = reduced.add_var(self.lb[j], self.ub[j], self.obj[j]).0;
+                let v = reduced.add_var(lb[j], ub[j], self.obj[j]);
+                reduced.start[v.0] = self.start[j];
+                map[j] = v.0;
             }
         }
-        const FEAS_EPS: f64 = 1e-7;
-        for (i, row) in self.rows.iter().enumerate() {
+        for row in rows {
             let mut rhs = row.rhs;
             let mut terms: Vec<(VarId, f64)> = Vec::with_capacity(row.entries.len());
             for &(j, c) in &row.entries {
                 if fixed[j] {
-                    rhs -= c * self.lb[j];
+                    rhs -= c * lb[j];
                 } else {
                     terms.push((VarId(map[j]), c));
                 }
@@ -278,23 +292,15 @@ impl Model {
                 if !ok {
                     return Err(LpError::Infeasible);
                 }
-                let _ = i;
                 continue;
             }
             reduced.add_row(terms, row.cmp, rhs);
         }
-        let core = reduced.to_core();
-        let (sol, next) = core.solve_warm_with(
-            LuBasis::new(self.options.refactor_every),
-            self.options,
-            warm.as_ref(),
-        )?;
-        *warm = Some(next);
+        let engine = LuBasis::new(self.options.refactor_every);
+        let sol = reduced.to_core().solve_with(engine, self.options)?;
         // Scatter back to the full variable space.
-        let mut values = vec![0.0; n];
-        for j in 0..n {
-            values[j] = if fixed[j] { self.lb[j] } else { sol.x[map[j]] };
-        }
+        let values: Vec<f64> =
+            (0..n).map(|j| if fixed[j] { lb[j] } else { sol.x[map[j]] }).collect();
         let objective: f64 = sol
             .x
             .iter()
@@ -406,45 +412,56 @@ mod tests {
         assert!((s.objective - 1.0).abs() < 1e-9);
     }
 
+    /// `min obj·x` over one variable in `[lb, ub]` with one extra row.
+    fn one_var(lb: f64, ub: f64, obj: f64, coef: f64, cmp: Cmp, rhs: f64) -> Result<f64, LpError> {
+        let mut m = Model::new();
+        let x = m.add_var(lb, ub, obj);
+        m.add_row([(x, coef)], cmp, rhs);
+        m.solve().map(|s| s[x])
+    }
+
     #[test]
-    fn solve_warm_round_trips_through_presolve() {
-        // The lpopt sweep pattern: rebuild an identically-shaped model
-        // (with a fixed variable, so presolve runs) whose rhs drifted,
-        // reusing the snapshot from the previous solve. Results must match
-        // a cold solve exactly in objective.
-        let build = |rhs: f64| {
-            let mut m = Model::new();
-            let pin = m.add_var(1.0, 1.0, 0.0); // fixed: exercises presolve
-            let x = m.add_var(0.0, f64::INFINITY, 1.0);
-            let y = m.add_var(0.0, f64::INFINITY, 3.0);
-            m.add_row([(pin, 1.0), (x, 1.0), (y, 1.0)], Cmp::Ge, rhs);
-            m.add_row([(x, 1.0), (y, -1.0)], Cmp::Le, 2.0);
-            (m, x, y)
-        };
-        let mut warm = None;
-        let (m1, _, _) = build(6.0);
-        let cold1 = m1.solve().unwrap();
-        let warm1 = m1.solve_warm(&mut warm).unwrap();
-        assert!((cold1.objective - warm1.objective).abs() < 1e-9);
-        assert!(warm.is_some(), "snapshot must be captured");
-        // Second solve, same shape, drifted rhs: warm hint applies.
-        let (m2, x, y) = build(8.0);
-        let warm2 = m2.solve_warm(&mut warm).unwrap();
-        let cold2 = m2.solve().unwrap();
-        assert!(
-            (warm2.objective - cold2.objective).abs() < 1e-7,
-            "warm {} vs cold {}",
-            warm2.objective,
-            cold2.objective
-        );
-        assert!((warm2[x] - cold2[x]).abs() < 1e-7);
-        assert!((warm2[y] - cold2[y]).abs() < 1e-7);
-        assert!(
-            warm2.iterations <= cold2.iterations,
-            "warm start must not do more work ({} > {})",
-            warm2.iterations,
-            cold2.iterations
-        );
+    fn fold_keeps_the_tightest_bound() {
+        // x ∈ [0, 10], 2x ≤ 8 → x ≤ 4 binds; 2x ≤ 30 leaves ub = 10.
+        assert!((one_var(0.0, 10.0, -1.0, 2.0, Cmp::Le, 8.0).unwrap() - 4.0).abs() < 1e-9);
+        assert!((one_var(0.0, 10.0, -1.0, 2.0, Cmp::Le, 30.0).unwrap() - 10.0).abs() < 1e-9);
+        // A lower-bound row tighter than lb: x ≥ 3.
+        assert!((one_var(0.0, 10.0, 1.0, 1.0, Cmp::Ge, 3.0).unwrap() - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fold_flips_on_a_negative_coefficient() {
+        // −2x ≤ −6 is x ≥ 3; −x ≥ −5 is x ≤ 5.
+        assert!((one_var(0.0, 10.0, 1.0, -2.0, Cmp::Le, -6.0).unwrap() - 3.0).abs() < 1e-9);
+        assert!((one_var(0.0, 10.0, -1.0, -1.0, Cmp::Ge, -5.0).unwrap() - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fold_eq_fixes_the_variable() {
+        // 4x = 6 fixes x = 1.5, which then substitutes into x + y ≥ 4.
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 10.0, -1.0);
+        let y = m.add_var(0.0, 10.0, 1.0);
+        m.add_row([(x, 4.0)], Cmp::Eq, 6.0);
+        m.add_row([(x, 1.0), (y, 1.0)], Cmp::Ge, 4.0);
+        let s = m.solve().unwrap();
+        assert_eq!(s[x], 1.5);
+        assert!((s[y] - 2.5).abs() < 1e-9);
+        assert!((s.objective - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fold_detects_crossed_singletons() {
+        // x ≥ 5 and x ≤ 4 cross; so does x = 11 against ub 10.
+        let mut m = Model::new();
+        let x = m.add_var(0.0, 10.0, 1.0);
+        m.add_row([(x, 1.0)], Cmp::Ge, 5.0);
+        m.add_row([(x, 1.0)], Cmp::Le, 4.0);
+        assert_eq!(m.solve().unwrap_err(), LpError::Infeasible);
+        assert_eq!(one_var(0.0, 10.0, 0.0, 1.0, Cmp::Eq, 11.0).unwrap_err(), LpError::Infeasible);
+        // Bounds that cross by less than the tolerance collapse instead.
+        let x = one_var(0.0, 10.0, 1.0, 1.0, Cmp::Ge, 10.0 + 1e-9).unwrap();
+        assert!((x - 10.0).abs() < 1e-8);
     }
 
     #[test]

@@ -52,6 +52,23 @@ pub struct CoreLp {
     pub ub: Vec<f64>,
     /// Right-hand side per row.
     pub rhs: Vec<f64>,
+    /// Starting value per column, clamped into its bounds. Every column
+    /// starts nonbasic there except one per row, which takes up the row's
+    /// residual `rhs − cols·start`; a start that satisfies every row within
+    /// the feasibility tolerance therefore skips phase 1.
+    pub start: Vec<f64>,
+}
+
+/// The conventional starting value of a column with bounds `[lb, ub]`: its
+/// finite lower bound, else its finite upper bound, else zero.
+pub(crate) fn bound_start(lb: f64, ub: f64) -> f64 {
+    if lb.is_finite() {
+        lb
+    } else if ub.is_finite() {
+        ub
+    } else {
+        0.0
+    }
 }
 
 /// Optimal solution of a [`CoreLp`].
@@ -65,44 +82,14 @@ pub struct CoreSolution {
     pub iterations: usize,
 }
 
-/// A reusable basis snapshot from a completed solve.
-///
-/// Produced by [`CoreLp::solve_warm_with`] and accepted back by it to
-/// warm-start a later solve of a *same-shaped* problem (equal row and
-/// column counts). Reuse is strictly an accelerator, never a correctness
-/// dependency: the solver re-validates the snapshot against the new
-/// problem — dimensions, duplicate columns, factorizability, and primal
-/// feasibility of the implied basic values — and silently falls back to
-/// the cold crash basis when any check fails. A snapshot whose final
-/// basis still contained an artificial column is recorded as unusable
-/// ([`WarmBasis::is_usable`] is `false`) and behaves like `None`.
-#[derive(Debug, Clone, Default)]
-pub struct WarmBasis {
-    /// Structural column count of the producing problem.
-    ncols: usize,
-    /// Row count of the producing problem.
-    nrows: usize,
-    /// Basic column per basis position (all `< ncols`).
-    basis: Vec<usize>,
-    /// Per structural column: was it nonbasic at its *upper* bound?
-    /// (Lower/free placement is re-derived from the new bounds.)
-    at_upper: Vec<bool>,
-}
-
-impl WarmBasis {
-    /// Whether the snapshot captured a reusable all-structural basis.
-    pub fn is_usable(&self) -> bool {
-        self.basis.len() == self.nrows && self.ncols > 0
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum VarState {
     Basic(usize),
     AtLower,
     AtUpper,
-    /// Free variable currently nonbasic at value zero.
-    FreeZero,
+    /// Nonbasic strictly between its bounds (a free column at zero, or a
+    /// column left at its start value); it may move either way.
+    Between,
 }
 
 struct Solver<'a, E: BasisEngine> {
@@ -112,6 +99,7 @@ struct Solver<'a, E: BasisEngine> {
     lb: Vec<f64>,
     ub: Vec<f64>,
     rhs: &'a [f64],
+    start: &'a [f64],
     n_orig: usize,
     state: Vec<VarState>,
     /// Basis position -> column.
@@ -138,7 +126,8 @@ impl CoreLp {
         self.cols.nrows()
     }
 
-    /// Solves the program with the given basis engine.
+    /// Solves the program with the given basis engine, starting from
+    /// [`CoreLp::start`].
     ///
     /// # Errors
     ///
@@ -149,38 +138,13 @@ impl CoreLp {
         engine: E,
         opts: SimplexOptions,
     ) -> Result<CoreSolution, LpError> {
-        self.solve_warm_with(engine, opts, None).map(|(sol, _)| sol)
-    }
-
-    /// Solves the program, optionally warm-starting from a [`WarmBasis`]
-    /// captured on an earlier solve, and returns the solution together
-    /// with a snapshot of the final basis for reuse.
-    ///
-    /// A warm basis that no longer fits (shape mismatch, singular after
-    /// bound/rhs drift, or primal-infeasible basic values) is discarded
-    /// and the solve proceeds from the cold crash basis, so passing a
-    /// stale snapshot is always safe.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CoreLp::solve_with`].
-    pub fn solve_warm_with<E: BasisEngine>(
-        &self,
-        engine: E,
-        opts: SimplexOptions,
-        warm: Option<&WarmBasis>,
-    ) -> Result<(CoreSolution, WarmBasis), LpError> {
         self.validate()?;
         let mut solver = Solver::new(self, engine, opts);
-        let warmed = warm.is_some_and(|w| solver.try_warm_basis(w));
-        if !warmed {
-            solver.crash_basis();
-            solver.refactorize_and_recompute()?;
-        }
+        solver.crash_basis();
+        solver.refactorize_and_recompute()?;
 
         // Phase 1: minimize the sum of artificial variables, if any carry
-        // a nonzero value. (A warm basis has no artificial columns and
-        // arrives primal-feasible, so it skips straight to phase 2.)
+        // a nonzero value (only rows the start violates have one).
         let needs_phase1 =
             solver.basis.iter().enumerate().any(|(p, &j)| j >= solver.n_orig && solver.xb[p] > opts.feas_tol);
         if needs_phase1 {
@@ -220,13 +184,12 @@ impl CoreLp {
         }
         x.truncate(self.ncols());
         let objective = x.iter().zip(self.obj.iter()).map(|(a, b)| a * b).sum();
-        let warm_out = solver.capture_warm();
-        Ok((CoreSolution { x, objective, iterations: solver.iterations }, warm_out))
+        Ok(CoreSolution { x, objective, iterations: solver.iterations })
     }
 
     fn validate(&self) -> Result<(), LpError> {
         let n = self.ncols();
-        if self.obj.len() != n || self.lb.len() != n || self.ub.len() != n {
+        if [self.obj.len(), self.lb.len(), self.ub.len(), self.start.len()] != [n; 4] {
             return Err(LpError::InvalidModel("mismatched column array lengths".into()));
         }
         if self.rhs.len() != self.nrows() {
@@ -239,7 +202,7 @@ impl CoreLp {
                     self.lb[j], self.ub[j]
                 )));
             }
-            if self.obj[j].is_nan() || self.lb[j].is_nan() || self.ub[j].is_nan() {
+            if [self.obj[j], self.lb[j], self.ub[j], self.start[j]].iter().any(|v| v.is_nan()) {
                 return Err(LpError::InvalidModel(format!("column {j} has NaN data")));
             }
         }
@@ -258,6 +221,7 @@ impl<'a, E: BasisEngine> Solver<'a, E> {
             lb: lp.lb.clone(),
             ub: lp.ub.clone(),
             rhs: &lp.rhs,
+            start: &lp.start,
             n_orig: lp.ncols(),
             state: Vec::new(),
             basis: Vec::new(),
@@ -278,22 +242,22 @@ impl<'a, E: BasisEngine> Solver<'a, E> {
         }
     }
 
-    /// Builds the initial basis: default nonbasic values, then per row a
-    /// singleton column whose implied value fits its bounds (a slack,
-    /// typically), else an artificial column.
+    /// Builds the initial basis: every column nonbasic at its start value,
+    /// then per row a singleton column whose value on the row's residual
+    /// fits its bounds (a slack, typically), else an artificial column.
     fn crash_basis(&mut self) {
         let n = self.n_orig;
         self.state = Vec::with_capacity(n);
         self.xval = Vec::with_capacity(n);
         for j in 0..n {
-            let (st, v) = if self.lb[j].is_finite() {
-                (VarState::AtLower, self.lb[j])
-            } else if self.ub[j].is_finite() {
-                (VarState::AtUpper, self.ub[j])
+            let v = self.start[j].max(self.lb[j]).min(self.ub[j]);
+            self.state.push(if v == self.lb[j] {
+                VarState::AtLower
+            } else if v == self.ub[j] {
+                VarState::AtUpper
             } else {
-                (VarState::FreeZero, 0.0)
-            };
-            self.state.push(st);
+                VarState::Between
+            });
             self.xval.push(v);
         }
 
@@ -342,7 +306,6 @@ impl<'a, E: BasisEngine> Solver<'a, E> {
                     self.state[j] = VarState::Basic(self.basis.len());
                     self.basis.push(j);
                     self.xb.push(v);
-                    let _ = v;
                 }
                 None => {
                     // Artificial with sign matching the residual.
@@ -356,84 +319,6 @@ impl<'a, E: BasisEngine> Solver<'a, E> {
                     self.xb.push(resid.abs());
                 }
             }
-        }
-    }
-
-    /// Attempts to install a previously captured basis. Returns `false`
-    /// (leaving the solver ready for a cold [`Solver::crash_basis`]) when
-    /// the snapshot does not fit the current problem: wrong shape, a
-    /// repeated/out-of-range basic column, a singular factorization, or
-    /// basic values pushed outside their bounds by rhs/bound drift — the
-    /// primal method needs a feasible start, so those must cold-start.
-    fn try_warm_basis(&mut self, warm: &WarmBasis) -> bool {
-        if !warm.is_usable() || warm.ncols != self.n_orig || warm.nrows != self.nrows {
-            return false;
-        }
-        let n = self.n_orig;
-        self.state.clear();
-        self.xval.clear();
-        for j in 0..n {
-            let (st, v) = if warm.at_upper[j] && self.ub[j].is_finite() {
-                (VarState::AtUpper, self.ub[j])
-            } else if self.lb[j].is_finite() {
-                (VarState::AtLower, self.lb[j])
-            } else if self.ub[j].is_finite() {
-                (VarState::AtUpper, self.ub[j])
-            } else {
-                (VarState::FreeZero, 0.0)
-            };
-            self.state.push(st);
-            self.xval.push(v);
-        }
-        self.basis.clear();
-        self.basis.extend_from_slice(&warm.basis);
-        self.xb.clear();
-        self.xb.resize(self.nrows, 0.0);
-        let mut seen = vec![false; n];
-        for (p, &j) in warm.basis.iter().enumerate() {
-            if j >= n || seen[j] {
-                return self.warm_failed();
-            }
-            seen[j] = true;
-            self.state[j] = VarState::Basic(p);
-            self.xval[j] = 0.0;
-        }
-        if self.refactorize_and_recompute().is_err() {
-            return self.warm_failed();
-        }
-        let tol = self.opts.feas_tol * 10.0;
-        for (p, &j) in self.basis.iter().enumerate() {
-            if self.xb[p] < self.lb[j] - tol || self.xb[p] > self.ub[j] + tol {
-                return self.warm_failed();
-            }
-        }
-        true
-    }
-
-    /// Resets the incremental state a failed warm attempt left behind so
-    /// [`Solver::crash_basis`] starts from a clean slate.
-    fn warm_failed(&mut self) -> bool {
-        self.state.clear();
-        self.xval.clear();
-        self.basis.clear();
-        self.xb.clear();
-        false
-    }
-
-    /// Snapshots the final basis for reuse. A basis that still holds an
-    /// artificial column (degenerate at zero after phase 1) is not
-    /// representable structurally; the snapshot comes back unusable.
-    fn capture_warm(&self) -> WarmBasis {
-        if self.basis.iter().any(|&j| j >= self.n_orig) {
-            return WarmBasis::default();
-        }
-        WarmBasis {
-            ncols: self.n_orig,
-            nrows: self.nrows,
-            basis: self.basis.clone(),
-            at_upper: (0..self.n_orig)
-                .map(|j| matches!(self.state[j], VarState::AtUpper))
-                .collect(),
         }
     }
 
@@ -487,7 +372,7 @@ impl<'a, E: BasisEngine> Solver<'a, E> {
                         let (viol, sigma) = match st {
                             VarState::AtLower => (-d, 1.0),
                             VarState::AtUpper => (d, -1.0),
-                            VarState::FreeZero => (d.abs(), if d < 0.0 { 1.0 } else { -1.0 }),
+                            VarState::Between => (d.abs(), if d < 0.0 { 1.0 } else { -1.0 }),
                             VarState::Basic(_) => unreachable!(),
                         };
                         if viol > self.opts.opt_tol {
@@ -552,12 +437,13 @@ impl<'a, E: BasisEngine> Solver<'a, E> {
                     leaving = Some((p, hits_upper));
                 }
             }
-            // The entering variable's own opposite bound may bind first,
-            // in which case the step is a bound flip with no basis change.
-            let flip_limit = if matches!(self.state[q], VarState::FreeZero) {
-                f64::INFINITY
+            // The entering variable's own bound in its direction of travel
+            // may bind first, in which case the step is a bound flip with
+            // no basis change.
+            let flip_limit = if sigma > 0.0 {
+                self.ub[q] - self.xval[q]
             } else {
-                self.ub[q] - self.lb[q]
+                self.xval[q] - self.lb[q]
             };
             if flip_limit < t {
                 leaving = None;
@@ -577,13 +463,12 @@ impl<'a, E: BasisEngine> Solver<'a, E> {
             }
             match leaving {
                 None => {
-                    // Bound flip: q stays nonbasic at its other bound.
-                    self.state[q] = match self.state[q] {
-                        VarState::AtLower => VarState::AtUpper,
-                        VarState::AtUpper => VarState::AtLower,
-                        other => other,
+                    // Bound flip: q stays nonbasic at the bound it reached.
+                    (self.state[q], self.xval[q]) = if sigma > 0.0 {
+                        (VarState::AtUpper, self.ub[q])
+                    } else {
+                        (VarState::AtLower, self.lb[q])
                     };
-                    self.xval[q] += sigma * t;
                 }
                 Some((r, hits_upper)) => {
                     let leaving_col = self.basis[r];
@@ -626,6 +511,7 @@ mod tests {
             lb: lb.to_vec(),
             ub: ub.to_vec(),
             rhs: rhs.to_vec(),
+            start: lb.iter().zip(ub).map(|(&l, &u)| bound_start(l, u)).collect(),
         }
     }
 
@@ -775,102 +661,73 @@ mod tests {
         assert!((s.x[0] - 3.0).abs() < 1e-7);
     }
 
-    #[test]
-    fn warm_restart_matches_cold_and_prices_out() {
-        // Re-solving the same program from its own final basis must do no
-        // simplex work (phase 2 finds no entering column) and reproduce
-        // the solution exactly.
-        let p = lp(
-            &[
-                &[1.0, 0.0, 1.0, 0.0, 0.0],
-                &[0.0, 2.0, 0.0, 1.0, 0.0],
-                &[3.0, 2.0, 0.0, 0.0, 1.0],
-            ],
-            &[4.0, 12.0, 18.0],
-            &[-3.0, -5.0, 0.0, 0.0, 0.0],
-            &[0.0; 5],
-            &[INF; 5],
-        );
-        let opts = SimplexOptions::default();
-        let (cold, basis) = p.solve_warm_with(LuBasis::new(32), opts, None).unwrap();
-        assert!(basis.is_usable());
-        let (warm, _) = p.solve_warm_with(LuBasis::new(32), opts, Some(&basis)).unwrap();
-        assert_eq!(warm.iterations, 0, "optimal basis must price out immediately");
-        for (a, b) in cold.x.iter().zip(warm.x.iter()) {
-            assert!((a - b).abs() < 1e-9);
-        }
-        assert!((cold.objective - warm.objective).abs() < 1e-9);
+    /// The crash basis a solver builds for `lp`: (artificial columns, the
+    /// row count that needs phase 1).
+    fn crash(lp: &CoreLp) -> (usize, usize) {
+        let mut solver = Solver::new(lp, LuBasis::new(32), SimplexOptions::default());
+        solver.crash_basis();
+        let artificials = solver.cols.ncols() - solver.n_orig;
+        let violated = solver
+            .basis
+            .iter()
+            .zip(&solver.xb)
+            .filter(|&(&j, &v)| j >= solver.n_orig && v > solver.opts.feas_tol)
+            .count();
+        (artificials, violated)
     }
 
-    #[test]
-    fn warm_restart_after_rhs_drift() {
-        // Perturb the rhs: the old basis stays primal feasible here, and
-        // the warm solve must land on the same optimum a cold solve finds.
-        let p = lp(
-            &[&[1.0, 1.0, 1.0, 0.0], &[1.0, -1.0, 0.0, 1.0]],
+    /// min x + 2y s.t. x + y − s₁ = 10 (s₁ ≥ 0), x − y + s₂ = 2 (s₂ ≥ 0),
+    /// x, y ∈ [0, 10]: optimum (6, 4), objective 14.
+    fn ge_le_pair() -> CoreLp {
+        lp(
+            &[&[1.0, 1.0, -1.0, 0.0], &[1.0, -1.0, 0.0, 1.0]],
             &[10.0, 2.0],
-            &[-1.0, -2.0, 0.0, 0.0],
+            &[1.0, 2.0, 0.0, 0.0],
             &[0.0; 4],
-            &[INF; 4],
-        );
-        let opts = SimplexOptions::default();
-        let (_, basis) = p.solve_warm_with(LuBasis::new(32), opts, None).unwrap();
-        let mut drifted = p.clone();
-        drifted.rhs = vec![11.0, 3.0];
-        let (warm, _) =
-            drifted.solve_warm_with(LuBasis::new(32), opts, Some(&basis)).unwrap();
-        let cold = drifted.solve_with(LuBasis::new(32), opts).unwrap();
-        assert!(
-            (warm.objective - cold.objective).abs() < 1e-7,
-            "warm {} vs cold {}",
-            warm.objective,
-            cold.objective
-        );
+            &[10.0, 10.0, INF, INF],
+        )
     }
 
     #[test]
-    fn warm_restart_shape_mismatch_falls_back() {
-        // A snapshot from a different-shaped program is silently ignored.
-        let small = lp(&[&[1.0, 1.0]], &[4.0], &[1.0, 1.0], &[0.0, 0.0], &[INF, INF]);
-        let (_, basis) = small
-            .solve_warm_with(LuBasis::new(32), SimplexOptions::default(), None)
-            .unwrap();
-        let big = lp(
-            &[&[1.0, 1.0, 1.0], &[1.0, -1.0, 0.0]],
-            &[6.0, 1.0],
-            &[1.0, 1.0, 0.0],
-            &[0.0; 3],
-            &[INF; 3],
-        );
-        let (warm, _) = big
-            .solve_warm_with(LuBasis::new(32), SimplexOptions::default(), Some(&basis))
-            .unwrap();
-        let cold = big.solve_with(LuBasis::new(32), SimplexOptions::default()).unwrap();
-        assert!((warm.objective - cold.objective).abs() < 1e-7);
+    fn feasible_start_creates_no_artificial_column() {
+        // The default start (0, 0) violates x + y ≥ 10, so its crash needs
+        // an artificial; the feasible start (6, 5) leaves both slacks at 1.
+        let mut p = ge_le_pair();
+        assert_eq!(crash(&p), (1, 1));
+        p.start = vec![6.0, 5.0, 0.0, 0.0];
+        assert_eq!(crash(&p), (0, 0));
+        let s = p.solve_with(LuBasis::new(32), SimplexOptions::default()).unwrap();
+        assert!((s.objective - 14.0).abs() < 1e-7, "objective {}", s.objective);
     }
 
     #[test]
-    fn warm_restart_infeasible_basis_falls_back() {
-        // Drift the rhs far enough that the captured basis turns primal
-        // infeasible; the solver must detect it and cold-start rather than
-        // run phase 2 from an infeasible point.
-        let p = lp(
-            &[&[1.0, 1.0, 1.0]],
-            &[1.5],
-            &[-1.0, -1.0, 0.0],
-            &[0.0, 0.0, 0.0],
-            &[1.0, 1.0, INF],
-        );
-        let opts = SimplexOptions::default();
-        let (_, basis) = p.solve_warm_with(LuBasis::new(32), opts, None).unwrap();
-        let mut drifted = p.clone();
-        drifted.rhs = vec![-0.5]; // slack would need to go negative
-        let warm = drifted.solve_warm_with(LuBasis::new(32), opts, Some(&basis));
-        let cold = drifted.solve_with(LuBasis::new(32), opts);
-        match (warm, cold) {
-            (Ok((w, _)), Ok(c)) => assert!((w.objective - c.objective).abs() < 1e-7),
-            (Err(we), Err(ce)) => assert_eq!(we, ce),
-            (w, c) => panic!("warm/cold outcome mismatch: {w:?} vs {c:?}"),
+    fn infeasible_start_runs_phase1_on_violated_rows_only() {
+        // (9, 4) violates only x − y ≤ 2; (5, 1) violates both rows.
+        let mut p = ge_le_pair();
+        p.start = vec![9.0, 4.0, 0.0, 0.0];
+        assert_eq!(crash(&p), (1, 1));
+        let s = p.solve_with(LuBasis::new(32), SimplexOptions::default()).unwrap();
+        assert!((s.objective - 14.0).abs() < 1e-7, "objective {}", s.objective);
+        p.start = vec![5.0, 1.0, 0.0, 0.0];
+        assert_eq!(crash(&p), (2, 2));
+    }
+
+    #[test]
+    fn start_between_bounds_prices_both_ways() {
+        // min x − y over x, y ∈ [0, 10] with x + y ≤ 12 (slack s), started
+        // mid-box: x must fall to its lower bound, y climb to its upper.
+        let mut p =
+            lp(&[&[1.0, 1.0, 1.0]], &[12.0], &[1.0, -1.0, 0.0], &[0.0; 3], &[10.0, 10.0, INF]);
+        p.start = vec![3.0, 4.0, 0.0];
+        for engine_lu in [true, false] {
+            let s = if engine_lu {
+                p.solve_with(LuBasis::new(32), SimplexOptions::default())
+            } else {
+                p.solve_with(DenseBasis::new(), SimplexOptions::default())
+            }
+            .unwrap();
+            assert!((s.x[0]).abs() < 1e-7 && (s.x[1] - 10.0).abs() < 1e-7, "{:?}", s.x);
+            assert!((s.objective + 10.0).abs() < 1e-7);
         }
     }
 

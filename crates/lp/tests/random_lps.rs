@@ -6,7 +6,7 @@
 //! sampling of random feasible directions and against the dense-engine
 //! oracle.
 
-use info_lp::basis::DenseBasis;
+use info_lp::basis::{DenseBasis, LuBasis};
 use info_lp::{Cmp, Model, SimplexOptions};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -40,10 +40,13 @@ fn assert_feasible(
     }
 }
 
-/// Builds a model from the raw data.
-fn build(lb: &[f64], ub: &[f64], obj: &[f64], rows: &[RawRow]) -> Model {
+/// Builds a model from the raw data, optionally with a start point.
+fn build(lb: &[f64], ub: &[f64], obj: &[f64], rows: &[RawRow], start: Option<&[f64]>) -> Model {
     let mut m = Model::new();
     let vars: Vec<_> = (0..lb.len()).map(|j| m.add_var(lb[j], ub[j], obj[j])).collect();
+    for (&v, &x) in vars.iter().zip(start.unwrap_or_default()) {
+        m.set_start(v, x);
+    }
     for (terms, cmp, rhs) in rows {
         m.add_row(terms.iter().map(|&(j, c)| (vars[j], c)), *cmp, *rhs);
     }
@@ -98,7 +101,7 @@ fn random_lps_solve_and_verify() {
         let n = rng.gen_range(2..12);
         let m = rng.gen_range(1..15);
         let (lb, ub, obj, rows, x0) = random_lp(&mut rng, n, m);
-        let model = build(&lb, &ub, &obj, &rows);
+        let model = build(&lb, &ub, &obj, &rows, None);
         let sol = model
             .solve()
             .unwrap_or_else(|e| panic!("trial {trial}: solver failed on feasible LP: {e}"));
@@ -146,7 +149,7 @@ fn sparse_and_dense_engines_agree_on_random_lps() {
         let n = rng.gen_range(2..10);
         let m = rng.gen_range(1..10);
         let (lb, ub, obj, rows, _) = random_lp(&mut rng, n, m);
-        let model = build(&lb, &ub, &obj, &rows);
+        let model = build(&lb, &ub, &obj, &rows, None);
         let core = model.to_core();
         let s_sparse = model.solve().expect("sparse solve");
         let s_dense = core
@@ -185,7 +188,7 @@ fn equality_systems_with_known_solutions() {
         let lb = vec![-100.0; n];
         let ub = vec![100.0; n];
         let obj: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect();
-        let model = build(&lb, &ub, &obj, &rows);
+        let model = build(&lb, &ub, &obj, &rows, None);
         let sol = model.solve().expect("full-rank equality system is feasible");
         for (j, (sv, xv)) in sol.values.iter().zip(&x0).enumerate() {
             assert!((sv - xv).abs() < 1e-5, "x[{j}] = {sv} expected {xv}");
@@ -197,12 +200,33 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
+    fn starting_at_a_feasible_point_reaches_the_cold_optimum(seed in 0u64..10_000) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(2..10);
+        let m = rng.gen_range(1..12);
+        let (lb, ub, obj, rows, x0) = random_lp(&mut rng, n, m);
+        let cold = build(&lb, &ub, &obj, &rows, None);
+        let started = build(&lb, &ub, &obj, &rows, Some(&x0));
+        let close = |a: f64, b: f64| (a - b).abs() <= 1e-6 * (1.0 + a.abs().max(b.abs()));
+        let opts = SimplexOptions::default();
+        let want = cold.solve().expect("feasible by construction").objective;
+        let lu = started.solve().expect("solve from the start");
+        assert_feasible(&lu.values, &lb, &ub, &rows, 1e-6);
+        prop_assert!(close(lu.objective, want), "LU from start {} vs cold {want}", lu.objective);
+        let core = started.to_core();
+        let lu_core = core.solve_with(LuBasis::new(opts.refactor_every), opts).expect("LU core");
+        prop_assert!(close(lu_core.objective, want), "LU core {} vs {want}", lu_core.objective);
+        let dense = core.solve_with(DenseBasis::new(), opts).expect("dense core");
+        prop_assert!(close(dense.objective, want), "dense {} vs {want}", dense.objective);
+    }
+
+    #[test]
     fn seeded_lps_never_violate_feasibility(seed in 0u64..10_000) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let n = rng.gen_range(2..8);
         let m = rng.gen_range(1..8);
         let (lb, ub, obj, rows, _) = random_lp(&mut rng, n, m);
-        let model = build(&lb, &ub, &obj, &rows);
+        let model = build(&lb, &ub, &obj, &rows, None);
         let sol = model.solve().expect("feasible by construction");
         assert_feasible(&sol.values, &lb, &ub, &rows, 1e-6);
     }
@@ -213,9 +237,9 @@ proptest! {
         let n = rng.gen_range(2..6);
         let m = rng.gen_range(1..6);
         let (lb, ub, obj, rows, _) = random_lp(&mut rng, n, m);
-        let m1 = build(&lb, &ub, &obj, &rows);
+        let m1 = build(&lb, &ub, &obj, &rows, None);
         let scaled: Vec<f64> = obj.iter().map(|c| c * k).collect();
-        let m2 = build(&lb, &ub, &scaled, &rows);
+        let m2 = build(&lb, &ub, &scaled, &rows, None);
         let s1 = m1.solve().expect("feasible");
         let s2 = m2.solve().expect("feasible");
         prop_assert!(

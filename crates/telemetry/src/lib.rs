@@ -186,6 +186,11 @@ pub enum Counter {
     LpPasses,
     /// LP crossing-repair iterations across all passes.
     LpIterations,
+    /// Simplex iterations summed over every sub-LP of every pass.
+    LpSimplexIterations,
+    /// LP passes whose solved layout the DRC-and-wirelength safety net
+    /// threw away.
+    LpReverted,
     /// Adjacency/edge-legality cache hits (epoch-stamped verdict reused).
     LegalityCacheHits,
     /// Adjacency/edge-legality cache misses (geometry work re-done).
@@ -211,7 +216,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 23] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -226,6 +231,8 @@ impl Counter {
         Counter::ConcurrentSkipped,
         Counter::LpPasses,
         Counter::LpIterations,
+        Counter::LpSimplexIterations,
+        Counter::LpReverted,
         Counter::LegalityCacheHits,
         Counter::LegalityCacheMisses,
         Counter::RipupWallUs,
@@ -252,6 +259,8 @@ impl Counter {
             Counter::ConcurrentSkipped => "concurrent_skipped",
             Counter::LpPasses => "lp_passes",
             Counter::LpIterations => "lp_iterations",
+            Counter::LpSimplexIterations => "lp_simplex_iterations",
+            Counter::LpReverted => "lp_reverted",
             Counter::LegalityCacheHits => "legality_cache_hits",
             Counter::LegalityCacheMisses => "legality_cache_misses",
             Counter::RipupWallUs => "ripup_wall_us",

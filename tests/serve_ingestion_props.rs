@@ -212,3 +212,34 @@ fn config_accepts_its_eight_keys_and_names_any_other() {
         other => panic!("an unknown config key must be rejected: {other:?}"),
     }
 }
+
+#[test]
+fn changes_accept_their_three_keys_and_name_any_other() {
+    let netlist = valid_netlist();
+    let mk = |changes: &str| {
+        format!(
+            "{{\"op\":\"eco\",\"id\":\"e1\",\"netlist\":{},\"changes\":{changes}}}",
+            json::Json::Str(netlist.clone())
+        )
+    };
+    match parse_request(&mk("{\"remove\":[0],\"add\":[[0,1]],\"re_pair\":[[0,0,1]]}")) {
+        Ok(Request::Route(job, _)) => {
+            let changes = job.changes.expect("an eco request carries its change set");
+            assert!(!changes.is_empty());
+        }
+        other => panic!("all three changes keys must be accepted: {other:?}"),
+    }
+    // A misspelled key must not come back as a successful empty ECO.
+    for (changes, key) in [
+        ("{\"removes\":[0]}", "'removes'"),
+        ("{\"remove\":[0],\"repair\":[[0,0,1]]}", "'repair'"),
+        ("{\"\":[]}", "''"),
+    ] {
+        match parse_request(&mk(changes)) {
+            Err(RouterError::BadInput { reason }) => {
+                assert!(reason.contains(key), "reason must name {key}: {reason}")
+            }
+            other => panic!("unknown changes key in {changes} must be rejected: {other:?}"),
+        }
+    }
+}
