@@ -273,7 +273,9 @@ fn main() -> std::io::Result<()> {
             let mut on_times = Vec::new();
             let mut off_times = Vec::new();
             let mut deltas = Vec::new();
-            for round in 0..4 {
+            // Eight rounds: the median of four moved from -0.71% to
+            // +12.01% between runs on one 2-core machine.
+            for round in 0..8 {
                 let (mut on_s, mut off_s) = (0.0, 0.0);
                 if round % 2 == 0 {
                     route_on(&mut on_s);
@@ -288,7 +290,9 @@ fn main() -> std::io::Result<()> {
             }
             // `overhead_pct` is the median of the per-round deltas, not
             // derived from the two medians: pairing within a round is
-            // what cancels machine drift.
+            // what cancels machine drift. The rounds' deltas are recorded
+            // in round order so the spread is visible.
+            let round_deltas = Json::Arr(deltas.iter().map(|&d| fixed(d, 2)).collect());
             let (on_s, off_s, pct) =
                 (median(&mut on_times), median(&mut off_times), median(&mut deltas));
             println!(
@@ -300,6 +304,7 @@ fn main() -> std::io::Result<()> {
                 ("on_s", fixed(on_s, 4)),
                 ("off_s", fixed(off_s, 4)),
                 ("overhead_pct", fixed(pct, 2)),
+                ("round_deltas_pct", round_deltas),
             ]));
         }
 

@@ -6,11 +6,12 @@
 //! of re-running the five-stage flow:
 //!
 //! - untouched nets keep their prior geometry byte for byte;
-//! - the routing space is taken from the shared [`WarmSpaceCache`] keyed
-//!   on the *prior layout hash* (so every edit against the same base —
-//!   and every repeat of the same edit — shares one build), then only
-//!   the cells under the edit's dirty rects are invalidated through the
-//!   epoch-stamped [`RoutingSpace::rebuild_dirty_multi`];
+//! - the routing space is derived ([`RoutingSpace::derive`]) from the
+//!   space of the base package and prior layout, read from the shared
+//!   [`WarmSpaceCache`] (so every edit against the same prior shares one
+//!   build): only the `(layer, cell)` slots whose inputs the edit changed
+//!   are re-partitioned, and the result equals a cold build of the
+//!   edited layout (with no cache it *is* a cold build);
 //! - only impacted nets are re-routed through the existing sequential
 //!   machinery: the fresh nets of the edit, prior failures with a dirty
 //!   rect near a terminal (the route journal shows failures die walled
@@ -26,8 +27,8 @@
 //! given — and the returned outcome is expressed over it. Routing,
 //! however, runs in a universe whose ids match the prior layout: for a
 //! removals-only edit that universe is the base package itself (which is
-//! what makes the warm-space key shareable), and geometry is re-labeled
-//! into derived ids only at the very end.
+//! what keeps the derived space closest to the prior's), and geometry is
+//! re-labeled into derived ids only at the very end.
 //!
 //! Determinism: given the same base package, prior outcome, change set,
 //! and configuration, the ECO layout is byte-identical across runs and
@@ -37,18 +38,19 @@
 //! to the order edits were recorded in).
 //!
 //! [`WarmSpaceCache`]: crate::warm::WarmSpaceCache
-//! [`RoutingSpace::rebuild_dirty_multi`]: info_tile::RoutingSpace::rebuild_dirty_multi
+//! [`RoutingSpace::derive`]: info_tile::RoutingSpace::derive
 
 use crate::flow::{Completion, InfoRouter, NetStatus, RouteOutcome, StageTimings};
 use crate::lpopt;
 use crate::resilience::{FlowCtx, FlowDiagnostics, RouterError};
 use crate::sequential::{
-    build_stage_space, net_geometry_rects, route_sequential_in_space, SequentialResult,
+    net_geometry_rects, route_sequential_in_space, space_config, SequentialResult,
 };
 use crate::trial::{clearance_ok, Proposal};
 use info_geom::{Coord, GridIndex, Point, Polyline, Rect, Segment};
 use info_model::{drc, stats::LayoutStats, Layout, NetId, Package, PadId, WireLayer};
 use info_telemetry::Sink;
+use info_tile::RoutingSpace;
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
@@ -267,9 +269,8 @@ pub struct EcoPlan {
     /// Base ids whose prior geometry the edit drops (removals and
     /// re-pairs), in ascending order.
     pub dead: Vec<NetId>,
-    /// Removals-only edits route in the base package itself, which makes
-    /// the warm-space key — (base package, prior layout hash) — shared
-    /// across every such edit against the same prior.
+    /// Removals-only edits route in the base package itself, so the
+    /// prior's net ids (and blocker tags) carry over unchanged.
     pub(crate) union_is_base: bool,
 }
 
@@ -292,15 +293,13 @@ pub struct EcoStats {
     pub nets_reused: usize,
     /// Dirty rects the edit produced (per-segment, not hulls).
     pub dirty_rects: usize,
-    /// Global cells invalidated by the epoch-stamped dirty rebuild (0
-    /// when the space was built fresh against the stripped layout).
+    /// Global cells the derived space build re-partitioned (at least one
+    /// layer): every cell without a warm cache, 0 when nothing needed a
+    /// search and no space was built.
     pub cells_invalidated: usize,
-    /// True when the routing space came out of the shared warm cache
-    /// instead of a cold build.
+    /// True when the prior's space, the memo of the derived build, came
+    /// out of the shared warm cache instead of a cold build.
     pub space_warm_hit: bool,
-    /// True when the space was patched via `rebuild_dirty_multi` (the
-    /// removals-only fast path) rather than rebuilt from the layout.
-    pub space_dirty_rebuild: bool,
     /// Nets seeding the dirty LP pass (0 = LP skipped entirely).
     pub lp_dirty_nets: usize,
     /// LP components skipped as disjoint from the dirty seed.
@@ -609,11 +608,6 @@ pub(crate) fn reroute_delta(
         layout.remove_net(u);
     }
 
-    // The routing space. Removals-only edits reuse the warm build keyed
-    // on the *prior* layout (shared by every edit against this base) and
-    // invalidate only the dirty cells; other edits build against the
-    // stripped layout — warm-keyed on (edited package, stripped layout),
-    // so repeating the same edit starts warm.
     let t_seq = Instant::now();
     let mut stats = EcoStats {
         nets_removed: changes.removals.len(),
@@ -629,29 +623,24 @@ pub(crate) fn reroute_delta(
     let mut replayed: Vec<NetId> = Vec::new();
     let mut order: Vec<NetId> = Vec::new();
     // When nothing needs a search — the common deletion-only ECO — no
-    // code path consults the routing space, so neither the warm-space
-    // clone nor the dirty-cell rebuild is paid at all: the edit reduces
-    // to layout bookkeeping plus the final DRC sweep.
+    // code path consults the routing space, so no space is fetched or
+    // derived: the edit reduces to layout bookkeeping plus the final DRC
+    // sweep.
     let seq = if to_route.is_empty() {
         SequentialResult::default()
     } else {
-        let mut space = match (&router.warm, plan.union_is_base) {
-            (Some(cache), true) => {
-                let (h0, _) = cache.stats();
-                let mut space = cache.get_or_build(package, &prior.layout, cfg, &tel);
-                stats.space_warm_hit = cache.stats().0 > h0;
-                stats.cells_invalidated = space.rebuild_dirty_multi(package, &layout, &dirty).cells.len();
-                stats.space_dirty_rebuild = true;
-                space
+        // The space of the edited layout, derived from the prior's space
+        // (see the module docs); without a warm cache, a cold build.
+        let space_cfg = space_config(uni, cfg);
+        let (mut space, rebuilt) = match &router.warm {
+            Some(cache) => {
+                let (memo, hit) = cache.shared(package, &prior.layout, cfg, &tel);
+                stats.space_warm_hit = hit;
+                RoutingSpace::derive(uni, &layout, space_cfg, Some(&memo))
             }
-            (Some(cache), false) => {
-                let (h0, _) = cache.stats();
-                let space = cache.get_or_build(uni, &layout, cfg, &tel);
-                stats.space_warm_hit = cache.stats().0 > h0;
-                space
-            }
-            (None, _) => build_stage_space(uni, &layout, cfg),
+            None => RoutingSpace::derive(uni, &layout, space_cfg, None),
         };
+        stats.cells_invalidated = rebuilt.cells.len();
 
         // Re-attach stashed geometry: a fresh net whose pad pair matches a
         // net a prior ECO deleted replays the stashed route verbatim when it

@@ -127,7 +127,7 @@ pub struct RouteOutcome {
     pub telemetry: Option<TelemetryReport>,
     /// ECO telemetry (`Some` exactly when this outcome came from
     /// [`InfoRouter::reroute_delta`]): nets re-routed vs reused, cells
-    /// invalidated, warm-space and warm-basis reuse.
+    /// invalidated, warm-space reuse.
     pub eco: Option<crate::eco::EcoStats>,
     /// Geometry of nets an ECO deleted, kept so a later
     /// [`InfoRouter::reroute_delta`] restoring the identical pad pair can

@@ -88,8 +88,8 @@ pub fn route_sequential(
 
 /// The body of [`route_sequential`], over an already-built routing
 /// `space`. The ECO path ([`crate::eco`]) calls this directly with a
-/// space it dirty-rebuilt from a cached base-layout build, so a delta
-/// re-route pays per-cell invalidation instead of a full construction.
+/// space it derived from the prior layout's cached space, so a delta
+/// re-route re-partitions only the slots the edit changed.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_sequential_in_space(
     package: &Package,

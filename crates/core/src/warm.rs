@@ -1,26 +1,35 @@
-//! Shared warm-start cache for the sequential stage's routing space.
+//! Shared warm-start cache of routing spaces.
 //!
-//! Building the stage-start [`RoutingSpace`] — partitioning, tile
-//! splitting, via-site insertion — is pure in
-//! (package, layout, space configuration), and for repeat jobs on the
-//! same circuit the layout at the sequential stage's start is identical
-//! (the earlier stages are deterministic). A [`WarmSpaceCache`] shared
-//! across jobs therefore lets every job after the first start from a
-//! clone of the already-built space instead of rebuilding it.
+//! Building a [`RoutingSpace`] — partitioning, tile splitting, via-site
+//! insertion — is pure in (package, layout, space configuration). A
+//! [`WarmSpaceCache`] shared across jobs keeps recent builds by `Arc`
+//! and serves two callers:
+//!
+//! - **Route jobs.** For repeat jobs on the same circuit the layout at
+//!   the sequential stage's start is identical (the earlier stages are
+//!   deterministic), so every job after the first starts from a deep
+//!   copy of the cached stage-start space ([`WarmSpaceCache::get_or_build`])
+//!   instead of rebuilding it.
+//! - **ECO edits.** An edit reads the space of its (base package, prior
+//!   layout) through [`WarmSpaceCache::shared`] without copying it, as
+//!   the memo of [`RoutingSpace::derive`]: the edited space re-partitions
+//!   only the `(layer, cell)` slots whose inputs the edit changed. Every
+//!   edit against one prior shares that entry.
 //!
 //! Correctness rests on two facts:
 //!
 //! - the key captures *every* input the build reads: a fingerprint of
-//!   the package text, the layout's canonical hash at stage start, and
-//!   each [`RouterConfig`] field that flows into [`space_config`];
+//!   the package text, the layout's canonical hash, and each
+//!   [`RouterConfig`] field that flows into [`space_config`];
 //! - `RoutingSpace: Clone` is bit-identical (snapshot/restore in the
 //!   rip-up pass already depends on this), so a warm start routes the
-//!   same layout, byte for byte, as a cold one.
+//!   same layout, byte for byte, as a cold one; and a derived space
+//!   equals a cold build whatever its memo holds.
 //!
 //! The cache is a small bounded LRU behind a mutex, but the expensive
 //! work never happens under it: entries are held by `Arc`, so a hit
 //! takes the lock only long enough to clone the pointer and refresh
-//! recency — the deep copy the job routes on is made after the lock is
+//! recency — a deep copy is made by the caller after the lock is
 //! released. Cold lookups are single-flight: the first job for a key
 //! marks it as building and constructs the space outside the lock while
 //! racing jobs wait on a condvar and then take the installed entry as a
@@ -37,15 +46,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-/// Everything the stage-start space build reads, collapsed to a
-/// comparable key. Two jobs with equal keys build bit-identical spaces.
+/// Everything a space build reads, collapsed to a comparable key. Two
+/// jobs with equal keys build bit-identical spaces.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct WarmKey {
     /// FNV-1a hash of the package's canonical text serialization — the
     /// same bytes `parse_package` round-trips, so two packages with equal
     /// fingerprints describe the same circuit.
     package_fp: u64,
-    /// Layout state the space was built against (stage-start layout).
+    /// Layout state the space was built against (the stage-start layout
+    /// of a route, the prior layout of an ECO).
     layout_hash: u64,
     global_cells: usize,
     via_cost_bits: u64,
@@ -84,7 +94,7 @@ struct CacheState {
     building: Vec<WarmKey>,
 }
 
-/// Bounded, thread-safe cache of stage-start routing spaces keyed by
+/// Bounded, thread-safe cache of routing spaces keyed by
 /// circuit + configuration (see the module docs).
 #[derive(Debug)]
 pub struct WarmSpaceCache {
@@ -126,14 +136,10 @@ impl WarmSpaceCache {
         }
     }
 
-    /// Returns the stage-start space for this (package, layout, config),
-    /// cloned from the cache when warm, or built — and installed — when
-    /// cold. Counts the outcome into `tel` either way.
-    ///
-    /// The deep copy a hit returns is made *after* the lock is released
-    /// (only the `Arc` is cloned under it), and concurrent cold lookups
-    /// for one key run exactly one build: the rest wait and count as
-    /// hits on the installed entry.
+    /// Returns a deep copy of the space for this (package, layout,
+    /// config), taken from the cache when warm, or built — and installed
+    /// — when cold. Counts the outcome into `tel` either way. The copy is
+    /// made after the cache lock is released.
     pub fn get_or_build(
         &self,
         package: &Package,
@@ -141,19 +147,35 @@ impl WarmSpaceCache {
         cfg: &RouterConfig,
         tel: &Sink,
     ) -> RoutingSpace {
+        Arc::unwrap_or_clone(self.shared(package, layout, cfg, tel).0)
+    }
+
+    /// Returns the cached space for this (package, layout, config),
+    /// building and installing it when cold, and whether it was a hit.
+    /// Counts the outcome into `tel` either way.
+    ///
+    /// Only the `Arc` is cloned under the lock, and concurrent cold
+    /// lookups for one key run exactly one build: the rest wait and
+    /// count as hits on the installed entry.
+    pub fn shared(
+        &self,
+        package: &Package,
+        layout: &Layout,
+        cfg: &RouterConfig,
+        tel: &Sink,
+    ) -> (Arc<RoutingSpace>, bool) {
         let key = WarmKey::new(package, layout, cfg);
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(pos) = st.entries.iter().position(|(k, _)| *k == key) {
-                // Refresh recency; the expensive deep clone happens
-                // outside the lock, off the shared Arc.
+                // Refresh recency.
                 let hit = st.entries.remove(pos).expect("position came from iter");
                 let shared = Arc::clone(&hit.1);
                 st.entries.push_front(hit);
                 drop(st);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 tel.count(Counter::WarmSpaceHits, 1);
-                return (*shared).clone();
+                return (shared, true);
             }
             if !st.building.contains(&key) {
                 break;
@@ -163,22 +185,16 @@ impl WarmSpaceCache {
         st.building.push(key.clone());
         drop(st);
         let _guard = BuildingGuard { cache: self, key: &key };
-        let space = crate::sequential::build_stage_space(package, layout, cfg);
-        // The deep clone that becomes the cached entry is made *before*
-        // the lock: cloning a dense space takes real time, and holding
-        // the cache mutex across it would stall every concurrent lookup
-        // for every key (the serialization point the serve load test
-        // used to pay on its cold wave).
-        let entry = Arc::new(space.clone());
+        let space = Arc::new(crate::sequential::build_stage_space(package, layout, cfg));
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if !st.entries.iter().any(|(k, _)| *k == key) {
-            st.entries.push_front((key.clone(), entry));
+            st.entries.push_front((key.clone(), Arc::clone(&space)));
             st.entries.truncate(self.capacity);
         }
         drop(st);
         self.misses.fetch_add(1, Ordering::Relaxed);
         tel.count(Counter::WarmSpaceMisses, 1);
-        space
+        (space, false)
     }
 
     /// Lifetime (hits, misses) across every job that used this cache.

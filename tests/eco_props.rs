@@ -1,15 +1,17 @@
 //! Property tests of the incremental ECO engine (DESIGN.md §4i):
-//! random add/remove/re-pair sequences stay DRC-legal, change-set
-//! application is insensitive to the order edits were recorded in, and
-//! the empty change set is a byte-identical no-op.
+//! random add/remove/re-pair sequences stay DRC-legal, a warm space cache
+//! never changes an ECO's layout, change-set application is insensitive
+//! to the order edits were recorded in, and the empty change set is a
+//! byte-identical no-op.
 //!
 //! No proptest dependency in this workspace — cases are generated from a
 //! seeded LCG, so every run explores the same inputs and failures
 //! reproduce by seed.
 
 use info_rdl::model::{drc, NetId, Package, PadId};
-use info_rdl::{EcoChangeSet, InfoRouter, NetStatus, RouteOutcome, RouterConfig};
+use info_rdl::{EcoChangeSet, InfoRouter, NetStatus, RouteOutcome, RouterConfig, WarmSpaceCache};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 mod circuits;
 
@@ -187,6 +189,49 @@ fn random_edit_sequences_chain_legally() {
             cur_out = out;
         }
     }
+}
+
+/// The warm cache only saves time: along the random edit sequences
+/// above, and for repeated single edits against one prior (which hit
+/// the cached prior space), an ECO with a shared warm cache returns the
+/// canonical hash and net statuses of the same ECO without one.
+#[test]
+fn warm_cache_never_changes_an_eco() {
+    let (name, pkg) = circuits::golden(0);
+    let cold = InfoRouter::new(cfg());
+    let cache = Arc::new(WarmSpaceCache::new(4));
+    let warm = InfoRouter::new(cfg()).with_warm_cache(Arc::clone(&cache));
+    let check = |base: &Package, prior: &RouteOutcome, changes: &EcoChangeSet, what: &str| {
+        let want = cold.reroute_delta(base, prior, changes).expect(what);
+        let got = warm.reroute_delta(base, prior, changes).expect(what);
+        assert_eq!(
+            got.layout.canonical_hash(),
+            want.layout.canonical_hash(),
+            "{what}: the warm cache changed the ECO layout ({changes:?})"
+        );
+        assert_eq!(got.net_status, want.net_status, "{what}");
+        want
+    };
+    for seed in 0..3u64 {
+        let mut rng = Lcg(0xc0ffee ^ seed.wrapping_mul(0x1234567));
+        let mut cur_pkg = pkg.clone();
+        let mut cur_out = cold.route(&cur_pkg);
+        for step in 0..3 {
+            let changes = random_changes(&cur_pkg, &mut rng);
+            let plan = changes.plan(&cur_pkg).expect("valid change set");
+            let what = format!("{name}/seed{seed}/step{step}");
+            cur_out = check(&cur_pkg, &cur_out, &changes, &what);
+            cur_pkg = plan.package;
+        }
+    }
+    let prior = cold.route(&pkg);
+    for seed in 0..6u64 {
+        let mut rng = Lcg(0x9e3779b97f4a7c15 ^ seed.wrapping_mul(0xdeadbeef));
+        let changes = random_changes(&pkg, &mut rng);
+        check(&pkg, &prior, &changes, &format!("{name}/single{seed}"));
+    }
+    let (hits, misses) = cache.stats();
+    assert!(hits > 0 && misses > 0, "warm cache never exercised: {hits} hits, {misses} misses");
 }
 
 /// Recording order does not matter: the same disjoint edits recorded in
