@@ -102,7 +102,7 @@ fn main() -> std::io::Result<()> {
     }
 
     let rcfg = RouterConfig::default();
-    let mut record = BenchRecord::open(BENCH_PATH, rcfg.threads)?;
+    let mut record = BenchRecord::open(BENCH_PATH, 1)?;
     let mut sections = Vec::new();
     let mut gate_failed = false;
     for d in 1..=max_dense {

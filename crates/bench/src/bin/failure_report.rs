@@ -9,8 +9,6 @@
 //! one-glance question.
 //!
 //! Usage: `failure_report [index]` (default 2 — the congested circuit).
-//! Set `RDL_THREADS=<n>` to pin the router's worker threads (the report
-//! is identical at every count).
 
 use info_model::svg::{self, Mark};
 use info_router::{InfoRouter, RouterConfig};
@@ -19,10 +17,8 @@ use std::time::Instant;
 
 fn main() {
     let idx: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let threads: usize =
-        std::env::var("RDL_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let pkg = info_gen::dense(idx);
-    let cfg = RouterConfig::default().with_threads(threads).with_telemetry();
+    let cfg = RouterConfig::default().with_telemetry();
     let t = Instant::now();
     let out = InfoRouter::new(cfg).route(&pkg);
     let elapsed = t.elapsed().as_secs_f64();

@@ -1,14 +1,10 @@
 //! Quick development check: run only the via-based router on one circuit.
-//! `oursonly [idx]`; `RDL_THREADS=<n>` sets the worker count of the
-//! parallel scans (rip-up victim scan, LP constraint generation). The
-//! sequential stage itself is serial, so threads never change a layout.
+//! `oursonly [idx]`.
 use std::time::Instant;
 fn main() {
     let idx: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let threads: usize =
-        std::env::var("RDL_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
     let pkg = info_gen::dense(idx);
-    let cfg = info_router::RouterConfig::default().with_threads(threads).with_telemetry();
+    let cfg = info_router::RouterConfig::default().with_telemetry();
     let t = Instant::now();
     let out = info_router::InfoRouter::new(cfg).route(&pkg);
     println!("dense{idx} OURS: {} in {:?} (conc {} seq {} fail {:?})",

@@ -5,11 +5,6 @@
 //! (indexed `drc::check` vs the reference `drc::check_naive`).
 //!
 //! Usage: `table1 [max_index]` (default 5; pass 3 for a quick run).
-//! Routing is multi-threaded by default (`with_threads_auto`, capped at
-//! 8); set `RDL_THREADS=<n>` to pin the worker count, `RDL_SCALING=0`
-//! to skip the per-circuit thread-scaling matrix (each measured circuit
-//! is otherwise re-routed at 1/2/4/8 threads with the layout hash
-//! asserted identical at every count).
 //!
 //! The numbers go into `BENCH_rdl.json` through [`BenchRecord`]: the
 //! circuits this run routed replace their committed blocks, the rest
@@ -188,18 +183,8 @@ fn median(xs: &mut [f64]) -> f64 {
 
 fn main() -> std::io::Result<()> {
     let max_index: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(5);
-    // Multi-threaded by default, so the published numbers are measured
-    // with the worker pool the read-only scans around the sequential
-    // stage use in production (threads never change a layout).
-    let threads: usize = std::env::var("RDL_THREADS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| RouterConfig::default().with_threads_auto().threads);
-    let scaling_on = std::env::var("RDL_SCALING").map_or(true, |v| v != "0");
-    // `threads` as the router config actually clamps/records it, so the
-    // JSON "threads" field is the configured value, not the raw env var.
-    let configured_threads = RouterConfig::default().with_threads(threads).threads;
-    let mut record = BenchRecord::open(BENCH_PATH, configured_threads)?;
+    // The router runs each job on the caller's thread.
+    let mut record = BenchRecord::open(BENCH_PATH, 1)?;
     println!("Table I — Lin-ext vs Ours (synthetic dense suite; see DESIGN.md substitutions)");
     println!(
         "{:<8} {:>6} {:>5} {:>5} {:>5} {:>4} {:>4} | {:>9} {:>9} | {:>12} {:>12} | {:>8} {:>8}",
@@ -213,11 +198,6 @@ fn main() -> std::io::Result<()> {
     let mut circuits = Vec::new();
     // Paired-round telemetry overhead measurement for dense2.
     let mut overhead: Option<Json> = None;
-    println!(
-        "routing with {configured_threads} worker thread(s) \
-         (RDL_THREADS overrides; scaling matrix {})",
-        if scaling_on { "on" } else { "off (RDL_SCALING=0)" }
-    );
     for idx in 1..=max_index {
         let pkg = info_gen::dense(idx);
 
@@ -228,7 +208,7 @@ fn main() -> std::io::Result<()> {
         // Telemetry on for the measured run: the journal and counters go
         // into BENCH_rdl.json, and the disabled-sink overhead is bounded
         // separately below (`telemetry_overhead`).
-        let cfg = RouterConfig::default().with_threads(threads).with_telemetry();
+        let cfg = RouterConfig::default().with_telemetry();
         let t1 = Instant::now();
         let ours = InfoRouter::new(cfg).route(&pkg);
         let ours_time = t1.elapsed();
@@ -249,9 +229,8 @@ fn main() -> std::io::Result<()> {
             // sample — the process's first dense2 route is reliably its
             // slowest.
             let route_on = |t: &mut f64| {
-                let cfg2 = RouterConfig::default().with_threads(threads).with_telemetry();
                 let t0 = Instant::now();
-                let on = InfoRouter::new(cfg2).route(&pkg);
+                let on = InfoRouter::new(cfg).route(&pkg);
                 *t = t0.elapsed().as_secs_f64();
                 assert_eq!(
                     on.layout.canonical_hash(),
@@ -261,8 +240,7 @@ fn main() -> std::io::Result<()> {
             };
             let route_off = |t: &mut f64| {
                 let t0 = Instant::now();
-                let off =
-                    InfoRouter::new(RouterConfig::default().with_threads(threads)).route(&pkg);
+                let off = InfoRouter::new(RouterConfig::default()).route(&pkg);
                 *t = t0.elapsed().as_secs_f64();
                 assert_eq!(
                     off.layout.canonical_hash(),
@@ -331,42 +309,6 @@ fn main() -> std::io::Result<()> {
             ratios_time.push(base_time.as_secs_f64() / ours_time.as_secs_f64());
         }
 
-        // Thread-scaling matrix: the same circuit at 1/2/4/8 workers.
-        // The configured-thread point reuses the measured run above;
-        // every other point routes fresh. Identical layout hashes at
-        // every count are the router's determinism contract — a
-        // divergence here is a bug, not a data point, so it aborts.
-        let mut scaling = Vec::new();
-        if scaling_on {
-            let mut curve = Vec::new();
-            for t in [1usize, 2, 4, 8] {
-                let fresh;
-                let (wall, out) = if t == configured_threads {
-                    (ours_time, &ours)
-                } else {
-                    let ts = Instant::now();
-                    fresh = InfoRouter::new(RouterConfig::default().with_threads(t)).route(&pkg);
-                    (ts.elapsed(), &fresh)
-                };
-                let hash = out.layout.canonical_hash();
-                assert_eq!(hash, ours_hash, "dense{idx}: layout diverged at {t} threads");
-                let seq = out.timings.sequential.as_secs_f64();
-                curve.push((t, seq));
-                scaling.push(obj([
-                    ("threads", Json::Num(t as f64)),
-                    ("runtime_s", fixed(wall.as_secs_f64(), 4)),
-                    ("sequential_s", fixed(seq, 4)),
-                    ("layout_hash", hash_json(hash)),
-                ]));
-            }
-            let one = curve[0].1;
-            let curve: Vec<String> = curve
-                .iter()
-                .map(|&(t, seq)| format!("{t}t {seq:.2}s ({:.2}x)", one / seq.max(1e-9)))
-                .collect();
-            println!("  thread scaling (sequential stage): {}", curve.join(", "));
-        }
-
         let (drc_indexed_s, drc_naive_s) = time_drc_pair(&pkg, &ours.layout);
         let drc_speedup = speedup(drc_naive_s, drc_indexed_s);
         drc_speedups.push(drc_speedup);
@@ -403,7 +345,6 @@ fn main() -> std::io::Result<()> {
                 ]),
             ),
             ("ripup_wall_s", fixed(report.counter("ripup_wall_us") as f64 / 1e6, 4)),
-            ("thread_scaling", Json::Arr(scaling)),
             ("failure_reasons", counts(&report.failure_counts())),
             ("counters", counts(&report.counters)),
             ("journal", journal(&report)),
@@ -421,7 +362,6 @@ fn main() -> std::io::Result<()> {
 
     record.set("bench", Json::Str("rdl".into()));
     record.set("generated_by", Json::Str("table1".into()));
-    record.set("threads", Json::Num(configured_threads as f64));
     let carried = record.merge("circuits", Json::Arr(circuits));
     if !carried.is_empty() {
         println!("carrying over committed circuit blocks not re-run: {}", carried.join(", "));

@@ -151,18 +151,38 @@ pub fn fixed(x: f64, places: i32) -> Json {
 }
 
 /// Where and how a run was measured: the short git commit (`"unknown"`
-/// without git), the machine's core count, the run's thread count and
-/// the wall-clock time.
+/// without git; suffixed `-dirty` when tracked files other than the record
+/// itself differ from it, so numbers from an uncommitted tree are not
+/// credited to its parent), the machine's core count, the run's thread
+/// count and the wall-clock time.
 fn provenance(threads: usize) -> Json {
-    let commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string());
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    let commit = match git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) {
+        None => "unknown".to_string(),
+        Some(head) => {
+            let changes = git(&[
+                "status",
+                "--porcelain",
+                "--untracked-files=no",
+                "--",
+                ":/",
+                ":(top,exclude)BENCH_rdl.json",
+            ]);
+            if changes.is_some_and(|c| !c.is_empty()) {
+                format!("{head}-dirty")
+            } else {
+                head
+            }
+        }
+    };
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let unix_time = SystemTime::now().duration_since(UNIX_EPOCH).map_or(0, |d| d.as_secs());
     obj([

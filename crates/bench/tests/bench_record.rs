@@ -52,13 +52,12 @@ fn committed_record_round_trips_unchanged() {
 #[test]
 fn table1_write_replaces_measured_circuits_and_carries_the_rest() {
     let (path, before) = committed_copy("table1_merge");
-    let mut record = BenchRecord::open(&path, 4).unwrap();
+    let mut record = BenchRecord::open(&path, 1).unwrap();
     let fresh = |name: &str| {
         obj([("name", Json::Str(name.into())), ("routability_pct", fixed(12.3456, 3))])
     };
     let carried = record.merge("circuits", Json::Arr(vec![fresh("dense2"), fresh("dense1")]));
     assert_eq!(carried, ["dense3", "dense4", "dense5"]);
-    record.set("threads", Json::Num(4.0));
     record.save().unwrap();
 
     let after = reload(&path);
@@ -73,7 +72,7 @@ fn table1_write_replaces_measured_circuits_and_carries_the_rest() {
     for name in ["dense1", "dense2"] {
         let block = circuit(&after, name);
         assert_eq!(block.get("routability_pct"), Some(&Json::Num(12.346)));
-        assert_eq!(provenance_threads(block), Some(4.0), "{name} provenance");
+        assert_eq!(provenance_threads(block), Some(1.0), "{name} provenance");
     }
     for name in ["dense3", "dense4", "dense5"] {
         assert_eq!(circuit(&after, name), circuit(&before, name), "{name} carried");
@@ -113,7 +112,7 @@ fn eco_write_merges_its_section_and_keeps_circuits() {
         assert_eq!(after.get("eco").and_then(|e| e.get(name)), old, "eco {name} carried");
     }
     assert_eq!(after.get("eco").and_then(|e| e.get("skipped")), Some(&skipped));
-    for key in ["circuits", "loadtest", "bench", "threads", "drc_query_speedup"] {
+    for key in ["circuits", "loadtest", "bench", "drc_query_speedup"] {
         assert_eq!(after.get(key), before.get(key), "{key} carried");
     }
 }

@@ -36,12 +36,9 @@ pub struct RouterConfig {
     pub peripheral_margin: Coord,
     /// Extra cost per via in A\*, as a multiple of the via width.
     pub via_cost_factor: f64,
-    /// Worker threads for the read-only scans around the sequential
-    /// stage's per-net loop: the rip-up victim scan and the LP constraint
-    /// rows per wire layer. Nets themselves are always searched and
-    /// committed one at a time on the caller's thread, so layouts, route
-    /// journals and telemetry counters are identical at every value; `1`
-    /// (the default) spawns no threads.
+    /// Ignored: the router runs every job on the caller's thread. Kept,
+    /// with [`RouterConfig::with_threads`], only because the benchmark
+    /// crate still sets it; both go with the benchmark's next revision.
     pub threads: usize,
     /// Windowed A\*: each sequential-stage search first explores an
     /// inflated bounding box of its pad pair and escalates to the full
@@ -118,20 +115,11 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the worker-thread count (0 is treated as 1).
+    /// Sets the ignored [`RouterConfig::threads`] field (0 is treated
+    /// as 1); goes with the benchmark's next revision.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Sets the worker-thread count from the machine's available
-    /// parallelism, capped at 8 (the published thread-scaling matrix
-    /// tops out there, and dispatch overhead eats the returns beyond
-    /// it on these circuit sizes). The bench binaries and CI use this;
-    /// the library default stays single-threaded.
-    pub fn with_threads_auto(self) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.with_threads(cores.min(8))
     }
 
     /// Disables the A\* search window (full-graph searches only).

@@ -31,11 +31,11 @@
 //! re-labeled into derived ids only at the very end.
 //!
 //! Determinism: given the same base package, prior outcome, change set,
-//! and configuration, the ECO layout is byte-identical across runs and
-//! thread counts — it inherits the sequential stage's determinism and
-//! adds no iteration order of its own (change sets are canonicalized by
-//! sorting before application, which also makes application insensitive
-//! to the order edits were recorded in).
+//! and configuration, the ECO layout is byte-identical across runs — it
+//! inherits the sequential stage's determinism and adds no iteration
+//! order of its own (change sets are canonicalized by sorting before
+//! application, which also makes application insensitive to the order
+//! edits were recorded in).
 //!
 //! [`WarmSpaceCache`]: crate::warm::WarmSpaceCache
 //! [`RoutingSpace::derive`]: info_tile::RoutingSpace::derive

@@ -48,9 +48,7 @@
 pub mod assign;
 pub mod concurrent;
 pub mod eco;
-pub mod free_assign;
 pub mod lpopt;
-pub mod pool;
 pub mod preprocess;
 pub mod resilience;
 pub mod sequential;

@@ -155,15 +155,8 @@ fn fixed_shapes(package: &Package, layer: WireLayer) -> Vec<(Option<NetId>, Octa
 }
 
 /// Generates the interactive constraint set for the whole item model,
-/// with the per-layer loop run on `threads` workers. Each layer's
-/// constraints are pure in `(package, items)` and the per-layer lists
-/// are flattened in layer order, so the output is byte-identical at
-/// every thread count.
-pub fn generate(
-    package: &Package,
-    items: &ItemModel,
-    threads: usize,
-) -> Vec<Separation> {
+/// layer by layer in layer order.
+pub fn generate(package: &Package, items: &ItemModel) -> Vec<Separation> {
     let rules = package.rules();
     let s = rules.min_spacing as f64;
     let sw = rules.wire_width as f64;
@@ -171,9 +164,8 @@ pub fn generate(
     // Pairing radius: two trust regions plus the largest rule gap.
     let radius = 2.0 * items.move_bound + s + sw + sv;
 
-    let layer_ids: Vec<usize> = (0..package.wire_layer_count()).collect();
-    let per_layer: Vec<Vec<Separation>> = crate::pool::parallel_map(&layer_ids, threads, |_, &li| {
-        let mut out = Vec::new();
+    let mut out = Vec::new();
+    for li in 0..package.wire_layer_count() {
         let layer = WireLayer(li as u8);
         let shapes = fixed_shapes(package, layer);
         let seg_ids: Vec<usize> =
@@ -489,9 +481,8 @@ pub fn generate(
                 }
             }
         }
-        out
-    });
-    per_layer.into_iter().flatten().collect()
+    }
+    out
 }
 
 /// Constraints repairing one crossing found after a solve: each endpoint of
@@ -561,7 +552,7 @@ mod tests {
     fn parallel_wires_generate_mutual_constraints() {
         let (pkg, layout) = two_wire_layout();
         let items = extract(&pkg, &layout).unwrap();
-        let cons = generate(&pkg, &items, 1);
+        let cons = generate(&pkg, &items);
         // Every wire segment is separated from its nearest blockage on the
         // H orientation: here the *foreign pads* (36 µm) are nearer than
         // the foreign wire line (40 µm), so Const bounds win the buckets —
@@ -590,7 +581,7 @@ mod tests {
             Polyline::new(vec![Point::new(400_000, 460_000), Point::new(600_000, 460_000)]),
         );
         let items2 = extract(&pkg, &far).unwrap();
-        let cons2 = generate(&pkg, &items2, 1);
+        let cons2 = generate(&pkg, &items2);
         let seg_seg = cons2
             .iter()
             .filter(|c| matches!(c.a, ExprRef::SegLine(_)) && matches!(c.b, ExprRef::SegLine(_)))
@@ -621,7 +612,7 @@ mod tests {
             Polyline::new(vec![Point::new(300_000, 243_000), Point::new(700_000, 243_000)]),
         );
         let items = extract(&pkg, &layout).unwrap();
-        let cons = generate(&pkg, &items, 1);
+        let cons = generate(&pkg, &items);
         let tight: Vec<_> = cons
             .iter()
             .filter(|c| {

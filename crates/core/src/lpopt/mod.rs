@@ -161,9 +161,7 @@ pub fn optimize_seeded(
     if items.points.is_empty() {
         return report;
     }
-    // Constraint generation is pure per layer, so it runs on
-    // `cfg.threads` workers.
-    let base = constraints::generate(package, &items, cfg.threads);
+    let base = constraints::generate(package, &items);
 
     // Net components from constraint coupling.
     let nets: BTreeSet<NetId> = items.routes.iter().map(|r| r.net).collect();

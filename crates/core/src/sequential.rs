@@ -6,7 +6,6 @@
 //! exactly as the paper updates its routing graph after each net.
 
 use crate::config::RouterConfig;
-use crate::pool::parallel_map;
 use crate::resilience::{panic_message, FaultSite, FlowCtx, RouterError, Stage};
 use info_geom::{x_arch_len, Coord, Rect};
 use info_model::{DesignRules, Layout, NetId, Package};
@@ -101,7 +100,6 @@ pub(crate) fn route_sequential_in_space(
     tel: &Sink,
 ) -> SequentialResult {
     let mut result = SequentialResult::default();
-    let threads = cfg.threads.max(1);
     let mut stats = astar::SearchStats::default();
     // Nodes the failed attempt of each net expanded, for the rip-up
     // ordering below.
@@ -168,7 +166,6 @@ pub(crate) fn route_sequential_in_space(
                     cfg,
                     &result.routed,
                     ctx,
-                    threads,
                     &mut stats,
                     tel,
                 )
@@ -397,36 +394,31 @@ pub(crate) fn wall_reach(rules: &DesignRules) -> Coord {
 /// own pads happen to sit near the corridor's center, which is what a
 /// pad-midpoint ranking rewards and why the true blocker could sort past
 /// an eviction cutoff.
-///
-/// The per-candidate scan is read-only and pure per net, so it runs in
-/// parallel; results come back in candidate order and the sort key is
-/// total, so the ranking is thread-invariant.
 fn corridor_victims(
     package: &Package,
     layout: &Layout,
     id: NetId,
     routed: &[NetId],
-    threads: usize,
 ) -> Vec<(NetId, i128, i128)> {
     let net = package.net(id);
     let (pa, pb) = (package.pad(net.a).center, package.pad(net.b).center);
     let corridor = Rect::new(pa, pb).inflate(wall_reach(package.rules()));
-    let mut keyed: Vec<(NetId, i128, i128)> = parallel_map(routed, threads, |_, &c| {
-        let mut da = i128::MAX;
-        let mut db = i128::MAX;
-        let mut inside = false;
-        for r in layout.routes_of(c) {
-            for p in r.path.points() {
-                inside |= corridor.contains(*p);
-                da = da.min(info_geom::euclid_sq(*p, pa));
-                db = db.min(info_geom::euclid_sq(*p, pb));
+    let mut keyed: Vec<(NetId, i128, i128)> = routed
+        .iter()
+        .filter_map(|&c| {
+            let mut da = i128::MAX;
+            let mut db = i128::MAX;
+            let mut inside = false;
+            for r in layout.routes_of(c) {
+                for p in r.path.points() {
+                    inside |= corridor.contains(*p);
+                    da = da.min(info_geom::euclid_sq(*p, pa));
+                    db = db.min(info_geom::euclid_sq(*p, pb));
+                }
             }
-        }
-        if inside { Some((c, da, db)) } else { None }
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+            inside.then_some((c, da, db))
+        })
+        .collect();
     keyed.sort_by_key(|&(n, da, db)| (da.min(db), n));
     keyed
 }
@@ -448,13 +440,10 @@ fn ripup_and_reroute(
     cfg: &RouterConfig,
     routed: &[NetId],
     ctx: &FlowCtx,
-    threads: usize,
     stats: &mut astar::SearchStats,
     tel: &Sink,
 ) -> Result<bool, RouterError> {
-    // Eviction trials and commits below stay strictly serial, in ranked
-    // order, which keeps the layout thread-invariant.
-    let keyed = corridor_victims(package, layout, id, routed, threads);
+    let keyed = corridor_victims(package, layout, id, routed);
     let candidates: Vec<NetId> = keyed.iter().map(|&(n, ..)| n).collect();
     // Eviction sets: up to six single victims, then terminal-aware pairs.
     // A wall around a pad can be two routes deep (the journal shows
@@ -714,31 +703,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threads_produce_identical_layouts() {
-        let pkg = simple_package(6);
-        let nets: Vec<NetId> = pkg.nets().iter().map(|n| n.id).collect();
-        let route_with_threads = |threads: usize| {
-            let cfg = RouterConfig::default().with_global_cells(10).with_threads(threads);
-            let mut layout = Layout::new(&pkg);
-            let res = route_sequential(
-                &pkg,
-                &mut layout,
-                &nets,
-                &cfg,
-                &crate::resilience::FlowCtx::default(),
-                None,
-                &Sink::disabled(),
-            );
-            (layout.canonical_hash(), res.routed, res.failed)
-        };
-        let baseline = route_with_threads(1);
-        for threads in [2, 4, 8] {
-            let got = route_with_threads(threads);
-            assert_eq!(got, baseline, "threads={threads} diverged from threads=1");
-        }
-    }
-
-    #[test]
     fn failed_ripup_restores_untouched_geometry_exactly() {
         // One wire layer. Net 0's I/O pad is fenced in by obstacles, so it
         // can never route. Net 1 (second chip, outside the fence) routes
@@ -783,7 +747,6 @@ mod tests {
             &cfg,
             &[NetId(1)],
             &ctx,
-            2,
             &mut astar::SearchStats::default(),
             &Sink::disabled(),
         )
@@ -882,7 +845,7 @@ mod tests {
 
         let mut space = build_stage_space(&pkg, &layout, &cfg);
         let got = ripup_and_reroute(
-            &pkg, &mut layout, &mut space, NetId(5), &cfg, &routed, &ctx, 2, &mut stats, &tel,
+            &pkg, &mut layout, &mut space, NetId(5), &cfg, &routed, &ctx, &mut stats, &tel,
         )
         .expect("no internal failure");
         assert!(got, "evicting a neighbor must free net 5");

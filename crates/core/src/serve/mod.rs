@@ -462,9 +462,8 @@ pub enum Request {
 }
 
 /// The keys a request's `config` object may carry.
-const CONFIG_KEYS: [&str; 8] = [
+const CONFIG_KEYS: [&str; 7] = [
     "global_cells",
-    "threads",
     "lp",
     "concurrent",
     "window",
@@ -493,9 +492,6 @@ fn parse_config(v: &Json) -> Result<(RouterConfig, Option<Duration>, bool), Rout
         }
         if let Some(n) = int_field(c, "global_cells", 1, 512)? {
             cfg.global_cells = n as usize;
-        }
-        if let Some(n) = int_field(c, "threads", 1, 64)? {
-            cfg.threads = n as usize;
         }
         if let Some(b) = bool_field(c, "lp")? {
             cfg.lp_enabled = b;

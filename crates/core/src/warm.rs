@@ -59,8 +59,6 @@ struct WarmKey {
     layout_hash: u64,
     global_cells: usize,
     via_cost_bits: u64,
-    // `threads` is deliberately absent: the build is serial, so jobs
-    // running at different thread counts share one entry.
 }
 
 pub(crate) fn fnv1a(text: &str) -> u64 {
@@ -270,22 +268,6 @@ mod tests {
         // `a` was evicted by `b`, so it misses again.
         let _ = cache.get_or_build(&pkg, &layout, &a, &tel);
         assert_eq!(cache.stats(), (0, 3));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn thread_count_does_not_split_the_cache() {
-        // Jobs at different thread counts must share one warm entry: the
-        // stage-start build is bit-identical at every thread count, so
-        // `threads` stays out of the key.
-        let pkg = tiny_package();
-        let layout = Layout::new(&pkg);
-        let cache = WarmSpaceCache::new(4);
-        let tel = Sink::disabled();
-        let base = RouterConfig::default().with_global_cells(6);
-        let _ = cache.get_or_build(&pkg, &layout, &base.with_threads(1), &tel);
-        let _ = cache.get_or_build(&pkg, &layout, &base.with_threads(8), &tel);
-        assert_eq!(cache.stats(), (1, 1), "threads=8 must hit the threads=1 entry");
         assert_eq!(cache.len(), 1);
     }
 

@@ -171,7 +171,7 @@ impl Layout {
     /// `(net, layer, centerline)` routes and `(net, center, width, span,
     /// fixed)` vias — slot order, rip-up history, and id assignment do not
     /// matter. This is the fingerprint the golden-layout suite pins and the
-    /// determinism test compares across `threads` settings.
+    /// determinism test compares across repeat routes.
     pub fn canonical_hash(&self) -> u64 {
         const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const PRIME: u64 = 0x0000_0100_0000_01b3;

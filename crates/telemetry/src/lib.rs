@@ -10,7 +10,7 @@
 //!
 //! Determinism contract: the sequential flow routes one net at a time,
 //! so the **journal**, the **counters** and the **histograms** are
-//! identical at every thread count (the one wall-clock counter,
+//! identical across repeat routes (the one wall-clock counter,
 //! `ripup_wall_us`, aside). Counters are monotonic: nothing ever
 //! decrements them, not even a rip-up rollback. **Spans** are
 //! wall-clock measurements and inherently run-variant.

@@ -17,7 +17,6 @@ pub mod astar;
 pub mod bucket;
 pub mod cancel;
 pub mod cell_graph;
-pub mod mcmf;
 pub mod partition;
 pub mod realize;
 pub mod space;

@@ -14,6 +14,7 @@
 //!
 //! The JSON job schema is documented in `README.md`.
 
+use info_model::{NetId, Package, PadId};
 use info_router::serve::{self, json::Json, ServeConfig};
 use info_router::{CancelToken, Completion, EcoChangeSet, InfoRouter, RouteOutcome, RouterConfig};
 use std::process::ExitCode;
@@ -22,8 +23,8 @@ use std::time::Duration;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  \
-         info-rdl route <netlist-file> [--global-cells N] [--threads N]\n                 \
-         [--no-lp] [--no-concurrent] [--deadline-ms N] [--net-status]\n  \
+         info-rdl route <netlist-file> [--global-cells N] [--no-lp] [--no-concurrent]\n                 \
+         [--deadline-ms N] [--net-status]\n  \
          info-rdl eco <netlist-file> [--remove NET]... [--add PADA:PADB]...\n                 \
          [--re-pair NET:PADA:PADB]... [route options]\n  \
          info-rdl serve [--socket PATH] [--workers N] [--queue N] [--warm N]"
@@ -53,61 +54,97 @@ fn parse_num(flag: &str, value: Option<&String>) -> Option<u64> {
     }
 }
 
-fn cmd_route(args: &[String]) -> ExitCode {
+/// A `route`/`eco` command line: the netlist path and the route options
+/// both subcommands share.
+struct RouteArgs {
+    file: String,
+    cfg: RouterConfig,
+    deadline: Option<Duration>,
+    net_status: bool,
+}
+
+/// Parses a `route`/`eco` command line. A flag that is not a shared
+/// route option goes to `extra` with the argument iterator, to take its
+/// value from: `extra` returns `None` for a flag it does not know and
+/// `Some(false)` for a malformed value. Returns `None`, after printing
+/// what is wrong, on a bad argument or a missing netlist path.
+fn parse_route_args<'a>(
+    args: &'a [String],
+    mut extra: impl FnMut(&str, &mut std::slice::Iter<'a, String>) -> Option<bool>,
+) -> Option<RouteArgs> {
     let mut file = None;
     let mut cfg = RouterConfig::default();
     let mut deadline = None;
     let mut net_status = false;
-    let mut it = args.iter().peekable();
+    let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--global-cells" => match parse_num(a, it.next()) {
-                Some(n) => cfg.global_cells = (n as usize).max(1),
-                None => return usage(),
-            },
-            "--threads" => match parse_num(a, it.next()) {
-                Some(n) => cfg.threads = (n as usize).max(1),
-                None => return usage(),
-            },
-            "--deadline-ms" => match parse_num(a, it.next()) {
-                Some(n) => deadline = Some(Duration::from_millis(n)),
-                None => return usage(),
-            },
+            "--global-cells" => cfg.global_cells = (parse_num(a, it.next())? as usize).max(1),
+            "--deadline-ms" => deadline = Some(Duration::from_millis(parse_num(a, it.next())?)),
             "--no-lp" => cfg.lp_enabled = false,
             "--no-concurrent" => cfg.concurrent_enabled = false,
             "--net-status" => net_status = true,
             _ if file.is_none() && !a.starts_with('-') => file = Some(a.clone()),
-            other => {
-                eprintln!("error: unknown argument '{other}'");
-                return usage();
-            }
+            other => match extra(other, &mut it) {
+                Some(true) => {}
+                Some(false) => return None,
+                None => {
+                    eprintln!("error: unknown argument '{other}'");
+                    return None;
+                }
+            },
         }
     }
-    let Some(file) = file else {
-        return usage();
-    };
-    let text = match std::fs::read_to_string(&file) {
+    Some(RouteArgs { file: file?, cfg, deadline, net_status })
+}
+
+/// Reads and parses the netlist at `file`, printing what went wrong.
+fn read_package(file: &str) -> Option<Package> {
+    let text = match std::fs::read_to_string(file) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: reading {file}: {e}");
-            return ExitCode::FAILURE;
+            return None;
         }
     };
-    let package = match info_model::parse_package(&text) {
-        Ok(p) => p,
+    match info_model::parse_package(&text) {
+        Ok(p) => Some(p),
         Err(e) => {
             eprintln!("error: netlist: {e}");
-            return ExitCode::FAILURE;
+            None
         }
-    };
-    let mut router = InfoRouter::new(cfg);
-    if let Some(d) = deadline {
-        let token = CancelToken::new();
-        token.arm_job_deadline(Some(d));
-        router = router.with_cancel_token(token);
     }
-    let out = router.route(&package);
+}
 
+/// The router for a parsed command line, with its deadline (if any)
+/// armed on one token for the whole command.
+fn router_for(args: &RouteArgs) -> InfoRouter {
+    let router = InfoRouter::new(args.cfg);
+    match args.deadline {
+        Some(d) => {
+            let token = CancelToken::new();
+            token.arm_job_deadline(Some(d));
+            router.with_cancel_token(token)
+        }
+        None => router,
+    }
+}
+
+fn cmd_route(args: &[String]) -> ExitCode {
+    let Some(args) = parse_route_args(args, |_, _| None) else {
+        return usage();
+    };
+    let Some(package) = read_package(&args.file) else {
+        return ExitCode::FAILURE;
+    };
+    let out = router_for(&args).route(&package);
+    println!("{}", Json::Obj(summary_members(&out, args.net_status)));
+    ExitCode::SUCCESS
+}
+
+/// One-line JSON summary members shared by `route` and `eco` output,
+/// with each net's status when `net_status` is set.
+fn summary_members(out: &RouteOutcome, net_status: bool) -> Vec<(String, Json)> {
     let mut members = vec![
         (
             "status".to_string(),
@@ -139,30 +176,7 @@ fn cmd_route(args: &[String]) -> ExitCode {
             .collect();
         members.push(("nets".to_string(), Json::Arr(nets)));
     }
-    println!("{}", Json::Obj(members));
-    ExitCode::SUCCESS
-}
-
-/// One-line JSON summary members shared by `route` and `eco` output.
-fn summary_members(out: &RouteOutcome) -> Vec<(String, Json)> {
-    vec![
-        (
-            "status".to_string(),
-            Json::Str(
-                match (out.cancelled, out.completion) {
-                    (true, _) => "cancelled",
-                    (false, Completion::Degraded) => "degraded",
-                    (false, Completion::Full) => "done",
-                }
-                .to_string(),
-            ),
-        ),
-        ("hash".to_string(), Json::Str(format!("{:016x}", out.layout.canonical_hash()))),
-        ("routability_pct".to_string(), Json::Num(out.stats.routability_pct)),
-        ("routed".to_string(), Json::Num(out.stats.routed_nets as f64)),
-        ("failed".to_string(), Json::Num(out.failed.len() as f64)),
-        ("runtime_s".to_string(), Json::Num(out.timings.total().as_secs_f64())),
-    ]
+    members
 }
 
 /// Splits `value` on ':' into exactly `arity` indices.
@@ -178,71 +192,46 @@ fn parse_indices(flag: &str, value: Option<&String>, arity: usize) -> Option<Vec
     }
 }
 
-fn cmd_eco(args: &[String]) -> ExitCode {
-    let mut file = None;
-    let mut cfg = RouterConfig::default();
-    let mut changes = EcoChangeSet::new();
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--remove" => match parse_num(a, it.next()) {
-                Some(n) => changes = changes.remove_net(info_model::NetId::from_index(n as usize)),
-                None => return usage(),
-            },
-            "--add" => match parse_indices(a, it.next(), 2) {
-                Some(p) => {
-                    changes = changes.add_net(
-                        info_model::PadId::from_index(p[0]),
-                        info_model::PadId::from_index(p[1]),
-                    )
-                }
-                None => return usage(),
-            },
-            "--re-pair" => match parse_indices(a, it.next(), 3) {
-                Some(p) => {
-                    changes = changes.re_pair(
-                        info_model::NetId::from_index(p[0]),
-                        info_model::PadId::from_index(p[1]),
-                        info_model::PadId::from_index(p[2]),
-                    )
-                }
-                None => return usage(),
-            },
-            "--global-cells" => match parse_num(a, it.next()) {
-                Some(n) => cfg.global_cells = (n as usize).max(1),
-                None => return usage(),
-            },
-            "--threads" => match parse_num(a, it.next()) {
-                Some(n) => cfg.threads = (n as usize).max(1),
-                None => return usage(),
-            },
-            "--no-lp" => cfg.lp_enabled = false,
-            "--no-concurrent" => cfg.concurrent_enabled = false,
-            _ if file.is_none() && !a.starts_with('-') => file = Some(a.clone()),
-            other => {
-                eprintln!("error: unknown argument '{other}'");
-                return usage();
-            }
+/// Takes one `eco` edit flag's value from `it` into `changes`; the
+/// `extra` hook of [`parse_route_args`].
+fn eco_edit(
+    changes: &mut EcoChangeSet,
+    flag: &str,
+    it: &mut std::slice::Iter<'_, String>,
+) -> Option<bool> {
+    let edited = match flag {
+        "--remove" => parse_num(flag, it.next())
+            .map(|n| std::mem::take(changes).remove_net(NetId::from_index(n as usize))),
+        "--add" => parse_indices(flag, it.next(), 2).map(|p| {
+            std::mem::take(changes).add_net(PadId::from_index(p[0]), PadId::from_index(p[1]))
+        }),
+        "--re-pair" => parse_indices(flag, it.next(), 3).map(|p| {
+            std::mem::take(changes).re_pair(
+                NetId::from_index(p[0]),
+                PadId::from_index(p[1]),
+                PadId::from_index(p[2]),
+            )
+        }),
+        _ => return None,
+    };
+    match edited {
+        Some(c) => {
+            *changes = c;
+            Some(true)
         }
+        None => Some(false),
     }
-    let Some(file) = file else {
+}
+
+fn cmd_eco(args: &[String]) -> ExitCode {
+    let mut changes = EcoChangeSet::new();
+    let Some(args) = parse_route_args(args, |flag, it| eco_edit(&mut changes, flag, it)) else {
         return usage();
     };
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: reading {file}: {e}");
-            return ExitCode::FAILURE;
-        }
+    let Some(package) = read_package(&args.file) else {
+        return ExitCode::FAILURE;
     };
-    let package = match info_model::parse_package(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: netlist: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let router = InfoRouter::new(cfg);
+    let router = router_for(&args);
     let prior = router.route(&package);
     let out = match router.reroute_delta(&package, &prior, &changes) {
         Ok(o) => o,
@@ -251,7 +240,7 @@ fn cmd_eco(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let mut eco_members = summary_members(&out);
+    let mut eco_members = summary_members(&out, args.net_status);
     if let Some(s) = &out.eco {
         eco_members.push((
             "eco".to_string(),
@@ -268,7 +257,7 @@ fn cmd_eco(args: &[String]) -> ExitCode {
     println!(
         "{}",
         Json::Obj(vec![
-            ("base".to_string(), Json::Obj(summary_members(&prior))),
+            ("base".to_string(), Json::Obj(summary_members(&prior, args.net_status))),
             ("eco".to_string(), Json::Obj(eco_members)),
         ])
     );
@@ -318,5 +307,54 @@ fn cmd_serve(args: &[String]) -> ExitCode {
             eprintln!("error: serve: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    fn eco(line: &str) -> Option<(RouteArgs, EcoChangeSet)> {
+        let mut changes = EcoChangeSet::new();
+        let parsed = parse_route_args(&args(line), |f, it| eco_edit(&mut changes, f, it))?;
+        Some((parsed, changes))
+    }
+
+    #[test]
+    fn route_and_eco_share_the_route_options() {
+        let opts = "--global-cells 12 --no-lp --no-concurrent --deadline-ms 250 --net-status";
+        let route = parse_route_args(&args(&format!("c.netlist {opts}")), |_, _| None).unwrap();
+        let (eco, changes) = eco(&format!("c.netlist --remove 3 {opts} --re-pair 5:43:44")).unwrap();
+        for parsed in [&route, &eco] {
+            assert_eq!(parsed.file, "c.netlist");
+            assert_eq!(parsed.cfg.global_cells, 12);
+            assert!(!parsed.cfg.lp_enabled && !parsed.cfg.concurrent_enabled);
+            assert_eq!(parsed.deadline, Some(Duration::from_millis(250)));
+            assert!(parsed.net_status);
+        }
+        let want = EcoChangeSet::new().remove_net(NetId::from_index(3)).re_pair(
+            NetId::from_index(5),
+            PadId::from_index(43),
+            PadId::from_index(44),
+        );
+        assert_eq!(changes, want);
+    }
+
+    #[test]
+    fn bad_arguments_are_rejected() {
+        let route = |line: &str| parse_route_args(&args(line), |_, _| None);
+        assert!(route("c.netlist").is_some());
+        assert!(route("").is_none(), "netlist path is required");
+        assert!(route("c.netlist --threads 2").is_none(), "--threads is not an option");
+        assert!(route("c.netlist --remove 3").is_none(), "edits are eco-only");
+        assert!(route("c.netlist --global-cells x").is_none());
+        assert!(route("c.netlist --deadline-ms").is_none());
+        assert!(eco("c.netlist --add 1").is_none(), "--add takes two pads");
+        assert!(eco("c.netlist --re-pair 1:2").is_none(), "--re-pair takes a net and two pads");
+        assert!(eco("c.netlist --bogus").is_none());
     }
 }

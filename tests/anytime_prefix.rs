@@ -31,13 +31,12 @@ fn circuits() -> Vec<(&'static str, Package)> {
     ]
 }
 
-/// Deterministic single-threaded config; LP off (it moves geometry after
+/// Deterministic config; LP off (it moves geometry after
 /// routing) and concurrent off (the prefix property is a statement about
 /// the sequential commit order).
 fn cfg() -> RouterConfig {
     RouterConfig::default()
         .with_global_cells(14)
-        .with_threads(1)
         .without_concurrent()
         .without_lp()
         .with_telemetry()

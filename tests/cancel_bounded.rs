@@ -11,10 +11,10 @@ use info_rdl::tile::CancelToken;
 use info_rdl::{InfoRouter, RouteOutcome, RouterConfig};
 use std::time::{Duration, Instant};
 
-/// Single-threaded sequential-only config: every expansion goes through
-/// one token, so the deterministic trip bound is exact.
+/// Sequential-only config: every expansion goes through one token, so
+/// the deterministic trip bound is exact.
 fn seq_only() -> RouterConfig {
-    RouterConfig::default().without_concurrent().without_lp().with_threads(1)
+    RouterConfig::default().without_concurrent().without_lp()
 }
 
 /// Shared invariants of any interrupted run: legal layout, every net

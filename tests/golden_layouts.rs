@@ -9,9 +9,6 @@
 //!
 //! - `UPDATE_GOLDEN=1 cargo test --test golden_layouts` regenerates the
 //!   snapshots (review the diff before committing!).
-//! - `RDL_TEST_THREADS=<n>` routes with `n` worker threads; the
-//!   snapshots must match for every thread count — that is the
-//!   determinism guarantee CI's thread matrix locks down.
 
 use info_rdl::generators::{build_dense, dense_spec};
 use info_rdl::model::Package;
@@ -40,13 +37,8 @@ fn circuits() -> Vec<(&'static str, Package)> {
     ]
 }
 
-fn env_threads() -> usize {
-    std::env::var("RDL_TEST_THREADS").ok().and_then(|s| s.parse().ok()).unwrap_or(1)
-}
-
-fn route(pkg: &Package, threads: usize) -> RouteOutcome {
-    let cfg = RouterConfig::default().with_global_cells(14).with_threads(threads);
-    InfoRouter::new(cfg).route(pkg)
+fn route(pkg: &Package) -> RouteOutcome {
+    InfoRouter::new(RouterConfig::default().with_global_cells(14)).route(pkg)
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -138,11 +130,10 @@ fn golden_dir() -> PathBuf {
 #[test]
 fn golden_layouts_match() {
     let update = std::env::var("UPDATE_GOLDEN").is_ok_and(|v| !v.is_empty() && v != "0");
-    let threads = env_threads();
     let dir = golden_dir();
     let mut failures = String::new();
     for (name, pkg) in circuits() {
-        let out = route(&pkg, threads);
+        let out = route(&pkg);
         let got = Snapshot::take(name, &pkg, &out);
         let path = dir.join(format!("{name}.json"));
         if update {
@@ -164,7 +155,7 @@ fn golden_layouts_match() {
         let want = Snapshot::from_json(&text)
             .unwrap_or_else(|| panic!("unparseable golden file {}", path.display()));
         if want != got {
-            let _ = writeln!(failures, "  {name} (threads={threads}):\n{}", want.diff(&got));
+            let _ = writeln!(failures, "  {name}:\n{}", want.diff(&got));
         }
     }
     assert!(
@@ -172,25 +163,4 @@ fn golden_layouts_match() {
         "golden layout mismatches:\n{failures}\n(intended change? regenerate with \
          UPDATE_GOLDEN=1 cargo test --test golden_layouts and review the diff)"
     );
-}
-
-/// threads=4 must produce byte-identical layouts to threads=1 on every
-/// golden circuit (hash compare) — the router's thread-count
-/// determinism contract.
-#[test]
-fn thread_matrix_layouts_identical() {
-    for (name, pkg) in circuits() {
-        let base = route(&pkg, 1);
-        let par = route(&pkg, 4);
-        assert_eq!(
-            base.layout.canonical_hash(),
-            par.layout.canonical_hash(),
-            "{name}: threads=4 layout differs from threads=1"
-        );
-        assert_eq!(base.failed, par.failed, "{name}: failed-net sets differ");
-        assert_eq!(
-            base.sequential_routed, par.sequential_routed,
-            "{name}: sequential commit counts differ"
-        );
-    }
 }

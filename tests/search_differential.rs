@@ -1,13 +1,11 @@
-//! Differential suite for the windowed A\* search and the reordered
-//! rip-up queue.
+//! Differential suite for the windowed A\* search.
 //!
 //! The window is lossless by construction (a windowed result is accepted
 //! only when provably identical to the full-graph search; see
 //! `info_tile::astar` and DESIGN.md §4d). This suite locks that proof in
 //! end to end: routing each golden circuit with the window on vs forced
 //! off must produce identical routability, wirelength, and canonical
-//! layout hashes — and identical layouts again at `threads` 1 vs 4 over
-//! the detour-rate-reordered rip-up queue.
+//! layout hashes.
 
 use info_rdl::generators::{build_dense, dense_spec};
 use info_rdl::model::Package;
@@ -66,28 +64,5 @@ fn windowed_search_matches_full_graph_on_golden_circuits() {
         // as often as nets exist, and both report live stats.
         assert_eq!(full.timings.search.window_escalations, 0, "{name}");
         assert!(windowed.timings.search.searches >= full.failed.len() as u64, "{name}");
-    }
-}
-
-/// The detour-rate-reordered rip-up queue stays deterministic across
-/// thread counts: the authoritative failed-attempt expansion counts that
-/// drive the ordering are thread-invariant by construction, so threads=1
-/// and threads=4 must agree circuit by circuit.
-#[test]
-fn reordered_ripup_is_thread_invariant() {
-    for (name, pkg) in circuits() {
-        let seq = route(&pkg, RouterConfig::default().with_threads(1));
-        let par = route(&pkg, RouterConfig::default().with_threads(4));
-        assert_eq!(
-            seq.layout.canonical_hash(),
-            par.layout.canonical_hash(),
-            "{name}: threads=4 layout differs from threads=1"
-        );
-        assert_eq!(seq.failed, par.failed, "{name}: failed-net sets differ");
-        assert_eq!(
-            seq.stats.total_wirelength_um.to_bits(),
-            par.stats.total_wirelength_um.to_bits(),
-            "{name}: wirelength differs across thread counts"
-        );
     }
 }

@@ -171,12 +171,12 @@ fn id_length_boundary() {
     assert!(matches!(parse_request(&mk(257)), Err(RouterError::BadInput { .. })));
 }
 
-/// The `config` object takes exactly its eight keys: all eight together
+/// The `config` object takes exactly its seven keys: all seven together
 /// are accepted, and any other key is rejected by name rather than
-/// ignored — a client still sending `congestion` must not silently get a
-/// different router than it asked for.
+/// ignored — a client still sending `congestion` or `threads` must not
+/// silently get a different router than it asked for.
 #[test]
-fn config_accepts_its_eight_keys_and_names_any_other() {
+fn config_accepts_its_seven_keys_and_names_any_other() {
     let netlist = valid_netlist();
     let mk = |config: &str| {
         format!(
@@ -185,7 +185,7 @@ fn config_accepts_its_eight_keys_and_names_any_other() {
         )
     };
     let all = mk(
-        "{\"global_cells\":8,\"threads\":2,\"lp\":false,\"concurrent\":true,\
+        "{\"global_cells\":8,\"lp\":false,\"concurrent\":true,\
          \"window\":true,\"stage_budget_ms\":60000,\"deadline_ms\":120000,\
          \"net_status\":true}",
     );
@@ -193,23 +193,26 @@ fn config_accepts_its_eight_keys_and_names_any_other() {
         Ok(Request::Route(job, net_status)) => {
             assert!(net_status);
             assert_eq!(job.cfg.global_cells, 8);
-            assert_eq!(job.cfg.threads, 2);
             assert!(!job.cfg.lp_enabled);
             assert_eq!(
                 job.deadline,
                 Some(std::time::Duration::from_millis(120_000))
             );
         }
-        other => panic!("all eight config keys must be accepted: {other:?}"),
+        other => panic!("all seven config keys must be accepted: {other:?}"),
     }
-    match parse_request(&mk("{\"global_cells\":8,\"congestion\":true}")) {
-        Err(RouterError::BadInput { reason }) => {
-            assert!(
-                reason.contains("'congestion'"),
-                "reason must name the key: {reason}"
-            )
+    for (config, key) in [
+        ("{\"global_cells\":8,\"congestion\":true}", "'congestion'"),
+        ("{\"threads\":2}", "'threads'"),
+    ] {
+        match parse_request(&mk(config)) {
+            Err(RouterError::BadInput { reason }) => assert_eq!(
+                reason,
+                format!("unknown config key {key}"),
+                "reason must name the key"
+            ),
+            other => panic!("unknown config key in {config} must be rejected: {other:?}"),
         }
-        other => panic!("an unknown config key must be rejected: {other:?}"),
     }
 }
 

@@ -2,10 +2,11 @@
 //!
 //! Locks down the three contracts the telemetry subsystem makes:
 //!
-//! 1. The per-net route journal, every counter and the search statistics
-//!    are part of the deterministic output: threads=1 and threads=4
-//!    produce identical ones on every golden circuit, because nets are
-//!    searched and committed one at a time whatever the thread count.
+//! 1. The layout, the per-net route journal, every work counter and the
+//!    search statistics are deterministic output: routing a golden
+//!    circuit twice in one process reproduces all of them. Each
+//!    `HashMap` in the process draws its own `RandomState` seed, so any
+//!    output that leaked a hash map's iteration order would differ.
 //! 2. Telemetry is observation-only: the routed layout is byte-identical
 //!    (canonical hash) with telemetry on and off.
 //! 3. Counters are monotonic: a rip-up trial that fails and restores the
@@ -38,26 +39,18 @@ fn mk(idx: usize, io: usize, bumps: usize, seed: u64) -> Package {
     build_dense(spec, false)
 }
 
-fn route_telemetry_on(pkg: &Package, threads: usize, cells: usize) -> RouteOutcome {
-    let cfg = RouterConfig::default()
-        .with_global_cells(cells)
-        .with_threads(threads)
-        .with_telemetry();
-    InfoRouter::new(cfg).route(pkg)
-}
-
-fn route_with_telemetry(pkg: &Package, threads: usize, cells: usize) -> TelemetryReport {
-    route_telemetry_on(pkg, threads, cells).telemetry.expect("telemetry enabled")
+fn route_telemetry_on(pkg: &Package, cells: usize) -> RouteOutcome {
+    InfoRouter::new(RouterConfig::default().with_global_cells(cells).with_telemetry()).route(pkg)
 }
 
 /// Counters that measure wall-clock time rather than work.
 const WALL_CLOCK_COUNTERS: [&str; 1] = ["ripup_wall_us"];
 
-/// Threads only parallelize read-only scans, so the journal — order,
-/// contents, victims, outcomes — every work counter, and the search
-/// statistics must be identical at every thread count.
+/// Routing the same circuit twice reproduces the layout, the failed
+/// set, the journal — order, contents, victims, outcomes — every work
+/// counter and the search statistics.
 #[test]
-fn journal_identical_across_thread_counts() {
+fn journal_identical_across_repeat_routes() {
     let mut circuits = golden_circuits();
     // A congested variant that exercises rip-up (commits *and* restores)
     // so the invariance claim covers RipUp records too (at 14 global
@@ -65,29 +58,32 @@ fn journal_identical_across_thread_counts() {
     circuits.push(("g3_congested", mk(2, 16, 48, 23)));
     for (name, pkg) in circuits {
         let cells = if name == "g3_congested" { 10 } else { 14 };
-        let seq_out = route_telemetry_on(&pkg, 1, cells);
-        let par_out = route_telemetry_on(&pkg, 4, cells);
+        let first_out = route_telemetry_on(&pkg, cells);
+        let again_out = route_telemetry_on(&pkg, cells);
         assert_eq!(
-            seq_out.timings.search, par_out.timings.search,
-            "{name}: search statistics differ between threads=1 and threads=4"
+            first_out.layout.canonical_hash(),
+            again_out.layout.canonical_hash(),
+            "{name}: layout differs between two routes"
         );
-        let seq = seq_out.telemetry.expect("telemetry enabled");
-        let par = par_out.telemetry.expect("telemetry enabled");
+        assert_eq!(first_out.failed, again_out.failed, "{name}: failed-net sets differ");
         assert_eq!(
-            seq.journal, par.journal,
-            "{name}: route journal differs between threads=1 and threads=4"
+            first_out.timings.search, again_out.timings.search,
+            "{name}: search statistics differ between two routes"
         );
+        let first = first_out.telemetry.expect("telemetry enabled");
+        let again = again_out.telemetry.expect("telemetry enabled");
+        assert_eq!(first.journal, again.journal, "{name}: route journal differs between two routes");
         let work = |r: &TelemetryReport| -> Vec<(&'static str, u64)> {
             r.counters.iter().copied().filter(|(l, _)| !WALL_CLOCK_COUNTERS.contains(l)).collect()
         };
         assert_eq!(
-            work(&seq),
-            work(&par),
-            "{name}: telemetry counters differ between threads=1 and threads=4"
+            work(&first),
+            work(&again),
+            "{name}: telemetry counters differ between two routes"
         );
         if name == "g3_congested" {
             assert!(
-                seq.counter("ripup_attempts") > 0,
+                first.counter("ripup_attempts") > 0,
                 "g3_congested no longer exercises rip-up; pick a denser probe"
             );
         }
@@ -127,7 +123,7 @@ fn layouts_byte_identical_telemetry_on_off() {
 #[test]
 fn counters_monotonic_across_ripup_restores() {
     let pkg = mk(2, 16, 48, 23);
-    let rep = route_with_telemetry(&pkg, 1, 10);
+    let rep = route_telemetry_on(&pkg, 10).telemetry.expect("telemetry enabled");
     let attempts = rep.counter("ripup_attempts");
     let commits = rep.counter("ripup_commits");
     let restores = rep.counter("snapshot_restores");
