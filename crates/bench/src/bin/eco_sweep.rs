@@ -11,8 +11,10 @@
 //! that net through a search in a space derived from the cached prior
 //! space. Reported per circuit: mean/max ECO wall time for deletions,
 //! the deletion mean as a percentage of the full-route time, mean/max
-//! re-pair time, and the warm-cache hit counts that prove the "one
-//! build, N-1 warm hits" contract.
+//! re-pair time, the warm-cache hit counts that prove the "one
+//! build, N-1 warm hits" contract, and how many of the ECOs ran the
+//! touched-component LP (`lp_passes`) and how many of those passes its
+//! safety net reverted (`lp_reverted`).
 //!
 //! Three contracts are enforced (nonzero exit on violation):
 //!
@@ -124,6 +126,15 @@ fn main() -> std::io::Result<()> {
         let mut times: Vec<Duration> = Vec::with_capacity(nets);
         let mut rerouted_total = 0usize;
         let mut illegal = 0usize;
+        // Touched-component LP passes run, and passes reverted, over all
+        // of this circuit's ECOs.
+        let (mut lp_passes, mut lp_reverted) = (0usize, 0usize);
+        let mut count_lp = |out: &RouteOutcome| {
+            if let Some(s) = &out.eco {
+                lp_passes += usize::from(s.lp_dirty_nets > 0);
+                lp_reverted += usize::from(s.lp_reverted);
+            }
+        };
         for net in pkg.nets() {
             let changes = EcoChangeSet::new().remove_net(net.id);
             let t0 = Instant::now();
@@ -140,6 +151,7 @@ fn main() -> std::io::Result<()> {
                 illegal += 1;
             }
             rerouted_total += out.eco.as_ref().map_or(0, |s| s.nets_rerouted);
+            count_lp(&out);
         }
 
         let mut repair_times: Vec<Duration> = Vec::with_capacity(nets);
@@ -157,6 +169,7 @@ fn main() -> std::io::Result<()> {
                 );
                 illegal += 1;
             }
+            count_lp(&out);
             let hit = out.eco.as_ref().is_some_and(|s| s.space_warm_hit);
             repair_hits += usize::from(hit);
             if k > 0 && !hit {
@@ -173,7 +186,8 @@ fn main() -> std::io::Result<()> {
         println!(
             "dense{d}: {nets} single-net ECOs: mean {:.1}ms ({mean_pct:.2}% of full), \
              max {:.1}ms, {rerouted_total} nets re-routed total; {} re-pairs: mean {:.1}ms, \
-             max {:.1}ms, {repair_hits} warm; warm {hits} hits / {misses} misses",
+             max {:.1}ms, {repair_hits} warm; warm {hits} hits / {misses} misses; \
+             {lp_reverted} of {lp_passes} LP passes reverted",
             mean.as_secs_f64() * 1e3,
             max.as_secs_f64() * 1e3,
             repair_times.len(),
@@ -217,6 +231,8 @@ fn main() -> std::io::Result<()> {
                 ("repair_warm_hits", Json::Num(repair_hits as f64)),
                 ("warm_hits", Json::Num(hits as f64)),
                 ("warm_misses", Json::Num(misses as f64)),
+                ("lp_passes", Json::Num(lp_passes as f64)),
+                ("lp_reverted", Json::Num(lp_reverted as f64)),
             ]),
         ));
     }

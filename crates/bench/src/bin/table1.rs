@@ -2,7 +2,9 @@
 //! wirelength and runtime for Lin-ext and our via-based router on
 //! dense1–dense5. Also emits `BENCH_rdl.json` with the per-circuit
 //! numbers and the measured spatial-index speedup of the DRC query path
-//! (indexed `drc::check` vs the reference `drc::check_naive`).
+//! (indexed `drc::check` vs the reference `drc::check_naive`), and the
+//! `ingest` section: how long `parse_package` takes on the netlist text
+//! of each of dense1–5, whatever `max_index` is.
 //!
 //! Usage: `table1 [max_index]` (default 5; pass 3 for a quick run).
 //!
@@ -15,7 +17,10 @@
 use info_baseline::LinExtRouter;
 use info_bench::{fixed, geomean, obj, secs, BenchRecord, BENCH_PATH};
 use info_geom::{Point, Polyline};
-use info_model::{drc, DesignRules, Layout, NetId, Package, PackageBuilder, WireLayer};
+use info_model::{
+    drc, parse_package, write_package, DesignRules, Layout, NetId, Package, PackageBuilder,
+    WireLayer,
+};
 use info_router::serve::json::Json;
 use info_router::{InfoRouter, RouterConfig};
 use info_telemetry::{Sink, TelemetryReport};
@@ -146,6 +151,42 @@ fn run_drc_stress() -> (Json, f64) {
         ("speedup", fixed(ratio, 2)),
     ]);
     (section, ratio)
+}
+
+/// Parses per circuit in the `ingest` section; the median is recorded.
+const INGEST_REPS: usize = 9;
+
+/// Times `parse_package` on the netlist text of dense1–5 — what every
+/// route request, CLI run and generator pays to ingest a package — and
+/// returns the `ingest` section: per circuit, the pad count, the netlist
+/// size and the median parse time of [`INGEST_REPS`] parses.
+fn run_ingest() -> Json {
+    let circuits = (1..=5).map(|idx| {
+        let generated = info_gen::dense(idx);
+        let (pads, text) = (generated.pads().len(), write_package(&generated));
+        let mut times_ms: Vec<f64> = (0..INGEST_REPS)
+            .map(|_| {
+                let t = Instant::now();
+                let pkg = parse_package(&text).expect("a generated netlist parses");
+                let ms = t.elapsed().as_secs_f64() * 1e3;
+                assert_eq!(pkg.pads().len(), pads);
+                ms
+            })
+            .collect();
+        let parse_ms = median(&mut times_ms);
+        println!(
+            "ingest dense{idx}: {pads} pads, {} bytes, parse {parse_ms:.3} ms (median of \
+             {INGEST_REPS})",
+            text.len()
+        );
+        obj([
+            ("name", Json::Str(format!("dense{idx}"))),
+            ("pads", Json::Num(pads as f64)),
+            ("netlist_bytes", Json::Num(text.len() as f64)),
+            ("parse_ms", fixed(parse_ms, 4)),
+        ])
+    });
+    obj([("reps", Json::Num(INGEST_REPS as f64)), ("circuits", Json::Arr(circuits.collect()))])
 }
 
 /// Labeled counts as one object (labels are unique), so consumers index
@@ -359,6 +400,7 @@ fn main() -> std::io::Result<()> {
     let drc_geomean = geomean(drc_speedups);
     println!("DRC on final layouts: indexed vs naive geo-mean speedup {drc_geomean:.2}x");
     let (stress, stress_speedup) = run_drc_stress();
+    let ingest = run_ingest();
 
     record.set("bench", Json::Str("rdl".into()));
     record.set("generated_by", Json::Str("table1".into()));
@@ -372,6 +414,7 @@ fn main() -> std::io::Result<()> {
     record.set("drc_speedup_geomean", fixed(drc_geomean, 2));
     record.set("drc_stress", stress);
     record.set("drc_query_speedup", fixed(stress_speedup, 2));
+    record.set("ingest", ingest);
     record.save()?;
     println!("wrote {BENCH_PATH}");
     Ok(())

@@ -304,6 +304,12 @@ pub struct EcoStats {
     pub lp_dirty_nets: usize,
     /// LP components skipped as disjoint from the dirty seed.
     pub lp_components_skipped: usize,
+    /// True when the touched-component LP pass ran and its safety net
+    /// threw the solved layout away ([`LpOptReport::reverted`]), so the
+    /// ECO kept its pre-LP geometry.
+    ///
+    /// [`LpOptReport::reverted`]: crate::lpopt::LpOptReport::reverted
+    pub lp_reverted: bool,
 }
 
 /// The committed geometry of a net an ECO deleted, carried on the ECO's
@@ -331,10 +337,9 @@ pub struct EcoStash {
 
 /// Derives the edited design from `base` with `pairs` as the net list
 /// and `pre_vias` re-attached. [`Package::with_nets`] shares the
-/// validated floorplan (pads never move under a net edit), so this is
-/// linear in the edit — rebuilding through `PackageBuilder` would repeat
-/// the quadratic pad-spacing sweep on every ECO, which on dense pad
-/// fields costs more than the delta route itself.
+/// validated floorplan (pads never move under a net edit), so this skips
+/// the pad re-validation of an unchanged floorplan and re-checks only
+/// the net-level constraints.
 fn rebuild_package(
     base: &Package,
     pairs: &[(PadId, PadId)],
@@ -720,6 +725,7 @@ pub(crate) fn reroute_delta(
         stats.lp_dirty_nets = touched.len();
         let rep = lpopt::optimize_seeded(uni, &mut layout, cfg, &ctx, Some(&touched));
         stats.lp_components_skipped = rep.components_skipped;
+        stats.lp_reverted = rep.reverted;
         lp_final = Some(rep);
     }
     let lp = t_lp.elapsed();

@@ -695,6 +695,7 @@ pub fn response_json(r: &JobResult, include_net_status: bool) -> Json {
                             "lp_dirty_nets".to_string(),
                             Json::Num(eco.lp_dirty_nets as f64),
                         ),
+                        ("lp_reverted".to_string(), Json::Bool(eco.lp_reverted)),
                     ]),
                 ));
             }

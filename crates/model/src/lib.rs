@@ -55,6 +55,7 @@ pub use layout::Layout;
 pub use netlist::{pad_by_file_order, parse_package, write_package, ParseError};
 pub use package::{
     BuildError, Chip, Net, Obstacle, Pad, PadKind, Package, PackageBuilder, PreVia,
+    MAX_WIRE_LAYERS,
 };
 pub use route::{Route, Via};
 pub use rules::DesignRules;

@@ -18,7 +18,7 @@
 //! Entity indices follow insertion order per kind-independent pad
 //! numbering (pads share one index space, in file order).
 
-use crate::package::{BuildError, Package, PackageBuilder, PadKind};
+use crate::package::{BuildError, Package, PackageBuilder, PadKind, MAX_WIRE_LAYERS};
 use crate::ids::NetId;
 use crate::rules::DesignRules;
 use crate::ids::{PadId, WireLayer};
@@ -68,6 +68,13 @@ fn nums(rest: &str, line: usize, expect: usize) -> Result<Vec<i64>, ParseError> 
     }
 }
 
+/// `v` as a `T` (an index or layer), or a syntax error naming the line,
+/// so an out-of-range number is rejected instead of wrapping.
+fn narrow<T: TryFrom<i64>>(v: i64, line: usize, what: &str) -> Result<T, ParseError> {
+    T::try_from(v)
+        .map_err(|_| ParseError::Syntax { line, message: format!("{what} {v} is out of range") })
+}
+
 /// Parses the text format into a validated [`Package`].
 ///
 /// # Errors
@@ -80,10 +87,11 @@ pub fn parse_package(text: &str) -> Result<Package, ParseError> {
     let mut layers = 1usize;
     // Collect entities first; the builder needs die/rules up front.
     let mut chips: Vec<Rect> = Vec::new();
-    let mut pads: Vec<(Option<usize>, Point)> = Vec::new(); // chip idx (None = bump)
-    let mut obstacles: Vec<(usize, Rect)> = Vec::new();
-    let mut nets: Vec<(usize, usize)> = Vec::new();
-    let mut fixed_vias: Vec<(usize, i64, i64, usize, usize)> = Vec::new();
+    // Pads and nets keep their line, so an unknown reference names it.
+    let mut pads: Vec<(Option<usize>, Point, usize)> = Vec::new(); // chip idx (None = bump)
+    let mut obstacles: Vec<(WireLayer, Rect)> = Vec::new();
+    let mut nets: Vec<(usize, usize, usize)> = Vec::new();
+    let mut fixed_vias: Vec<(NetId, Point, WireLayer, WireLayer)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = lineno + 1;
@@ -103,7 +111,13 @@ pub fn parse_package(text: &str) -> Result<Package, ParseError> {
             }
             "layers" => {
                 let v = nums(rest, line, 1)?;
-                layers = v[0] as usize;
+                layers = narrow(v[0], line, "layer count")?;
+                if layers > MAX_WIRE_LAYERS {
+                    return Err(ParseError::Syntax {
+                        line,
+                        message: format!("{layers} layers exceed the maximum of {MAX_WIRE_LAYERS}"),
+                    });
+                }
             }
             "chip" => {
                 let v = nums(rest, line, 4)?;
@@ -111,23 +125,29 @@ pub fn parse_package(text: &str) -> Result<Package, ParseError> {
             }
             "iopad" => {
                 let v = nums(rest, line, 3)?;
-                pads.push((Some(v[0] as usize), Point::new(v[1], v[2])));
+                pads.push((Some(narrow(v[0], line, "chip index")?), Point::new(v[1], v[2]), line));
             }
             "bumppad" => {
                 let v = nums(rest, line, 2)?;
-                pads.push((None, Point::new(v[0], v[1])));
+                pads.push((None, Point::new(v[0], v[1]), line));
             }
             "obstacle" => {
                 let v = nums(rest, line, 5)?;
-                obstacles.push((v[0] as usize, Rect::new(Point::new(v[1], v[2]), Point::new(v[3], v[4]))));
+                let layer = WireLayer(narrow(v[0], line, "obstacle layer")?);
+                obstacles.push((layer, Rect::new(Point::new(v[1], v[2]), Point::new(v[3], v[4]))));
             }
             "net" => {
                 let v = nums(rest, line, 2)?;
-                nets.push((v[0] as usize, v[1] as usize));
+                nets.push((narrow(v[0], line, "pad index")?, narrow(v[1], line, "pad index")?, line));
             }
             "fixedvia" => {
                 let v = nums(rest, line, 5)?;
-                fixed_vias.push((v[0] as usize, v[1], v[2], v[3] as usize, v[4] as usize));
+                fixed_vias.push((
+                    NetId(narrow(v[0], line, "net index")?),
+                    Point::new(v[1], v[2]),
+                    WireLayer(narrow(v[3], line, "via top layer")?),
+                    WireLayer(narrow(v[4], line, "via bottom layer")?),
+                ));
             }
             other => {
                 return Err(ParseError::Syntax {
@@ -142,11 +162,11 @@ pub fn parse_package(text: &str) -> Result<Package, ParseError> {
     let mut b = PackageBuilder::new(die, rules, layers);
     let chip_ids: Vec<_> = chips.into_iter().map(|r| b.add_chip(r)).collect();
     let mut pad_ids = Vec::with_capacity(pads.len());
-    for (chip, center) in pads {
+    for (chip, center, line) in pads {
         let id = match chip {
             Some(ci) => {
                 let cid = *chip_ids.get(ci).ok_or(ParseError::Syntax {
-                    line: 0,
+                    line,
                     message: format!("iopad references unknown chip {ci}"),
                 })?;
                 b.add_io_pad(cid, center)?
@@ -156,26 +176,20 @@ pub fn parse_package(text: &str) -> Result<Package, ParseError> {
         pad_ids.push(id);
     }
     for (layer, rect) in obstacles {
-        b.add_obstacle(WireLayer(layer as u8), rect)?;
+        b.add_obstacle(layer, rect)?;
     }
-    for (a, bx) in nets {
-        let pa = *pad_ids.get(a).ok_or(ParseError::Syntax {
-            line: 0,
-            message: format!("net references unknown pad {a}"),
-        })?;
-        let pb = *pad_ids.get(bx).ok_or(ParseError::Syntax {
-            line: 0,
-            message: format!("net references unknown pad {bx}"),
-        })?;
+    for (a, bx, line) in nets {
+        let pad = |i: usize| {
+            pad_ids.get(i).copied().ok_or_else(|| ParseError::Syntax {
+                line,
+                message: format!("net references unknown pad {i}"),
+            })
+        };
+        let (pa, pb) = (pad(a)?, pad(bx)?);
         b.add_net(pa, pb)?;
     }
-    for (net, x, y, top, bottom) in fixed_vias {
-        b.add_fixed_via(
-            NetId(net as u32),
-            Point::new(x, y),
-            WireLayer(top as u8),
-            WireLayer(bottom as u8),
-        )?;
+    for (net, center, top, bottom) in fixed_vias {
+        b.add_fixed_via(net, center, top, bottom)?;
     }
     Ok(b.build()?)
 }
@@ -288,6 +302,42 @@ net 0 1
     #[test]
     fn missing_die_rejected() {
         assert!(parse_package("layers 2\n").is_err());
+    }
+
+    /// Numbers that do not fit their field are syntax errors on their own
+    /// line, not values wrapped into range.
+    #[test]
+    fn out_of_range_numbers_are_rejected_with_their_line() {
+        let head = "die 0 0 1000000 1000000\nlayers 2\nchip 0 0 500000 500000\n\
+                    iopad 0 100000 100000\nbumppad 800000 800000\nnet 0 1\n";
+        for bad in [
+            "obstacle 257 0 0 10 10",
+            "obstacle -1 0 0 10 10",
+            "fixedvia 0 900000 900000 0 257",
+            "fixedvia 0 900000 900000 -1 1",
+            "fixedvia 4294967296 900000 900000 0 1",
+            "fixedvia -1 900000 900000 0 1",
+            "net -1 0",
+            "iopad -1 10 10",
+            "layers -1",
+            "layers 257",
+            "layers 300",
+        ] {
+            match parse_package(&format!("{head}{bad}\n")) {
+                Err(ParseError::Syntax { line, .. }) => assert_eq!(line, 7, "{bad}"),
+                other => panic!("{bad}: expected a syntax error, got {other:?}"),
+            }
+        }
+        // References past the entities declared are named by line too.
+        for (bad, line) in [("iopad 3 10 10", 7), ("net 0 99", 7)] {
+            match parse_package(&format!("{head}{bad}\n")) {
+                Err(ParseError::Syntax { line: got, .. }) => assert_eq!(got, line, "{bad}"),
+                other => panic!("{bad}: expected a syntax error, got {other:?}"),
+            }
+        }
+        // The largest addressable stack still parses.
+        let max = format!("{head}layers {MAX_WIRE_LAYERS}\n");
+        assert_eq!(parse_package(&max).unwrap().wire_layer_count(), MAX_WIRE_LAYERS);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use crate::ids::{ChipId, NetId, ObstacleId, PadId, WireLayer};
 use crate::rules::DesignRules;
-use info_geom::{Coord, Octagon, Point, Rect};
+use info_geom::{Coord, GridIndex, Octagon, Point, Rect};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -120,6 +120,11 @@ pub struct Obstacle {
     pub rect: Rect,
 }
 
+/// The most wire layers a package may have: every layer index must fit
+/// in a [`WireLayer`]'s `u8`, so 256 layers (indices 0..=255) is the
+/// largest stack that can be addressed.
+pub const MAX_WIRE_LAYERS: usize = u8::MAX as usize + 1;
+
 /// Errors reported while building a [`Package`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
@@ -127,6 +132,8 @@ pub enum BuildError {
     InvalidRules,
     /// The package needs at least one wire layer.
     NoWireLayers,
+    /// The layer count exceeds [`MAX_WIRE_LAYERS`].
+    TooManyWireLayers(usize),
     /// A chip outline is not contained in the die.
     ChipOutsideDie(ChipId),
     /// An I/O pad is not inside its owning chip's outline.
@@ -150,6 +157,9 @@ impl fmt::Display for BuildError {
         match self {
             BuildError::InvalidRules => write!(f, "design rules must be positive"),
             BuildError::NoWireLayers => write!(f, "at least one wire layer is required"),
+            BuildError::TooManyWireLayers(n) => {
+                write!(f, "{n} wire layers exceed the maximum of {MAX_WIRE_LAYERS}")
+            }
             BuildError::ChipOutsideDie(c) => write!(f, "{c} extends beyond the die"),
             BuildError::PadOutsideChip(p) => write!(f, "{p} lies outside its chip"),
             BuildError::PadOutsideDie(p) => write!(f, "{p} lies outside the die"),
@@ -181,11 +191,10 @@ impl Package {
     /// Derives a package sharing this one's validated floorplan — die,
     /// rules, chips, pads, obstacles — with a replacement net list and
     /// pre-assigned via set. Net edits never move pads, so the
-    /// quadratic pad-spacing sweep of [`PackageBuilder::build`] is not
-    /// repeated; only the net-level constraints are re-checked (known
-    /// pads, no self-loops, no bump-to-bump pairs, disjoint terminals,
-    /// valid via spans). This is what makes netlist ECOs cheap on
-    /// large pad fields.
+    /// floorplan is not re-validated (chip containment, pad spacing);
+    /// only the net-level constraints are re-checked (known pads, no
+    /// self-loops, no bump-to-bump pairs, disjoint terminals, valid via
+    /// spans).
     ///
     /// # Errors
     ///
@@ -526,19 +535,33 @@ impl PackageBuilder {
         if self.wire_layer_count == 0 {
             return Err(BuildError::NoWireLayers);
         }
+        if self.wire_layer_count > MAX_WIRE_LAYERS {
+            return Err(BuildError::TooManyWireLayers(self.wire_layer_count));
+        }
         for c in &self.chips {
             if !self.die.contains_rect(c.outline) {
                 return Err(BuildError::ChipOutsideDie(c.id));
             }
         }
-        // Pad spacing within each attachment layer (top = I/O, bottom = bump).
-        let s = self.rules.min_spacing as f64;
+        // Pad spacing within each attachment layer (top = I/O, bottom =
+        // bump). A pad's shape lies inside its bbox, so a pad whose bbox
+        // misses `bbox(p).inflate(min_spacing)` is more than `min_spacing`
+        // from `p` on one axis and cannot violate: the index only
+        // prefilters, and the exact octagon distance decides every
+        // candidate. Entry ids are pad indices and queries return them in
+        // ascending order, so the first violation found is the first
+        // `(p, q)` in lexicographic order, as an all-pairs scan finds it.
+        let margin = self.rules.min_spacing;
+        let s = margin as f64;
+        let mut index: GridIndex<()> = self.pads.iter().map(|p| (p.bbox(), ())).collect();
         for (i, p) in self.pads.iter().enumerate() {
-            for q in &self.pads[i + 1..] {
-                if p.is_io() != q.is_io() && self.wire_layer_count > 1 {
-                    continue; // different attachment layers
+            let shape = p.shape();
+            for id in index.query(p.bbox().inflate(margin)) {
+                let q = &self.pads[id.index()];
+                if id.index() <= i || (p.is_io() != q.is_io() && self.wire_layer_count > 1) {
+                    continue; // an earlier pair, or different attachment layers
                 }
-                if p.shape().distance_to_octagon(&q.shape()) < s {
+                if shape.distance_to_octagon(&q.shape()) < s {
                     return Err(BuildError::PadSpacing(p.id, q.id));
                 }
             }
@@ -653,6 +676,17 @@ mod tests {
         assert_eq!(pkg.wire_layer_count(), 3);
         assert_eq!(pkg.via_layer_count(), 4); // |L_v| = |L_w| + 1, as in dense1
         assert_eq!(pkg.bottom_layer(), WireLayer(2));
+    }
+
+    #[test]
+    fn layer_count_must_fit_a_wire_layer_index() {
+        let build = |n| PackageBuilder::new(die(), DesignRules::default(), n).build();
+        assert_eq!(build(MAX_WIRE_LAYERS).unwrap().bottom_layer(), WireLayer(u8::MAX));
+        assert!(matches!(
+            build(MAX_WIRE_LAYERS + 1),
+            Err(BuildError::TooManyWireLayers(n)) if n == MAX_WIRE_LAYERS + 1
+        ));
+        assert!(matches!(build(usize::MAX), Err(BuildError::TooManyWireLayers(_))));
     }
 
     #[test]

@@ -251,6 +251,7 @@ fn cmd_eco(args: &[String]) -> ExitCode {
                 ("cells_invalidated".to_string(), Json::Num(s.cells_invalidated as f64)),
                 ("space_warm_hit".to_string(), Json::Bool(s.space_warm_hit)),
                 ("lp_dirty_nets".to_string(), Json::Num(s.lp_dirty_nets as f64)),
+                ("lp_reverted".to_string(), Json::Bool(s.lp_reverted)),
             ]),
         ));
     }

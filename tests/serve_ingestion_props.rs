@@ -147,6 +147,28 @@ fn adversarial_inputs_get_typed_errors() {
             Err(_) => panic!("parse_request panicked on {line:?}"),
         }
     }
+    // Netlist numbers outside their field's range are rejected on their
+    // own line, not wrapped into range: a layer of 257 on a 2-layer die is
+    // not layer 1, net 2^32 is not net 0, and `layers -1` is not 2^64 - 1
+    // layers.
+    let netlist = valid_netlist();
+    let line = netlist.lines().count() + 1;
+    for bad in [
+        "obstacle 257 0 0 10 10",
+        "fixedvia 0 300000 200000 0 257",
+        "fixedvia 4294967296 300000 200000 0 1",
+        "layers -1",
+        "layers 257",
+        "layers 300",
+    ] {
+        let request = valid_route_line(&format!("{netlist}{bad}\n"));
+        match parse_request(&request) {
+            Err(RouterError::BadInput { reason }) => {
+                assert!(reason.contains(&format!("line {line}:")), "{bad}: {reason}")
+            }
+            other => panic!("out-of-range netlist line accepted: {bad:?} -> {other:?}"),
+        }
+    }
     // Deep nesting is cut off by the parser's depth limit, not the stack.
     let deep = format!("{}1{}", "[".repeat(5_000), "]".repeat(5_000));
     assert_total(&deep);

@@ -150,4 +150,6 @@ fn serve_lines_eco_matches_direct_reroute_delta() {
     assert_eq!(resp.get("hash").and_then(json::Json::as_str), Some(want.as_str()));
     let eco = resp.get("eco").expect("eco responses carry the EcoStats ledger");
     assert!(eco.get("nets_reused").is_some(), "ledger lists reused nets: {eco}");
+    let reverted = direct.eco.as_ref().expect("an ECO outcome carries EcoStats").lp_reverted;
+    assert_eq!(eco.get("lp_reverted"), Some(&json::Json::Bool(reverted)), "{eco}");
 }
