@@ -1,10 +1,11 @@
 //! Regenerates Table I: benchmark statistics plus routability, total
 //! wirelength and runtime for Lin-ext and our via-based router on
 //! dense1–dense5. Also emits `BENCH_rdl.json` with the per-circuit
-//! numbers and the measured spatial-index speedup of the DRC query path
-//! (indexed `drc::check` vs the reference `drc::check_naive`), and the
-//! `ingest` section: how long `parse_package` takes on the netlist text
-//! of each of dense1–5, whatever `max_index` is.
+//! numbers, the measured spatial-index speedup of the DRC query path
+//! (indexed `drc::check` vs the reference `drc::check_naive`) on a
+//! stress layout, and the `ingest` section: how long `parse_package`
+//! takes on the netlist text of each of dense1–5, whatever `max_index`
+//! is.
 //!
 //! Usage: `table1 [max_index]` (default 5; pass 3 for a quick run).
 //!
@@ -23,7 +24,7 @@ use info_model::{
 };
 use info_router::serve::json::Json;
 use info_router::{InfoRouter, RouterConfig};
-use info_telemetry::{Sink, TelemetryReport};
+use info_telemetry::TelemetryReport;
 use std::time::Instant;
 
 /// Naive-over-indexed DRC time, or 0 when the indexed time is 0.
@@ -81,16 +82,11 @@ fn drc_stress_instance() -> (Package, Layout) {
     (pkg, layout)
 }
 
-/// Paired, order-alternating best-of-five timing of the auto (indexed)
-/// and naive DRC sweeps over one layout, returned as
-/// `(indexed_s, naive_s)`. The old measurement ran all five indexed
-/// reps before any naive rep, so process warm-up (allocator, page
-/// cache) booked against whichever side went first — on circuits below
-/// the index cutoff the two paths do *identical* work, yet dense1
-/// reproducibly printed a 0.95x "speedup" that was pure ordering
-/// artifact. Timing the two paths back to back within each round and
-/// alternating which goes first cancels that drift; best-of-five per
-/// path keeps the convergence behavior near the cutoff.
+/// Paired, order-alternating best-of-five timing of the indexed and
+/// naive DRC sweeps over one layout, returned as `(indexed_s, naive_s)`.
+/// Timing the two paths back to back within each round and alternating
+/// which goes first cancels process warm-up (allocator, page cache),
+/// which would otherwise book against whichever side always went first.
 fn time_drc_pair(package: &Package, layout: &Layout) -> (f64, f64) {
     let time_one = |naive: bool| {
         let t = Instant::now();
@@ -110,24 +106,6 @@ fn time_drc_pair(package: &Package, layout: &Layout) -> (f64, f64) {
         }
     }
     (indexed, naive)
-}
-
-/// Which sweep path `drc::check` took on this layout, from the per-layer
-/// sweep counters: "indexed", "naive", "mixed", or "empty". Recorded
-/// beside `drc_speedup` so a reader knows whether the two timed paths
-/// did different work at all: small circuits sit below
-/// `drc::INDEX_CUTOFF` on every layer, the auto path *is* the naive
-/// scan, and the honest ratio is ~1.0.
-fn drc_mode(package: &Package, layout: &Layout) -> &'static str {
-    let tel = Sink::enabled();
-    std::hint::black_box(drc::check_with(package, layout, &tel).violations().len());
-    let report = tel.report().expect("enabled sink yields a report");
-    match (report.counter("drc_sweeps_indexed") > 0, report.counter("drc_sweeps_naive") > 0) {
-        (true, false) => "indexed",
-        (false, true) => "naive",
-        (true, true) => "mixed",
-        (false, false) => "empty",
-    }
 }
 
 /// Times the DRC stress instance, prints the result, and returns the
@@ -235,7 +213,6 @@ fn main() -> std::io::Result<()> {
 
     let mut ratios_rt = Vec::new();
     let mut ratios_time = Vec::new();
-    let mut drc_speedups = Vec::new();
     let mut circuits = Vec::new();
     // Paired-round telemetry overhead measurement for dense2.
     let mut overhead: Option<Json> = None;
@@ -350,9 +327,6 @@ fn main() -> std::io::Result<()> {
             ratios_time.push(base_time.as_secs_f64() / ours_time.as_secs_f64());
         }
 
-        let (drc_indexed_s, drc_naive_s) = time_drc_pair(&pkg, &ours.layout);
-        let drc_speedup = speedup(drc_naive_s, drc_indexed_s);
-        drc_speedups.push(drc_speedup);
         let search = ours.timings.search;
         let report = ours.telemetry.unwrap_or_default();
         circuits.push(obj([
@@ -362,10 +336,6 @@ fn main() -> std::io::Result<()> {
             ("wirelength_um", fixed(ours.stats.total_wirelength_um, 1)),
             ("runtime_s", fixed(ours_time.as_secs_f64(), 4)),
             ("layout_hash", hash_json(ours_hash)),
-            ("drc_indexed_s", fixed(drc_indexed_s, 6)),
-            ("drc_naive_s", fixed(drc_naive_s, 6)),
-            ("drc_speedup", fixed(drc_speedup, 2)),
-            ("drc_mode", Json::Str(drc_mode(&pkg, &ours.layout).into())),
             (
                 "stage_s",
                 obj([
@@ -397,8 +367,6 @@ fn main() -> std::io::Result<()> {
         geomean(ratios_time)
     );
     println!("(paper: routability 0.794, runtime 0.297)");
-    let drc_geomean = geomean(drc_speedups);
-    println!("DRC on final layouts: indexed vs naive geo-mean speedup {drc_geomean:.2}x");
     let (stress, stress_speedup) = run_drc_stress();
     let ingest = run_ingest();
 
@@ -411,7 +379,6 @@ fn main() -> std::io::Result<()> {
     if let Some(overhead) = overhead {
         record.set("telemetry_overhead", overhead);
     }
-    record.set("drc_speedup_geomean", fixed(drc_geomean, 2));
     record.set("drc_stress", stress);
     record.set("drc_query_speedup", fixed(stress_speedup, 2));
     record.set("ingest", ingest);

@@ -8,9 +8,6 @@
 //! | `fig2_layers` | Fig. 2: minimum layer count for entangled nets, with vs without flexible vias |
 //! | `fig5_mpsc` | Fig. 5: weighted vs unweighted MPSC on a congested channel |
 //! | `fig7_lpopt` | Fig. 7: wirelength before/after LP-based layout optimization |
-//! | `ablation_weights` | A1: chord-weight parameters on/off across the dense suite |
-//! | `ablation_cells` | A2: global-cell grid sweep |
-//! | `ablation_lp` | A3: LP stage on/off effect on routability and wirelength |
 //!
 //! Criterion micro-benchmarks live in `benches/`. `table1`, `loadtest`
 //! and `eco_sweep` record their numbers in `BENCH_rdl.json` through

@@ -21,21 +21,16 @@ pub struct RouterConfig {
     /// Global cells along each axis (the paper uses 30 × 30 = 900).
     pub global_cells: usize,
     /// Run stage 2 (weighted-MPSC concurrent routing). Disabling it routes
-    /// every net sequentially (ablation A1/A3 support).
+    /// every net sequentially.
     pub concurrent_enabled: bool,
     /// Use the congestion/detour weights in layer assignment; when false,
-    /// plain (unweighted) Supowit MPSC is used (ablation A1).
+    /// plain (unweighted) Supowit MPSC is used (the Fig. 5 comparison).
     pub weighted_mpsc: bool,
     /// Run stage 5 (LP-based layout optimization).
     pub lp_enabled: bool,
-    /// Cap on LP crossing-repair iterations (the paper bounds them by the
-    /// variable count; 0 means "use the theoretical bound").
-    pub lp_max_iterations: usize,
     /// Pads closer than this to their chip boundary count as peripheral
     /// I/O, in multiples of the pad pitch heuristic (nm).
     pub peripheral_margin: Coord,
-    /// Extra cost per via in A\*, as a multiple of the via width.
-    pub via_cost_factor: f64,
     /// Ignored: the router runs every job on the caller's thread. Kept,
     /// with [`RouterConfig::with_threads`], only because the benchmark
     /// crate still sets it; both go with the benchmark's next revision.
@@ -73,9 +68,7 @@ impl Default for RouterConfig {
             concurrent_enabled: true,
             weighted_mpsc: true,
             lp_enabled: true,
-            lp_max_iterations: 50,
             peripheral_margin: 40_000,
-            via_cost_factor: 4.0,
             threads: 1,
             search_window: true,
             stage_budget: None,
@@ -86,11 +79,6 @@ impl Default for RouterConfig {
 }
 
 impl RouterConfig {
-    /// The paper's parameterization, explicitly.
-    pub fn paper_defaults() -> Self {
-        Self::default()
-    }
-
     /// Configuration for the unweighted-MPSC ablation.
     pub fn with_unweighted_mpsc(mut self) -> Self {
         self.weighted_mpsc = false;
@@ -109,7 +97,7 @@ impl RouterConfig {
         self
     }
 
-    /// Overrides the global-cell grid (ablation A2).
+    /// Overrides the global-cell grid.
     pub fn with_global_cells(mut self, n: usize) -> Self {
         self.global_cells = n.max(1);
         self

@@ -723,7 +723,7 @@ pub(crate) fn reroute_delta(
     let mut lp_final = None;
     if cfg.lp_enabled && !touched.is_empty() && !ctx.interrupted() {
         stats.lp_dirty_nets = touched.len();
-        let rep = lpopt::optimize_seeded(uni, &mut layout, cfg, &ctx, Some(&touched));
+        let rep = lpopt::optimize_seeded(uni, &mut layout, &ctx, Some(&touched));
         stats.lp_components_skipped = rep.components_skipped;
         stats.lp_reverted = rep.reverted;
         lp_final = Some(rep);

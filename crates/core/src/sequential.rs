@@ -34,12 +34,13 @@ pub struct SequentialResult {
     pub search: astar::SearchStats,
 }
 
-/// Derives the tile-space configuration from the router configuration.
+/// Derives the tile-space configuration from the router configuration:
+/// the package's defaults (via cost four via widths) on the configured
+/// global-cell grid.
 pub fn space_config(package: &Package, cfg: &RouterConfig) -> SpaceConfig {
     let mut sc = SpaceConfig::from_package(package);
     sc.cells_x = cfg.global_cells;
     sc.cells_y = cfg.global_cells;
-    sc.via_cost = cfg.via_cost_factor * package.rules().via_width as f64;
     sc
 }
 

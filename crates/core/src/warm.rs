@@ -57,8 +57,11 @@ struct WarmKey {
     /// Layout state the space was built against (the stage-start layout
     /// of a route, the prior layout of an ECO).
     layout_hash: u64,
+    /// The one [`RouterConfig`] field [`space_config`] reads; everything
+    /// else it derives from the package.
+    ///
+    /// [`space_config`]: crate::sequential::space_config
     global_cells: usize,
-    via_cost_bits: u64,
 }
 
 pub(crate) fn fnv1a(text: &str) -> u64 {
@@ -76,7 +79,6 @@ impl WarmKey {
             package_fp: fnv1a(&write_package(package)),
             layout_hash: layout.canonical_hash(),
             global_cells: cfg.global_cells,
-            via_cost_bits: (cfg.via_cost_factor * package.rules().via_width as f64).to_bits(),
         }
     }
 }

@@ -17,7 +17,7 @@ use crate::ids::{NetId, ObstacleId, PadId, RouteId, ViaId, WireLayer};
 use crate::layout::Layout;
 use crate::package::Package;
 use info_geom::{GridIndex, Octagon, Rect, Segment, TurnRuleViolation};
-use info_telemetry::{Counter, Metric, Sink};
+use info_telemetry::{Metric, Sink};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -181,8 +181,8 @@ pub fn check(package: &Package, layout: &Layout) -> DrcReport {
     check_impl(package, layout, true, &Sink::disabled())
 }
 
-/// [`check`] that additionally records per-sweep telemetry (which sweep
-/// path each layer took and how many items it scanned) into `tel`.
+/// [`check`] that additionally records per-sweep telemetry (how many
+/// items each layer's sweep scanned) into `tel`.
 pub fn check_with(package: &Package, layout: &Layout, tel: &Sink) -> DrcReport {
     check_impl(package, layout, true, tel)
 }
@@ -197,50 +197,10 @@ pub fn check_naive(package: &Package, layout: &Layout) -> DrcReport {
     check_impl(package, layout, false, &Sink::disabled())
 }
 
-/// [`check`] with the grid-bucket spatial index forced on for every
-/// layer, [`INDEX_CUTOFF`] ignored. This is the calibration hook for the
-/// cutoff itself: the `drc_cutoff` bench bin times this against
-/// [`check_naive`] across layer sizes to locate where the curves cross.
-/// Not for production use — below the cutoff it is the slower path.
-pub fn check_forced_index(package: &Package, layout: &Layout) -> DrcReport {
-    let mut report = DrcReport::default();
-    check_geometry_rules(package, layout, &mut report);
-    check_spacing_and_crossing(package, layout, &mut report, SweepMode::ForceIndex, &Sink::disabled());
-    for net in package.nets() {
-        if !is_connected(package, layout, net.id) {
-            report.push(Violation::Disconnected { net: net.id }, [net.id]);
-        }
-    }
-    report
-}
-
-/// How the spacing/crossing sweep picks between the spatial index and the
-/// all-pairs scan.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SweepMode {
-    /// Index when the layer has at least [`INDEX_CUTOFF`] items.
-    Auto,
-    /// Always index (cutoff calibration only).
-    ForceIndex,
-    /// Never index (differential-testing reference).
-    Naive,
-}
-
-/// Below this many items on a layer, the indexed sweep falls back to the
-/// naive all-pairs scan: building and querying the grid buckets costs more
-/// than the O(n²) bbox prefilter it avoids. Measured with the `drc_cutoff`
-/// bench bin (`cargo run --release -p info-bench --bin drc_cutoff`; table
-/// in EXPERIMENTS.md): the naive scan wins clearly through a few hundred
-/// items, the paths cross around ~1k, and the index pulls away above
-/// that. Both paths produce a byte-identical pair stream, so the report
-/// never depends on the choice.
-pub const INDEX_CUTOFF: usize = 1024;
-
 fn check_impl(package: &Package, layout: &Layout, indexed: bool, tel: &Sink) -> DrcReport {
-    let mode = if indexed { SweepMode::Auto } else { SweepMode::Naive };
     let mut report = DrcReport::default();
     check_geometry_rules(package, layout, &mut report);
-    check_spacing_and_crossing(package, layout, &mut report, mode, tel);
+    check_spacing_and_crossing(package, layout, &mut report, indexed, tel);
     for net in package.nets() {
         if !is_connected(package, layout, net.id) {
             report.push(Violation::Disconnected { net: net.id }, [net.id]);
@@ -327,7 +287,7 @@ fn check_spacing_and_crossing(
     package: &Package,
     layout: &Layout,
     report: &mut DrcReport,
-    mode: SweepMode,
+    indexed: bool,
     tel: &Sink,
 ) {
     let rules = package.rules();
@@ -337,18 +297,8 @@ fn check_spacing_and_crossing(
         // The bbox prefilter inflates by the largest possible clearance
         // (spacing + full wire width).
         let reach = rules.min_spacing + rules.wire_width + 1;
-        // Small layers are cheaper to scan all-pairs than to index.
-        let use_index = match mode {
-            SweepMode::Auto => items.len() >= INDEX_CUTOFF,
-            SweepMode::ForceIndex => true,
-            SweepMode::Naive => false,
-        };
         tel.observe(Metric::DrcItemsPerSweep, items.len() as u64);
-        tel.count(
-            if use_index { Counter::DrcSweepsIndexed } else { Counter::DrcSweepsNaive },
-            1,
-        );
-        if use_index {
+        if indexed {
             // Each item id equals its position in `items`, and queries
             // return ids in ascending order, so the (i, j>i) pair stream —
             // and therefore the violation list — is byte-identical to the
@@ -724,24 +674,38 @@ mod tests {
         assert!(!fast.is_clean());
     }
 
+    /// `(bucket_hi, count)` pairs of the `drc_items_per_sweep` histogram:
+    /// one observation per layer sweep.
+    fn sweep_histogram(tel: &Sink) -> Vec<(u64, u64)> {
+        let report = tel.report().unwrap();
+        let (_, buckets) =
+            report.histograms.iter().find(|(l, _)| *l == "drc_items_per_sweep").unwrap();
+        buckets.clone()
+    }
+
     #[test]
-    fn small_layouts_take_the_naive_sweep_path() {
+    fn every_layer_is_swept_through_the_index() {
+        // Layer 0 holds a wire and both pads; layer 1 is empty. Both take
+        // the one indexed sweep, and the report equals the reference.
         let (pkg, _, _) = two_chip_package();
         let mut l = Layout::new(&pkg);
         l.add_route(NetId(0), WireLayer(0), pl(&[(250_000, 250_000), (750_000, 250_000)]));
         let tel = Sink::enabled();
         let rep = check_with(&pkg, &l, &tel);
         assert!(rep.is_clean(), "{:?}", rep.violations());
-        let report = tel.report().unwrap();
-        assert_eq!(report.counter("drc_sweeps_indexed"), 0, "below the cutoff");
-        assert_eq!(report.counter("drc_sweeps_naive"), 2, "one sweep per layer");
+        let slow = check_naive(&pkg, &l);
+        assert_eq!(rep.violations(), slow.violations());
+        assert_eq!(rep.dirty_nets(), slow.dirty_nets());
+        // Three items on layer 0 land in bucket [2, 4); the empty layer 1
+        // in bucket 0. One sweep per layer, and no other.
+        assert_eq!(sweep_histogram(&tel), [(0, 1), (3, 1)], "one sweep per layer");
     }
 
     #[test]
-    fn indexed_sweep_above_cutoff_matches_naive_reference() {
-        // A grid of >INDEX_CUTOFF short wires on layer 0 (some of them
-        // deliberately too close) pushes the sweep onto the indexed path,
-        // which must still reproduce the naive report exactly.
+    fn indexed_sweep_of_a_wire_grid_matches_naive_reference() {
+        // A grid of 1,089 short wires on layer 0 (some of them deliberately
+        // too close): the indexed sweep must reproduce the naive report
+        // exactly.
         let (pkg, _, _) = two_chip_package();
         let mut l = Layout::new(&pkg);
         let mut n = 0u32;
@@ -757,7 +721,7 @@ mod tests {
                     pl(&[(x, y), (x + 12_000, y)]),
                 );
                 n += 1;
-                if n as usize > INDEX_CUTOFF + 64 {
+                if n == 1_089 {
                     break 'outer;
                 }
             }
@@ -767,9 +731,8 @@ mod tests {
         let slow = check_naive(&pkg, &l);
         assert_eq!(fast.violations(), slow.violations());
         assert_eq!(fast.dirty_nets(), slow.dirty_nets());
-        let report = tel.report().unwrap();
-        assert_eq!(report.counter("drc_sweeps_indexed"), 1, "layer 0 is above the cutoff");
-        assert_eq!(report.counter("drc_sweeps_naive"), 1, "layer 1 is empty");
+        assert!(!fast.is_clean());
+        assert_eq!(sweep_histogram(&tel).iter().map(|&(_, n)| n).sum::<u64>(), 2);
     }
 
     #[test]

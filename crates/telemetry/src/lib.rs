@@ -174,10 +174,6 @@ pub enum Counter {
     SnapshotRestores,
     /// Global cells rebuilt by net commits.
     CellsRebuilt,
-    /// DRC per-layer sweeps that used the grid-bucket index.
-    DrcSweepsIndexed,
-    /// DRC per-layer sweeps that used the naive all-pairs scan.
-    DrcSweepsNaive,
     /// Nets committed by the concurrent stage.
     ConcurrentCommitted,
     /// Candidates the concurrent stage skipped to sequential.
@@ -216,7 +212,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 23] = [
+    pub const ALL: [Counter; 21] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -225,8 +221,6 @@ impl Counter {
         Counter::RipupCommits,
         Counter::SnapshotRestores,
         Counter::CellsRebuilt,
-        Counter::DrcSweepsIndexed,
-        Counter::DrcSweepsNaive,
         Counter::ConcurrentCommitted,
         Counter::ConcurrentSkipped,
         Counter::LpPasses,
@@ -253,8 +247,6 @@ impl Counter {
             Counter::RipupCommits => "ripup_commits",
             Counter::SnapshotRestores => "snapshot_restores",
             Counter::CellsRebuilt => "cells_rebuilt",
-            Counter::DrcSweepsIndexed => "drc_sweeps_indexed",
-            Counter::DrcSweepsNaive => "drc_sweeps_naive",
             Counter::ConcurrentCommitted => "concurrent_committed",
             Counter::ConcurrentSkipped => "concurrent_skipped",
             Counter::LpPasses => "lp_passes",

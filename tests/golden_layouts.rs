@@ -5,13 +5,14 @@
 //! wirelength, via count, and the canonical layout hash — against the
 //! checked-in snapshots in `tests/golden/*.json`. Any change to routing
 //! behavior (ordering, tie-breaks, geometry) shows up here as a hash
-//! mismatch with a field-by-field diff.
+//! mismatch with a field-by-field diff. Each final layout's DRC report
+//! must also equal the naive all-pairs reference's.
 //!
 //! - `UPDATE_GOLDEN=1 cargo test --test golden_layouts` regenerates the
 //!   snapshots (review the diff before committing!).
 
 use info_rdl::generators::{build_dense, dense_spec};
-use info_rdl::model::Package;
+use info_rdl::model::{drc, Package};
 use info_rdl::{InfoRouter, RouteOutcome, RouterConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -134,6 +135,9 @@ fn golden_layouts_match() {
     let mut failures = String::new();
     for (name, pkg) in circuits() {
         let out = route(&pkg);
+        let (fast, slow) = (drc::check(&pkg, &out.layout), drc::check_naive(&pkg, &out.layout));
+        assert_eq!(fast.violations(), slow.violations(), "{name}: indexed DRC != naive");
+        assert_eq!(fast.dirty_nets(), slow.dirty_nets(), "{name}: indexed DRC != naive");
         let got = Snapshot::take(name, &pkg, &out);
         let path = dir.join(format!("{name}.json"));
         if update {
