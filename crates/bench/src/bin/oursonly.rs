@@ -1,5 +1,6 @@
-//! Quick development check: run only the via-based router on one circuit.
-//! `oursonly [idx]`.
+//! Quick development check: run only the via-based router on one circuit
+//! and print its layout hash, work counters and the process's peak
+//! resident memory (VmHWM). `oursonly [idx]`.
 use std::time::Instant;
 fn main() {
     let idx: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
@@ -30,5 +31,24 @@ fn main() {
             rep.counter("lp_reverted"),
             rep.counter("lp_passes"),
         );
+        println!(
+            "  tile slots peak {}  live tiles peak {}  compactions {}",
+            rep.counter("tile_slots_peak"),
+            rep.counter("live_tiles_peak"),
+            rep.counter("tile_compactions"),
+        );
     }
+    match vm_hwm_mb() {
+        Some(mb) => println!("  VmHWM {mb:.1} MB"),
+        None => println!("  VmHWM unavailable"),
+    }
+}
+
+/// The process's resident-memory high-water mark in MB, from
+/// `/proc/self/status` (Linux only).
+fn vm_hwm_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb / 1024.0)
 }

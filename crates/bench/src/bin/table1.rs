@@ -2,8 +2,8 @@
 //! wirelength and runtime for Lin-ext and our via-based router on
 //! dense1–dense5. Also emits `BENCH_rdl.json` with the per-circuit
 //! numbers, the measured spatial-index speedup of the DRC query path
-//! (indexed `drc::check` vs the reference `drc::check_naive`) on a
-//! stress layout, and the `ingest` section: how long `parse_package`
+//! (indexed `drc::check` vs the reference `drc::check_naive`: the median
+//! of paired rounds) on a stress layout, and the `ingest` section: how long `parse_package`
 //! takes on the netlist text of each of dense1–5, whatever `max_index`
 //! is.
 //!
@@ -82,51 +82,60 @@ fn drc_stress_instance() -> (Package, Layout) {
     (pkg, layout)
 }
 
-/// Paired, order-alternating best-of-five timing of the indexed and
-/// naive DRC sweeps over one layout, returned as `(indexed_s, naive_s)`.
-/// Timing the two paths back to back within each round and alternating
-/// which goes first cancels process warm-up (allocator, page cache),
-/// which would otherwise book against whichever side always went first.
-fn time_drc_pair(package: &Package, layout: &Layout) -> (f64, f64) {
-    let time_one = |naive: bool| {
-        let t = Instant::now();
-        let report =
-            if naive { drc::check_naive(package, layout) } else { drc::check(package, layout) };
-        std::hint::black_box(report.violations().len());
-        t.elapsed().as_secs_f64()
-    };
-    let (mut indexed, mut naive) = (f64::INFINITY, f64::INFINITY);
-    for round in 0..5 {
-        if round % 2 == 0 {
-            indexed = indexed.min(time_one(false));
-            naive = naive.min(time_one(true));
-        } else {
-            naive = naive.min(time_one(true));
-            indexed = indexed.min(time_one(false));
-        }
-    }
-    (indexed, naive)
-}
+/// Paired rounds of the DRC stress timing; the median round is recorded.
+const DRC_ROUNDS: usize = 9;
 
-/// Times the DRC stress instance, prints the result, and returns the
-/// `drc_stress` section with its speedup.
+/// Times the DRC stress instance in [`DRC_ROUNDS`] paired rounds, prints
+/// the result, and returns the `drc_stress` section with its speedup.
+///
+/// Each round times the indexed and the naive sweep back to back,
+/// alternating which goes first (which cancels process warm-up, e.g.
+/// allocator and page cache, that would otherwise book against whichever
+/// side always went first), and contributes one naive/indexed ratio. The
+/// speedup is the median of those ratios, not the ratio of two best
+/// times: pairing within a round cancels machine drift, and the median
+/// discards the odd round the machine stole. Every round's ratio is
+/// recorded, in round order, so the spread is visible.
 fn run_drc_stress() -> (Json, f64) {
     let (pkg, layout) = drc_stress_instance();
     let items = layout.routes().map(|r| r.path.segments().count()).sum::<usize>()
         + layout.vias().count() * 2;
-    let (indexed_s, naive_s) = time_drc_pair(&pkg, &layout);
+    let time_one = |naive: bool| {
+        let t = Instant::now();
+        let report =
+            if naive { drc::check_naive(&pkg, &layout) } else { drc::check(&pkg, &layout) };
+        std::hint::black_box(report.violations().len());
+        t.elapsed().as_secs_f64()
+    };
+    let (mut indexed, mut naive, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..DRC_ROUNDS {
+        let (i, n) = if round % 2 == 0 {
+            let i = time_one(false);
+            (i, time_one(true))
+        } else {
+            let n = time_one(true);
+            (time_one(false), n)
+        };
+        indexed.push(i);
+        naive.push(n);
+        ratios.push(speedup(n, i));
+    }
     let report = drc::check(&pkg, &layout);
     assert!(report.violations().is_empty(), "stress instance must be violation-free");
-    let ratio = speedup(naive_s, indexed_s);
+    let round_ratios = Json::Arr(ratios.iter().map(|&r| fixed(r, 2)).collect());
+    let (indexed_s, naive_s, ratio) =
+        (median(&mut indexed), median(&mut naive), median(&mut ratios));
     println!(
-        "DRC query path (stress, {items} items): indexed {indexed_s:.4}s vs naive \
-         {naive_s:.4}s = {ratio:.2}x"
+        "DRC query path (stress, {items} items): median indexed {indexed_s:.4}s vs naive \
+         {naive_s:.4}s, median paired ratio {ratio:.2}x ({DRC_ROUNDS} rounds)"
     );
     let section = obj([
         ("items", Json::Num(items as f64)),
+        ("rounds", Json::Num(DRC_ROUNDS as f64)),
         ("indexed_s", fixed(indexed_s, 6)),
         ("naive_s", fixed(naive_s, 6)),
         ("speedup", fixed(ratio, 2)),
+        ("round_ratios", round_ratios),
     ]);
     (section, ratio)
 }

@@ -154,6 +154,7 @@ pub(crate) fn route_sequential_in_space(
                 result.failed.push(id);
                 continue;
             }
+            reclaim_tile_slots(space, tel);
             // Snapshot around the whole eviction search: a panic anywhere
             // inside leaves mid-eviction state that must be rolled back.
             let snapshot = layout.clone();
@@ -207,8 +208,33 @@ pub(crate) fn route_sequential_in_space(
     let (hits, misses) = space.adjacency_cache_stats();
     tel.count(Counter::LegalityCacheHits, hits);
     tel.count(Counter::LegalityCacheMisses, misses);
+    record_tile_peaks(space, tel);
     result.search = stats;
     result
+}
+
+/// Compacts the space ([`RoutingSpace::compact`]) when more than half as
+/// many of its tile slots are retired as are live. Every commit retires
+/// the tiles of the cells it rebuilds and installs their successors under
+/// fresh ids, so without this the tile arena and the search scratch grow
+/// with every net ever routed rather than with the space. The stage calls
+/// it between nets only, never inside a rip-up trial, so the slots peak at
+/// about 1.5x the live tiles plus one attempt's growth. A compaction keeps
+/// the relative order of tile ids, so routing is unchanged.
+fn reclaim_tile_slots(space: &mut RoutingSpace, tel: &Sink) {
+    record_tile_peaks(space, tel);
+    let live = space.live_tile_count();
+    if space.tile_slots() - live > live / 2 {
+        space.compact();
+        tel.count(Counter::TileCompactions, 1);
+    }
+}
+
+/// Raises the tile-arena telemetry peaks to the space's high-water marks.
+fn record_tile_peaks(space: &RoutingSpace, tel: &Sink) {
+    let (slots, live) = space.tile_peaks();
+    tel.peak(Counter::TileSlotsPeak, slots as u64);
+    tel.peak(Counter::LiveTilesPeak, live as u64);
 }
 
 /// Everything the route journal needs about one attempt. Drafts are
@@ -356,6 +382,7 @@ fn route_pass(
             }
             Err(e) => t.internal.push((id, e)),
         }
+        reclaim_tile_slots(space, tel);
     }
     t
 }
@@ -856,6 +883,69 @@ mod tests {
             cell_geometry(&space) == cell_geometry(&fresh),
             "a committed rip-up must leave every cell as a fresh build of the final layout"
         );
+    }
+
+    /// Routes every net of `pkg` through the sequential stage and checks
+    /// the tile arena at the stage's end: the stage compacts between
+    /// attempts, so the slots exceed 1.5x the live tiles by at most what
+    /// the last attempt installed, one commit's rebuild (the tiles of the
+    /// cells it visits). Returns the compactions the stage ran.
+    fn route_all_and_check_tile_slots(pkg: &Package) -> u64 {
+        let cfg = RouterConfig::default();
+        let tel = Sink::enabled();
+        let nets: Vec<NetId> = pkg.nets().iter().map(|n| n.id).collect();
+        let mut layout = Layout::new(pkg);
+        let mut space = build_stage_space(pkg, &layout, &cfg);
+        let ctx = crate::resilience::FlowCtx::default();
+        let res = route_sequential_in_space(pkg, &mut layout, &nets, &cfg, &ctx, &mut space, &tel);
+        assert!(res.failed.is_empty(), "every net routes: {res:?}");
+
+        let sc = space.config();
+        let margin = sc.clearance + sc.via_width;
+        let one_rebuild = res
+            .routed
+            .iter()
+            .map(|&n| {
+                let mut rects = Vec::new();
+                net_geometry_rects(&layout, n, &mut rects);
+                let cells: BTreeSet<(usize, usize)> =
+                    rects.iter().flat_map(|r| space.cells_touching(r.inflate(margin))).collect();
+                let layers = 0..space.layer_count() as u8;
+                cells
+                    .iter()
+                    .flat_map(|&(cx, cy)| layers.clone().map(move |l| (l, cx, cy)))
+                    .map(|(l, cx, cy)| space.tiles_in_cell(info_model::WireLayer(l), cx, cy).len())
+                    .sum::<usize>()
+            })
+            .max()
+            .unwrap_or(0);
+        let live = space.live_tile_count();
+        assert!(
+            space.tile_slots() <= live + live / 2 + one_rebuild,
+            "{} slots for {live} live tiles (one rebuild installs up to {one_rebuild})",
+            space.tile_slots()
+        );
+        let rep = tel.report().expect("enabled sink");
+        let (slots_peak, live_peak) = space.tile_peaks();
+        assert_eq!(rep.counter("tile_slots_peak"), slots_peak as u64);
+        assert_eq!(rep.counter("live_tiles_peak"), live_peak as u64);
+        rep.counter("tile_compactions")
+    }
+
+    #[test]
+    fn stage_keeps_the_tile_arena_bounded() {
+        // Golden circuit g1: six commits never retire enough slots to
+        // compact, so the bound holds on the growth alone.
+        let mut spec = info_gen::dense_spec(1);
+        spec.io_pads = 12;
+        spec.nets = 6;
+        spec.bump_pads = 30;
+        spec.seed = 7;
+        route_all_and_check_tile_slots(&info_gen::build_dense(spec, false));
+        // dense1's 22 nets retire enough to compact, so the bound holds
+        // through the compactions.
+        let compactions = route_all_and_check_tile_slots(&info_gen::dense(1));
+        assert!(compactions > 0, "routing dense1 never compacted");
     }
 
     #[test]

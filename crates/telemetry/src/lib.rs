@@ -208,11 +208,20 @@ pub enum Counter {
     /// were built from unchanged and reused the tiles (trial rebuilds
     /// included, like `CellsRebuilt`).
     LayerCellsReused,
+    /// Peak tile slots (live and retired) of a sequential-stage routing
+    /// space: the size of its tile arena and of the per-thread search
+    /// scratch. A maximum, recorded through [`Sink::peak`].
+    TileSlotsPeak,
+    /// Peak live tiles of a sequential-stage routing space (a maximum).
+    LiveTilesPeak,
+    /// Compactions of a sequential-stage routing space that reclaimed
+    /// its retired tile slots between nets.
+    TileCompactions,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 21] = [
+    pub const ALL: [Counter; 24] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -234,6 +243,9 @@ impl Counter {
         Counter::WarmSpaceMisses,
         Counter::RipupRefuted,
         Counter::LayerCellsReused,
+        Counter::TileSlotsPeak,
+        Counter::LiveTilesPeak,
+        Counter::TileCompactions,
     ];
 
     /// Stable snake_case label.
@@ -260,6 +272,9 @@ impl Counter {
             Counter::WarmSpaceMisses => "warm_space_misses",
             Counter::RipupRefuted => "ripup_refuted",
             Counter::LayerCellsReused => "layer_cells_reused",
+            Counter::TileSlotsPeak => "tile_slots_peak",
+            Counter::LiveTilesPeak => "live_tiles_peak",
+            Counter::TileCompactions => "tile_compactions",
         }
     }
 }
@@ -359,6 +374,15 @@ impl Sink {
     pub fn count(&self, c: Counter, by: u64) {
         if let Some(inner) = &self.0 {
             inner.counters[c as usize].fetch_add(by, Ordering::Relaxed);
+        }
+    }
+
+    /// Raises a counter to `value` if it is lower: a high-water mark,
+    /// monotonic like the sums.
+    #[inline]
+    pub fn peak(&self, c: Counter, value: u64) {
+        if let Some(inner) = &self.0 {
+            inner.counters[c as usize].fetch_max(value, Ordering::Relaxed);
         }
     }
 
@@ -556,9 +580,12 @@ mod tests {
         sink.count(Counter::Searches, 2);
         sink.count(Counter::Searches, 3);
         sink.count(Counter::NodesExpanded, 7);
+        sink.peak(Counter::TileSlotsPeak, 9);
+        sink.peak(Counter::TileSlotsPeak, 4);
         let rep = sink.report().unwrap();
         assert_eq!(rep.counter("searches"), 5);
         assert_eq!(rep.counter("nodes_expanded"), 7);
+        assert_eq!(rep.counter("tile_slots_peak"), 9);
         assert_eq!(rep.counter("absent"), 0);
         assert_eq!(rep.counters.len(), Counter::ALL.len());
     }

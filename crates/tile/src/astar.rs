@@ -324,7 +324,6 @@ struct SearchScratch {
     g: Vec<f64>,
     entry: Vec<Point>,
     parent: Vec<u32>,
-    via: Vec<Option<(Point, WireLayer, WireLayer)>>,
     /// Heuristic-cache generation and key (space revision + target).
     h_gen: u32,
     h_key: Option<(u64, WireLayer, Point, u64)>,
@@ -354,7 +353,6 @@ struct PrunedEdge {
     g: f64,
     entry: Point,
     parent: u32,
-    via: Option<(Point, WireLayer, WireLayer)>,
 }
 
 impl SearchScratch {
@@ -365,7 +363,6 @@ impl SearchScratch {
             g: Vec::new(),
             entry: Vec::new(),
             parent: Vec::new(),
-            via: Vec::new(),
             h_gen: 0,
             h_key: None,
             h_stamp: Vec::new(),
@@ -381,19 +378,25 @@ impl SearchScratch {
         }
     }
 
-    /// Grows every array to the space's current tile/cell counts.
+    /// Sizes every array to the space's current tile/cell counts. The
+    /// node arrays grow as the space does, and shrink (releasing their
+    /// memory) once they exceed it by a quarter, as after a
+    /// [`RoutingSpace::compact`]; the slack keeps a trial rollback, which
+    /// truncates a few tiles, from shrinking them only to regrow them.
+    /// Dropped slots lose only stamps, which a regrown slot starts
+    /// without.
     fn ensure(&mut self, space: &RoutingSpace) {
         let slots = space.tile_slots();
-        if self.stamp.len() < slots {
+        let shrink = self.stamp.len() > slots + slots / 4;
+        if self.stamp.len() < slots || shrink {
             let origin = Point::new(0, 0);
-            self.stamp.resize(slots, 0);
-            self.g.resize(slots, 0.0);
-            self.entry.resize(slots, origin);
-            self.parent.resize(slots, NO_PARENT);
-            self.via.resize(slots, None);
-            self.h_stamp.resize(slots, 0);
-            self.h_entry.resize(slots, origin);
-            self.h_val.resize(slots, 0.0);
+            fit(&mut self.stamp, slots, 0, shrink);
+            fit(&mut self.g, slots, 0.0, shrink);
+            fit(&mut self.entry, slots, origin, shrink);
+            fit(&mut self.parent, slots, NO_PARENT, shrink);
+            fit(&mut self.h_stamp, slots, 0, shrink);
+            fit(&mut self.h_entry, slots, origin, shrink);
+            fit(&mut self.h_val, slots, 0.0, shrink);
         }
         let cfg = space.config();
         let ncells = cfg.cells_x * cfg.cells_y;
@@ -468,6 +471,15 @@ impl SearchScratch {
     #[inline]
     fn in_window(&self, cells_x: usize, cell: (usize, usize)) -> bool {
         self.win_stamp[cell.1 * cells_x + cell.0] == self.win_gen
+    }
+}
+
+/// Resizes `v` to `len`, filling new slots with `fill`, and with `shrink`
+/// also releases the capacity past `len`.
+fn fit<T: Clone>(v: &mut Vec<T>, len: usize, fill: T, shrink: bool) {
+    v.resize(len, fill);
+    if shrink {
+        v.shrink_to_fit();
     }
 }
 
@@ -674,7 +686,6 @@ fn seed_source(
     s.g[si] = 0.0;
     s.entry[si] = src.1;
     s.parent[si] = NO_PARENT;
-    s.via[si] = None;
     let h0 = s.h(src_tile.0, src.1, src.0, &dst, via_cost);
     s.queue.push(h0.to_bits(), src_tile.0);
 }
@@ -689,7 +700,6 @@ fn inject_pruned(s: &mut SearchScratch, e: &PrunedEdge) {
         s.g[to] = e.g;
         s.entry[to] = e.entry;
         s.parent[to] = e.parent;
-        s.via[to] = e.via;
         s.queue.push(e.f_bits, e.to);
     }
 }
@@ -734,17 +744,24 @@ fn run(
             let mut steps = Vec::new();
             let mut cur = tid_raw;
             loop {
-                steps.push(PathStep {
-                    tile: TileId(cur),
-                    entry: s.entry[cur as usize],
-                    via: s.via[cur as usize],
-                });
+                steps.push(PathStep { tile: TileId(cur), entry: s.entry[cur as usize], via: None });
                 cur = s.parent[cur as usize];
                 if cur == NO_PARENT {
                     break;
                 }
             }
             steps.reverse();
+            // Planar edges keep their layer and via edges change it, so a
+            // step changed layers exactly when its parent reached it
+            // through a via, whose site is the step's entry point.
+            for i in 1..steps.len() {
+                let from = space.tile(steps[i - 1].tile).layer;
+                let to = space.tile(steps[i].tile).layer;
+                if from != to {
+                    let (upper, lower) = if from < to { (from, to) } else { (to, from) };
+                    steps[i].via = Some((steps[i].entry, upper, lower));
+                }
+            }
             // Cost of the path actually returned, recomputed over the
             // final parent chain. This can differ (rarely) from the
             // accumulated g: a tile's entry point may improve *after* a
@@ -806,7 +823,6 @@ fn run(
                         g: g2,
                         entry: cross,
                         parent: tid_raw,
-                        via: None,
                     });
                 }
                 continue;
@@ -816,7 +832,6 @@ fn run(
                 s.g[to] = g2;
                 s.entry[to] = cross;
                 s.parent[to] = tid_raw;
-                s.via[to] = None;
                 let f2 = g2 + s.h(e.to.0, cross, to_layer, &dst, via_cost);
                 s.queue.push(f2.to_bits(), e.to.0);
             }
@@ -836,8 +851,6 @@ fn run(
             let to = to_tile.0 as usize;
             let to_layer = space.tile(to_tile).layer;
             let g2 = node_g + x_arch_len(node_entry, site) + via_cost;
-            let (upper, lower) =
-                if to_layer > layer { (layer, to_layer) } else { (to_layer, layer) };
             if windowed && !s.in_window(cells_x, space.tile(to_tile).cell) {
                 if let Some((min_f, edges)) = pruned_sink.as_mut() {
                     let f2 = g2 + s.h(to_tile.0, site, to_layer, &dst, via_cost);
@@ -848,7 +861,6 @@ fn run(
                         g: g2,
                         entry: site,
                         parent: tid_raw,
-                        via: Some((site, upper, lower)),
                     });
                 }
                 continue;
@@ -858,7 +870,6 @@ fn run(
                 s.g[to] = g2;
                 s.entry[to] = site;
                 s.parent[to] = tid_raw;
-                s.via[to] = Some((site, upper, lower));
                 let f2 = g2 + s.h(to_tile.0, site, to_layer, &dst, via_cost);
                 s.queue.push(f2.to_bits(), to_tile.0);
             }

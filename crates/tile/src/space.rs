@@ -26,7 +26,7 @@ use std::sync::{Arc, Mutex};
 static REVISION: AtomicU64 = AtomicU64::new(1);
 
 /// Identifier of a tile in a [`RoutingSpace`] (invalidated by rebuilds of
-/// the tile's global cell).
+/// the tile's global cell and by [`RoutingSpace::compact`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileId(pub u32);
 
@@ -143,15 +143,20 @@ struct RawEdge {
 /// time: [`RoutingSpace::rebuild_cell`] bumps the epoch of the rebuilt
 /// cell and its 4-adjacent ring (an O(ring) stamp write instead of an
 /// O(tiles) entry sweep), and a lookup treats a mismatched stamp as a
-/// miss. Tile ids are never reused by rebuilds (retired slots stay
-/// `None`, and their entries are dropped when the cell retires them), so
-/// a live entry can only describe the current tile. A rolled-back trial
-/// does reuse the ids it truncates, but it drops their entries, and every
-/// entry stamped during the trial carries an epoch the monotone
-/// `epoch_counter` never hands out again.
+/// miss. Rebuilds never reuse a tile id (retired slots stay `None`, and
+/// their entries are dropped when the cell retires them), so a live
+/// entry can only describe the current tile. Two operations do hand ids
+/// out again, and both keep that true:
+///
+/// - a rolled-back trial reuses the ids it truncates, but it drops their
+///   entries, and every entry stamped during the trial carries an epoch
+///   the monotone `epoch_counter` never hands out again;
+/// - [`RoutingSpace::compact`] renumbers the live tiles, and it drops the
+///   stale entries and renumbers the key and every edge of the rest.
 ///
 /// Keys are hashed by [`IdHasher`]. A vector indexed by tile id would be
-/// sparse: after routing dense2 it spans 1.92M ids, 36K of them cached.
+/// sparse: the cache holds an entry for the tiles searches touched, a
+/// small share of the live ones.
 #[derive(Debug, Default)]
 struct AdjCache {
     state: Mutex<AdjState>,
@@ -248,6 +253,13 @@ pub struct RoutingSpace {
     /// Monotone state tag: two spaces with equal revisions are identical.
     /// Search-side caches (the per-target heuristic cache) key on it.
     revision: u64,
+    /// Live tiles: the summed length of `cell_tiles`. `tiles.len() - live`
+    /// slots are retired.
+    live: usize,
+    /// High-water marks of `tiles.len()` and of `live` since the build
+    /// (see [`RoutingSpace::tile_peaks`]).
+    slots_peak: usize,
+    live_peak: usize,
     /// The undo journal of the open trial, if any (see
     /// [`RoutingSpace::begin_trial`]).
     trial: Option<Box<Trial>>,
@@ -268,14 +280,16 @@ pub struct Rebuilt {
 /// Checkpoint and undo journal of one open trial. Opening a trial records
 /// the scalar state; the first rebuild of each cell inside the trial moves
 /// that cell's pre-trial state here instead of dropping it (a layer that
-/// reuses its tiles installs copies of the moved ones). Tile ids are
-/// append-only, so every tile born in the trial has an id at or above
-/// `tile_len` and rolling back is a truncation plus moving the saved
-/// cells back.
+/// reuses its tiles installs copies of the moved ones). Inside a trial
+/// tile ids are append-only ([`RoutingSpace::compact`] refuses to run in
+/// one), so every tile born in the trial has an id at or above `tile_len`
+/// and rolling back is a truncation plus moving the saved cells back.
 #[derive(Debug, Clone)]
 struct Trial {
     /// `tiles.len()` at the checkpoint.
     tile_len: usize,
+    /// Live tiles at the checkpoint.
+    live: usize,
     revision: u64,
     adj_epoch: Vec<u64>,
     /// Adjacency-cache tallies at the checkpoint.
@@ -570,6 +584,9 @@ impl RoutingSpace {
             adj_epoch: vec![0; ncells * layers],
             epoch_counter: 0,
             revision: REVISION.fetch_add(1, Ordering::Relaxed),
+            live: 0,
+            slots_peak: 0,
+            live_peak: 0,
             trial: None,
         };
         let mut scratch = GeomScratch::build(package, layout, layers);
@@ -614,12 +631,15 @@ impl RoutingSpace {
         (space, rebuilt)
     }
 
-    /// Installs `nodes` as the tiles of slot `idx` under fresh ids, in
-    /// order.
+    /// Installs `nodes` as the tiles of the (empty) slot `idx` under fresh
+    /// ids, in order.
     fn install(&mut self, idx: usize, nodes: Vec<TileNode>) {
         let first = self.tiles.len() as u32;
         self.cell_tiles[idx] = (first..first + nodes.len() as u32).map(TileId).collect();
+        self.live += nodes.len();
         self.tiles.extend(nodes.into_iter().map(Some));
+        self.slots_peak = self.slots_peak.max(self.tiles.len());
+        self.live_peak = self.live_peak.max(self.live);
     }
 
     /// Number of wire layers.
@@ -638,8 +658,79 @@ impl RoutingSpace {
         self.tiles.len()
     }
 
-    /// The space's state revision: strictly fresh after every rebuild, and
-    /// equal only between value-identical spaces (clones/restores). Caches
+    /// Number of live tiles; the other `tile_slots() - live_tile_count()`
+    /// slots hold retired tiles until [`RoutingSpace::compact`].
+    pub fn live_tile_count(&self) -> usize {
+        self.live
+    }
+
+    /// High-water marks `(tile_slots, live tiles)` since the space was
+    /// built. Neither a trial rollback nor a compaction lowers them.
+    pub fn tile_peaks(&self) -> (usize, usize) {
+        (self.slots_peak, self.live_peak)
+    }
+
+    /// Renumbers the live tiles densely, keeping their id order, and frees
+    /// the retired slots, so `tile_slots()` falls to `live_tile_count()`.
+    ///
+    /// Every id the space hands out changes, so the revision is fresh
+    /// afterwards, but the relative order of any two live ids is kept.
+    /// A search that breaks ties by tile id (the open list's `(f, id)`
+    /// keys) therefore pops, expands and returns the same tiles, and
+    /// tiles installed later still get ids above every live one, as
+    /// without the compaction. Adjacency-cache entries whose epoch is
+    /// stale are dropped (after a rollback their edges can name
+    /// truncated ids); the valid ones are renumbered and stay valid, so
+    /// the cache answers every later lookup as it would have.
+    ///
+    /// # Panics
+    ///
+    /// Inside a trial, whose rollback truncates by id.
+    pub fn compact(&mut self) {
+        assert!(self.trial.is_none(), "compact() inside a trial");
+        let (cells_x, cells_y) = (self.cfg.cells_x, self.cfg.cells_y);
+        let RoutingSpace { tiles, cell_tiles, adjacency, adj_epoch, .. } = self;
+        // Old id -> new id; `u32::MAX` marks a retired slot.
+        let mut remap = vec![u32::MAX; tiles.len()];
+        let mut next = 0u32;
+        for (old, slot) in remap.iter_mut().enumerate() {
+            if tiles[old].is_some() {
+                *slot = next;
+                tiles.swap(next as usize, old);
+                next += 1;
+            }
+        }
+        tiles.truncate(next as usize);
+        tiles.shrink_to_fit();
+        debug_assert_eq!(tiles.len(), self.live);
+        for id in cell_tiles.iter_mut().flatten() {
+            id.0 = remap[id.0 as usize];
+        }
+        let state = adjacency.state.get_mut().unwrap_or_else(|e| e.into_inner());
+        let entries = std::mem::take(&mut state.map);
+        for (id, (stamp, mut edges)) in entries {
+            let new_id = remap.get(id as usize).copied().unwrap_or(u32::MAX);
+            let Some(t) = tiles.get(new_id as usize) else { continue };
+            let t = t.as_ref().expect("compacted slots are live");
+            let (cx, cy) = t.cell;
+            if stamp != adj_epoch[(t.layer.index() * cells_y + cy) * cells_x + cx] {
+                continue;
+            }
+            // Edges of a valid entry name tiles of its cell and the
+            // 4-adjacent ring, none of which rebuilt since it was stamped.
+            // The list is unshared except with clones of this space.
+            for e in Arc::make_mut(&mut edges) {
+                e.to = TileId(remap[e.to.0 as usize]);
+                debug_assert_ne!(e.to.0, u32::MAX, "a valid entry names a retired tile");
+            }
+            state.map.insert(new_id, (stamp, edges));
+        }
+        self.revision = REVISION.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The space's state revision: strictly fresh after every rebuild and
+    /// compaction, and equal only between value-identical spaces
+    /// (clones/restores). Caches
     /// outside the space key their validity on it.
     pub fn revision(&self) -> u64 {
         self.revision
@@ -758,6 +849,7 @@ impl RoutingSpace {
         let (hits, misses) = self.adjacency_cache_stats();
         self.trial = Some(Box::new(Trial {
             tile_len: self.tiles.len(),
+            live: self.live,
             revision: self.revision,
             adj_epoch: self.adj_epoch.clone(),
             hits,
@@ -802,6 +894,7 @@ impl RoutingSpace {
         drop(adj);
         self.adj_epoch = trial.adj_epoch;
         self.revision = trial.revision;
+        self.live = trial.live;
     }
 
     /// Every global cell whose rectangle intersects `area`, row-major.
@@ -861,9 +954,10 @@ impl RoutingSpace {
             let inputs = scratch.layer_inputs(package, layout, &self.cfg, cell, layer);
             let reuse = inputs == *self.layer_inputs[idx];
 
-            // Retire the old tiles with their cached adjacency (their ids
-            // are never handed out again, so the entries could only leak).
+            // Retire the old tiles with their cached adjacency (no rebuild
+            // hands their ids out again, so the entries could only leak).
             let ids = std::mem::take(&mut self.cell_tiles[idx]);
+            self.live -= ids.len();
             let old: Vec<TileNode> = ids
                 .iter()
                 .map(|id| self.tiles[id.0 as usize].take().expect("live tile"))

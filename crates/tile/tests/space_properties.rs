@@ -307,3 +307,127 @@ proptest! {
         prop_assert_eq!(got, want);
     }
 }
+
+/// One live tile without its id: layer, cell, shape and blockers.
+type RankedTile = (WireLayer, (usize, usize), Octagon, Vec<Blocker>);
+
+/// What a search observes of a space with every tile id replaced by its
+/// rank among the live ids, so two spaces that differ by an
+/// order-preserving renumbering observe equal: the live tiles in id
+/// order, every cell's tile list, every cell's via sites, `tile_at` on a
+/// grid of points for two nets, the planar neighbors of every live tile
+/// for two nets, and the adjacency-cache tallies after those lookups.
+#[derive(Debug, PartialEq)]
+struct Ranked {
+    tiles: Vec<RankedTile>,
+    cells: Vec<Vec<usize>>,
+    via_sites: Vec<Vec<ViaSite>>,
+    tile_at: Vec<Option<usize>>,
+    neighbors: Vec<Vec<(usize, Segment)>>,
+    cache_stats: (u64, u64),
+}
+
+fn observe_ranked(space: &RoutingSpace) -> Ranked {
+    let ids: Vec<TileId> = space.live_tiles().map(|(id, _)| id).collect();
+    let rank = |id: TileId| ids.binary_search(&id).expect("a live tile id");
+    let nets = [NetId(0), NetId(42)];
+    let mut cells = Vec::new();
+    let mut via_sites = Vec::new();
+    for cy in 0..5 {
+        for cx in 0..5 {
+            for layer in [WireLayer(0), WireLayer(1)] {
+                cells.push(space.tiles_in_cell(layer, cx, cy).iter().map(|&id| rank(id)).collect());
+            }
+            via_sites.push(space.via_sites(cx, cy).to_vec());
+        }
+    }
+    let mut tile_at = Vec::new();
+    for x in (15_000..600_000).step_by(30_000) {
+        for y in (15_000..600_000).step_by(30_000) {
+            for layer in [WireLayer(0), WireLayer(1)] {
+                for net in nets {
+                    tile_at.push(space.tile_at(layer, Point::new(x, y), net).map(rank));
+                }
+            }
+        }
+    }
+    let neighbors = ids
+        .iter()
+        .flat_map(|&id| nets.map(|net| (id, net)))
+        .map(|(id, net)| {
+            space.planar_neighbors(id, net).iter().map(|e| (rank(e.to), e.crossing)).collect()
+        })
+        .collect();
+    let tiles = ids
+        .iter()
+        .map(|&id| {
+            let t = space.tile(id);
+            (t.layer, t.cell, t.shape, t.blockers.clone())
+        })
+        .collect();
+    Ranked {
+        tiles,
+        cells,
+        via_sites,
+        tile_at,
+        neighbors,
+        cache_stats: space.adjacency_cache_stats(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Compaction is invisible up to the renumbering: two twins replay
+    /// the same random rebuilds, outside trials and inside trials that
+    /// roll back or commit, and one compacts after every round. Lookups
+    /// inside the trials stamp adjacency entries that a rollback leaves
+    /// stale, which the compaction must drop rather than renumber.
+    #[test]
+    fn compaction_is_invisible_up_to_renumbering(seed in 0u64..500) {
+        let (pkg, mut layout) = random_package(seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xc0a1);
+        let mut compacted = RoutingSpace::build(&pkg, &layout, cfg());
+        let mut plain = compacted.clone();
+        for round in 0..6 {
+            // 0: no trial, 1: a trial rolled back, 2: a trial committed.
+            let mode = rng.gen_range(0..3);
+            let base = layout.clone();
+            if mode > 0 {
+                compacted.begin_trial();
+                plain.begin_trial();
+            }
+            for _ in 0..rng.gen_range(1..=3) {
+                let dirty: Vec<Rect> = (0..rng.gen_range(1..=3))
+                    .flat_map(|_| random_edit(&mut rng, &mut layout))
+                    .collect();
+                compacted.rebuild_dirty_multi(&pkg, &layout, &dirty);
+                plain.rebuild_dirty_multi(&pkg, &layout, &dirty);
+                prop_assert_eq!(
+                    observe_ranked(&compacted), observe_ranked(&plain),
+                    "seed {} round {} mode {}", seed, round, mode
+                );
+            }
+            match mode {
+                1 => {
+                    compacted.rollback_trial();
+                    plain.rollback_trial();
+                    layout = base;
+                }
+                2 => {
+                    compacted.commit_trial();
+                    plain.commit_trial();
+                }
+                _ => {}
+            }
+            compacted.compact();
+            prop_assert_eq!(compacted.tile_slots(), compacted.live_tile_count());
+            prop_assert_eq!(plain.live_tile_count(), compacted.live_tile_count());
+            prop_assert_eq!(
+                observe_ranked(&compacted), observe_ranked(&plain),
+                "seed {} after round {}", seed, round
+            );
+        }
+        prop_assert!(plain.tile_slots() > plain.live_tile_count(), "no tile was ever retired");
+    }
+}
