@@ -31,12 +31,9 @@ fn main() {
         out.stats.routability_pct
     );
     println!(
-        "search: {} searches, {} expansions, {} window escalations \
-         ({} expansions in escalated continuations)",
+        "search: {} searches, {} expansions",
         report.counter("searches"),
         report.counter("nodes_expanded"),
-        report.counter("window_escalations"),
-        report.counter("escalation_expansions"),
     );
     println!(
         "rip-up: {} trials, {} committed, {} restored, {} attempts refuted without a search",
@@ -71,8 +68,8 @@ fn main() {
             let reason = s.last_failure.map_or("unknown", |f| f.label());
             let victims: Vec<String> = s.victims.iter().map(|v| v.to_string()).collect();
             println!(
-                "  net {:>3}: {} attempts, {} expansions, {} escalations, last failure {}",
-                s.net, s.attempts, s.expansions, s.escalations, reason
+                "  net {:>3}: {} attempts, {} expansions, last failure {}",
+                s.net, s.attempts, s.expansions, reason
             );
             println!(
                 "           rip-up victims tried: {}",

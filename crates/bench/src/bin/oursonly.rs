@@ -1,6 +1,6 @@
 //! Quick development check: run only the via-based router on one circuit
-//! and print its layout hash, work counters and the process's peak
-//! resident memory (VmHWM). `oursonly [idx]`.
+//! and print its layout hash, search and work counters and the process's
+//! peak resident memory (VmHWM). `oursonly [idx]`.
 use std::time::Instant;
 fn main() {
     let idx: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
@@ -11,6 +11,8 @@ fn main() {
     println!("dense{idx} OURS: {} in {:?} (conc {} seq {} fail {:?})",
         out.stats, t.elapsed(), out.concurrent_routed, out.sequential_routed, out.failed);
     println!("  sequential {:?}  hash {:016x}", out.timings.sequential, out.layout.canonical_hash());
+    let search = &out.timings.search;
+    println!("  searches {}  nodes expanded {}", search.searches, search.nodes_expanded);
     if let Some(rep) = &out.telemetry {
         println!(
             "  ripup_wall {:.3}s  trials {} committed {} refuted attempts {}",

@@ -183,15 +183,14 @@ fn counts(labeled: &[(&'static str, u64)]) -> Json {
 }
 
 /// Per-net journal summary: one object per net that appears in the
-/// route journal (attempt count, expansion work, escalations, final
-/// outcome, rip-up victims).
+/// route journal (attempt count, expansion work, final outcome, rip-up
+/// victims).
 fn journal(report: &TelemetryReport) -> Json {
     let nets = report.net_summaries().into_iter().map(|s| {
         obj([
             ("net", Json::Num(f64::from(s.net))),
             ("attempts", Json::Num(f64::from(s.attempts))),
             ("expansions", Json::Num(s.expansions as f64)),
-            ("escalations", Json::Num(f64::from(s.escalations))),
             ("routed", Json::Bool(s.routed)),
             ("last_failure", s.last_failure.map_or(Json::Null, |f| Json::Str(f.label().into()))),
             ("victims", Json::Arr(s.victims.iter().map(|&v| Json::Num(f64::from(v))).collect())),
@@ -359,8 +358,6 @@ fn main() -> std::io::Result<()> {
                 obj([
                     ("searches", Json::Num(search.searches as f64)),
                     ("nodes_expanded", Json::Num(search.nodes_expanded as f64)),
-                    ("window_escalations", Json::Num(search.window_escalations as f64)),
-                    ("escalation_expansions", Json::Num(search.escalation_expansions as f64)),
                     ("heap_peak", Json::Num(search.heap_peak as f64)),
                 ]),
             ),

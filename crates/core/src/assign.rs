@@ -39,7 +39,7 @@ pub fn assign_layers(
         .candidates
         .iter()
         .map(|c| {
-            let w = if cfg.weighted_mpsc { c.weight(cfg) } else { 1.0 };
+            let w = if cfg.weighted_mpsc { c.weight() } else { 1.0 };
             Chord::new(c.a.circle, c.b.circle, w)
         })
         .collect();

@@ -6,18 +6,11 @@ use std::time::Duration;
 
 /// Tuning parameters of the five-stage flow.
 ///
-/// Defaults reproduce the paper's experimental setup (§IV): chord-weight
-/// parameters `α, β, γ, δ = 0.1, 1, 1, 2` and a 30 × 30 global-cell grid.
+/// Defaults reproduce the paper's experimental setup (§IV): a 30 × 30
+/// global-cell grid. Its chord-weight parameters of Eq. (2) are constants
+/// in [`crate::preprocess`].
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
-    /// Weight of the detour rate in Eq. (2).
-    pub alpha: f64,
-    /// Weight of the maximum overflow term in Eq. (2).
-    pub beta: f64,
-    /// Weight of the average overflow term in Eq. (2).
-    pub gamma: f64,
-    /// Logarithm base / additive constant in Eq. (2).
-    pub delta: f64,
     /// Global cells along each axis (the paper uses 30 × 30 = 900).
     pub global_cells: usize,
     /// Run stage 2 (weighted-MPSC concurrent routing). Disabling it routes
@@ -35,12 +28,6 @@ pub struct RouterConfig {
     /// with [`RouterConfig::with_threads`], only because the benchmark
     /// crate still sets it; both go with the benchmark's next revision.
     pub threads: usize,
-    /// Windowed A\*: each sequential-stage search first explores an
-    /// inflated bounding box of its pad pair and escalates to the full
-    /// tile graph only when the windowed result is not provably identical
-    /// (see `info_tile::astar`). Lossless either way; `false` forces every
-    /// search onto the full graph (differential-testing baseline).
-    pub search_window: bool,
     /// Per-stage wall-clock budget. Stages check it cooperatively (per
     /// net, per candidate, per LP iteration) and stop early with partial
     /// results when it trips; `None` disables the budget.
@@ -60,17 +47,12 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            alpha: 0.1,
-            beta: 1.0,
-            gamma: 1.0,
-            delta: 2.0,
             global_cells: 30,
             concurrent_enabled: true,
             weighted_mpsc: true,
             lp_enabled: true,
             peripheral_margin: 40_000,
             threads: 1,
-            search_window: true,
             stage_budget: None,
             fault_plan: FaultPlan::none(),
             telemetry: false,
@@ -110,12 +92,6 @@ impl RouterConfig {
         self
     }
 
-    /// Disables the A\* search window (full-graph searches only).
-    pub fn without_search_window(mut self) -> Self {
-        self.search_window = false;
-        self
-    }
-
     /// Sets a per-stage wall-clock budget.
     pub fn with_stage_budget(mut self, budget: Duration) -> Self {
         self.stage_budget = Some(budget);
@@ -142,15 +118,9 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = RouterConfig::default();
-        assert_eq!(c.alpha, 0.1);
-        assert_eq!(c.beta, 1.0);
-        assert_eq!(c.gamma, 1.0);
-        assert_eq!(c.delta, 2.0);
         assert_eq!(c.global_cells, 30);
         assert!(c.lp_enabled && c.concurrent_enabled && c.weighted_mpsc);
         assert_eq!(c.threads, 1);
-        assert!(c.search_window, "windowed search is on by default");
-        assert!(!c.without_search_window().search_window);
         assert!(!c.telemetry, "telemetry is off by default");
         assert!(c.with_telemetry().telemetry);
     }

@@ -582,8 +582,8 @@ pub(crate) fn reroute_delta(
         // dying walled in right at a pad (the same observation rip-up's
         // victim ranking is built on), so freed space anywhere else on
         // the pad-pair span cannot unlock them — and each futile retry
-        // re-runs the failure's full escalating search, which is what an
-        // ECO exists to avoid.
+        // re-runs the failure's full search, which is what an ECO exists
+        // to avoid.
         let retry_reach = crate::sequential::wall_reach(uni.rules());
         for (old, st) in &prior.net_status {
             if *st == NetStatus::Routed {

@@ -40,8 +40,8 @@ pub struct StageTimings {
     pub sequential: Duration,
     /// Stage 5: LP-based layout optimization (all passes).
     pub lp: Duration,
-    /// Aggregate A\* search statistics of the sequential stage (nodes
-    /// expanded, window escalations, open-list peak).
+    /// Aggregate A\* search statistics of the sequential stage (searches,
+    /// nodes expanded, open-list peak).
     pub search: info_tile::SearchStats,
 }
 
@@ -236,8 +236,7 @@ impl InfoRouter {
                                     tel.record(AttemptRecord {
                                         net: id.0,
                                         pass: Pass::Concurrent,
-                                        windowed: false,
-                                        escalated: false,
+                                        searched: false,
                                         expansions: 0,
                                         outcome: AttemptOutcome::Routed { f: wl, g: wl },
                                         victims: Vec::new(),
@@ -318,8 +317,6 @@ impl InfoRouter {
         // Search-layer counters come from the stage totals.
         tel.count(Counter::Searches, seq.search.searches);
         tel.count(Counter::NodesExpanded, seq.search.nodes_expanded);
-        tel.count(Counter::WindowEscalations, seq.search.window_escalations);
-        tel.count(Counter::EscalationExpansions, seq.search.escalation_expansions);
 
         // --- Verification.
         let t5 = Instant::now();

@@ -12,6 +12,16 @@ use info_geom::{x_arch_len, Point, Rect};
 use info_model::{NetId, Package, PadId, PadKind};
 use info_tile::{line_extension_partition, merge_cells, CellGraph, MstEdge};
 
+/// Weight `α` of the detour rate in the chord weight of Eq. (2); the
+/// paper's experiments (§IV) use 0.1.
+pub const ALPHA: f64 = 0.1;
+/// Weight `β` of the maximum-overflow term in Eq. (2); 1 in §IV.
+pub const BETA: f64 = 1.0;
+/// Weight `γ` of the average-overflow term in Eq. (2); 1 in §IV.
+pub const GAMMA: f64 = 1.0;
+/// Logarithm base and additive constant `δ` of Eq. (2); 2 in §IV.
+pub const DELTA: f64 = 2.0;
+
 /// Where a net enters the fan-out region.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccessInfo {
@@ -47,12 +57,13 @@ pub struct CandidateNet {
 }
 
 impl CandidateNet {
-    /// Chord weight per the paper's Eq. (2).
-    pub fn weight(&self, cfg: &RouterConfig) -> f64 {
-        let log_delta = |x: f64| x.ln() / cfg.delta.ln();
-        let denom = cfg.alpha * self.detour_rate
-            + cfg.beta * log_delta(cfg.delta + self.f_max)
-            + cfg.gamma * log_delta(cfg.delta + self.f_avg);
+    /// Chord weight per the paper's Eq. (2), with the parameters
+    /// [`ALPHA`], [`BETA`], [`GAMMA`] and [`DELTA`].
+    pub fn weight(&self) -> f64 {
+        let log_delta = |x: f64| x.ln() / DELTA.ln();
+        let denom = ALPHA * self.detour_rate
+            + BETA * log_delta(DELTA + self.f_max)
+            + GAMMA * log_delta(DELTA + self.f_avg);
         if denom <= 0.0 {
             f64::MAX / 1e6
         } else {
@@ -364,7 +375,6 @@ mod tests {
 
     #[test]
     fn weight_decreases_with_congestion() {
-        let cfg = RouterConfig::default();
         let base = CandidateNet {
             net: NetId(0),
             a: AccessInfo { pad: info_model::PadId(0), at: Point::origin(), grid: 0, circle: 0 },
@@ -379,9 +389,9 @@ mod tests {
         congested.f_avg = 2.0;
         let mut detoured = base.clone();
         detoured.detour_rate = 5.0;
-        assert!(base.weight(&cfg) > congested.weight(&cfg));
-        assert!(base.weight(&cfg) > detoured.weight(&cfg));
-        assert!(base.weight(&cfg).is_finite());
+        assert!(base.weight() > congested.weight());
+        assert!(base.weight() > detoured.weight());
+        assert!(base.weight().is_finite());
     }
 
     #[test]

@@ -165,7 +165,6 @@ pub(crate) fn route_sequential_in_space(
                     layout,
                     &mut *space,
                     id,
-                    cfg,
                     &result.routed,
                     ctx,
                     &mut stats,
@@ -242,8 +241,7 @@ fn record_tile_peaks(space: &RoutingSpace, tel: &Sink) {
 /// pass loop or the rip-up pass, which substitutes a victim's failure.
 #[derive(Debug, Clone, Copy)]
 struct AttemptDraft {
-    windowed: bool,
-    escalated: bool,
+    searched: bool,
     expansions: u64,
     outcome: AttemptOutcome,
 }
@@ -260,8 +258,7 @@ impl AttemptDraft {
         AttemptRecord {
             net: id.0,
             pass,
-            windowed: self.windowed,
-            escalated: self.escalated,
+            searched: self.searched,
             expansions: self.expansions,
             outcome: self.outcome,
             victims,
@@ -269,21 +266,21 @@ impl AttemptDraft {
     }
 }
 
-/// Maps a search-layer failure onto the journal's failure taxonomy. An
-/// exhausted open list after an escalation means the window failed to
-/// contain the net *and* the full graph still had no path; without an
-/// escalation, exhaustion is an authoritative no-path proof.
-fn search_failure_reason(f: astar::SearchFailure, escalated: bool) -> FailureReason {
+/// Maps a search-layer failure onto the journal's failure taxonomy.
+/// Exhaustion is an authoritative no-path proof. A budget cap is located
+/// by its last tile's wire layer and global cell, read from `space`
+/// before any rebuild or compaction renames the tile.
+fn search_failure_reason(f: astar::SearchFailure, space: &RoutingSpace) -> FailureReason {
+    let cell = |(cx, cy): (usize, usize)| (cx as u32, cy as u32);
     match f {
-        astar::SearchFailure::BlockedTerminal => FailureReason::Unreachable,
-        astar::SearchFailure::Exhausted if escalated => FailureReason::WindowFenced,
-        astar::SearchFailure::Exhausted => FailureReason::Unreachable,
+        astar::SearchFailure::BlockedTerminal | astar::SearchFailure::Exhausted => {
+            FailureReason::Unreachable
+        }
         astar::SearchFailure::BudgetCapped { last_tile } => {
-            FailureReason::Congested { tile: last_tile.0 }
+            let t = space.tile(last_tile);
+            FailureReason::Congested { layer: t.layer.0, cell: cell(t.cell) }
         }
-        astar::SearchFailure::NoViaPath { cell } => {
-            FailureReason::ViaCapacity { cell: (cell.0 as u32, cell.1 as u32) }
-        }
+        astar::SearchFailure::NoViaPath { cell: c } => FailureReason::ViaCapacity { cell: cell(c) },
         astar::SearchFailure::Cancelled => FailureReason::Cancelled,
     }
 }
@@ -304,7 +301,7 @@ fn guarded_route_net(
     tel: &Sink,
 ) -> Result<(AttemptDraft, bool), RouterError> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
-        try_route_net(package, layout, space, id, cfg, ctx, false, stats, tel)
+        try_route_net(package, layout, space, id, ctx, false, stats, tel)
     }));
     match attempt {
         Ok(r) => r,
@@ -465,7 +462,6 @@ fn ripup_and_reroute(
     layout: &mut Layout,
     space: &mut RoutingSpace,
     id: NetId,
-    cfg: &RouterConfig,
     routed: &[NetId],
     ctx: &FlowCtx,
     stats: &mut astar::SearchStats,
@@ -524,13 +520,13 @@ fn ripup_and_reroute(
         // through).
         let attempt: Result<(bool, AttemptDraft), RouterError> = (|| {
             let (draft, committed) =
-                try_route_net(package, layout, space, id, cfg, ctx, true, stats, tel)?;
+                try_route_net(package, layout, space, id, ctx, true, stats, tel)?;
             if !committed {
                 return Ok((false, draft));
             }
             for &v in &victims {
                 let (vdraft, vcommitted) =
-                    try_route_net(package, layout, space, v, cfg, ctx, true, stats, tel)?;
+                    try_route_net(package, layout, space, v, ctx, true, stats, tel)?;
                 if !vcommitted {
                     return Ok((false, AttemptDraft { outcome: vdraft.outcome, ..draft }));
                 }
@@ -580,7 +576,6 @@ fn try_route_net(
     layout: &mut Layout,
     space: &mut RoutingSpace,
     id: NetId,
-    cfg: &RouterConfig,
     ctx: &FlowCtx,
     refute_first: bool,
     stats: &mut astar::SearchStats,
@@ -596,30 +591,27 @@ fn try_route_net(
         if let Some(visited) = astar::refute(space, id, src, dst) {
             tel.count(Counter::RipupRefuted, 1);
             let draft = AttemptDraft {
-                windowed: false,
-                escalated: false,
+                searched: false,
                 expansions: visited,
                 outcome: AttemptOutcome::Failed(FailureReason::Unreachable),
             };
             return Ok((draft, false));
         }
     }
-    let opts = astar::SearchOptions { windowed: cfg.search_window, ..Default::default() };
+    let opts = astar::SearchOptions::default();
     let mut search = astar::SearchStats::default();
     let found =
         astar::route_cancellable(space, id, src, dst, opts, Some(ctx.token()), &mut search);
     stats.absorb(&search);
-    let escalated = search.window_escalations > 0;
     let draft = move |outcome: AttemptOutcome| AttemptDraft {
-        windowed: opts.windowed,
-        escalated,
+        searched: true,
         expansions: search.nodes_expanded,
         outcome,
     };
     let reject = |reason: FailureReason| Ok((draft(AttemptOutcome::Failed(reason)), false));
     let found = match found {
         Ok(found) => found,
-        Err(f) => return reject(search_failure_reason(f, escalated)),
+        Err(f) => return reject(search_failure_reason(f, space)),
     };
     let Some(real) = realize::realize(&found, src, dst) else {
         return reject(FailureReason::RealizeRejected);
@@ -772,7 +764,6 @@ mod tests {
             &mut layout,
             &mut space,
             NetId(0),
-            &cfg,
             &[NetId(1)],
             &ctx,
             &mut astar::SearchStats::default(),
@@ -873,7 +864,7 @@ mod tests {
 
         let mut space = build_stage_space(&pkg, &layout, &cfg);
         let got = ripup_and_reroute(
-            &pkg, &mut layout, &mut space, NetId(5), &cfg, &routed, &ctx, &mut stats, &tel,
+            &pkg, &mut layout, &mut space, NetId(5), &routed, &ctx, &mut stats, &tel,
         )
         .expect("no internal failure");
         assert!(got, "evicting a neighbor must free net 5");
@@ -946,6 +937,48 @@ mod tests {
         // through the compactions.
         let compactions = route_all_and_check_tile_slots(&info_gen::dense(1));
         assert!(compactions > 0, "routing dense1 never compacted");
+    }
+
+    /// A search capped by its expansion budget journals `congested` at
+    /// the last popped tile's wire layer and global cell. Unlike the raw
+    /// tile id, those still locate the tile after another net's commit
+    /// and a compaction renumber the space.
+    #[test]
+    fn congested_records_the_capped_tiles_layer_and_cell() {
+        let pkg = simple_package(4);
+        let cfg = RouterConfig::default().with_global_cells(8);
+        let mut layout = Layout::new(&pkg);
+        let mut space = build_stage_space(&pkg, &layout, &cfg);
+        let net = pkg.net(NetId(0));
+        let src = (pkg.pad_layer(net.a), pkg.pad(net.a).center);
+        let dst = (pkg.pad_layer(net.b), pkg.pad(net.b).center);
+        let opts = astar::SearchOptions { expansion_budget: Some(3), ..Default::default() };
+        let mut stats = astar::SearchStats::default();
+        let f = astar::route_cancellable(&space, NetId(0), src, dst, opts, None, &mut stats)
+            .expect_err("three expansions cannot reach a bump pad 320 µm away");
+        let astar::SearchFailure::BudgetCapped { last_tile } = f else {
+            panic!("expected a budget cap, got {f:?}");
+        };
+        let tile = space.tile(last_tile).clone();
+        let (layer, cell) = (tile.layer, (tile.cell.0 as u32, tile.cell.1 as u32));
+        assert_eq!(
+            search_failure_reason(f, &space),
+            FailureReason::Congested { layer: layer.0, cell }
+        );
+
+        // Net 3 runs three cell rows away, so its commit leaves the
+        // recorded cell's tiles in place while retiring slots elsewhere.
+        let ctx = crate::resilience::FlowCtx::default();
+        let tel = Sink::disabled();
+        let res =
+            route_sequential_in_space(&pkg, &mut layout, &[NetId(3)], &cfg, &ctx, &mut space, &tel);
+        assert!(res.failed.is_empty());
+        space.compact();
+        let found = space
+            .tiles_in_cell(layer, cell.0 as usize, cell.1 as usize)
+            .iter()
+            .any(|&t| space.tile(t).shape == tile.shape);
+        assert!(found, "the recorded layer and cell no longer hold the capped tile");
     }
 
     #[test]

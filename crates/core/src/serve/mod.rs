@@ -462,11 +462,10 @@ pub enum Request {
 }
 
 /// The keys a request's `config` object may carry.
-const CONFIG_KEYS: [&str; 7] = [
+const CONFIG_KEYS: [&str; 6] = [
     "global_cells",
     "lp",
     "concurrent",
-    "window",
     "stage_budget_ms",
     "deadline_ms",
     "net_status",
@@ -498,9 +497,6 @@ fn parse_config(v: &Json) -> Result<(RouterConfig, Option<Duration>, bool), Rout
         }
         if let Some(b) = bool_field(c, "concurrent")? {
             cfg.concurrent_enabled = b;
-        }
-        if let Some(b) = bool_field(c, "window")? {
-            cfg.search_window = b;
         }
         if let Some(ms) = int_field(c, "stage_budget_ms", 0, 86_400_000)? {
             cfg.stage_budget = Some(Duration::from_millis(ms));

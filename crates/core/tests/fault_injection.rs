@@ -446,7 +446,7 @@ fn walled_bump_package() -> Package {
 /// A fault armed on a rip-up attempt that the refutation probe settles
 /// without a search still fires — the `AstarExpand` check runs before the
 /// probe — and costs only that attempt's net. A refuted target attempt
-/// journals as a failed rip-up record that ran no windowed search and
+/// journals as a failed rip-up record that ran no search and
 /// makes exactly one check, so each trial's check is indexed from the
 /// front passes' count.
 #[test]
@@ -462,7 +462,7 @@ fn faults_on_refuted_ripup_attempts_still_fire_and_cost_only_that_net() {
     assert_eq!(trials.len(), 3, "evict net 1, net 2, then both");
     for r in &trials {
         assert_eq!(r.net, 0);
-        assert!(!r.windowed, "every trial's target attempt must be refuted");
+        assert!(!r.searched, "every trial's target attempt must be refuted");
         assert_eq!(r.outcome, AttemptOutcome::Failed(FailureReason::Unreachable));
     }
     assert_eq!(report.counter("ripup_refuted"), 3);

@@ -49,24 +49,22 @@ impl Pass {
     }
 }
 
-/// Why a route attempt failed. The first four are the search-level
-/// taxonomy of the A\* layer; the last three are post-search rejections
+/// Why a route attempt failed. The first three are the search-level
+/// taxonomy of the A\* layer; the next three are post-search rejections
 /// of a found path (the geometry could not be committed as searched).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureReason {
-    /// The full graph was exhausted without leaving the search window
-    /// (the windowed run was authoritative), or a terminal tile was
-    /// blocked outright: provably no path existed.
+    /// The search exhausted the tile graph, a rip-up attempt was refuted
+    /// by the bounded no-path sweep, or a terminal tile was blocked
+    /// outright: provably no path existed.
     Unreachable,
-    /// The windowed run could not certify its result, and the escalated
-    /// full-graph continuation also exhausted: the window failed to
-    /// contain the net, and the full graph still had no path.
-    WindowFenced,
-    /// The expansion budget tripped; `tile` is the last tile popped —
-    /// where the search was grinding when it gave up.
+    /// The expansion budget tripped; `layer` and `cell` locate the last
+    /// tile popped — where the search was grinding when it gave up.
     Congested {
-        /// Raw tile id of the last pop before the budget tripped.
-        tile: u32,
+        /// Wire layer index of the last pop before the budget tripped.
+        layer: u8,
+        /// Global cell `(cx, cy)` of that tile.
+        cell: (u32, u32),
     },
     /// A cross-layer search never saw a single usable via site;
     /// `cell` is the global cell of the source tile.
@@ -93,7 +91,6 @@ impl FailureReason {
     pub fn label(self) -> &'static str {
         match self {
             FailureReason::Unreachable => "unreachable",
-            FailureReason::WindowFenced => "window_fenced",
             FailureReason::Congested { .. } => "congested",
             FailureReason::ViaCapacity { .. } => "via_capacity",
             FailureReason::RealizeRejected => "realize_rejected",
@@ -104,9 +101,8 @@ impl FailureReason {
     }
 
     /// Every label, in taxonomy order (for zero-filled count tables).
-    pub const LABELS: [&'static str; 8] = [
+    pub const LABELS: [&'static str; 7] = [
         "unreachable",
-        "window_fenced",
         "congested",
         "via_capacity",
         "realize_rejected",
@@ -139,11 +135,9 @@ pub struct AttemptRecord {
     pub net: u32,
     /// The pass that made the attempt.
     pub pass: Pass,
-    /// Whether the A\* search ran windowed (false when a rip-up attempt
-    /// was refuted without one).
-    pub windowed: bool,
-    /// Whether the windowed search escalated to the full graph.
-    pub escalated: bool,
+    /// Whether an A\* search ran: false for a rip-up attempt refuted
+    /// without one and for a concurrent-stage commit.
+    pub searched: bool,
     /// Nodes the authoritative search expanded, or the tiles the
     /// refutation sweep visited for a refuted rip-up attempt.
     pub expansions: u64,
@@ -161,10 +155,6 @@ pub enum Counter {
     Searches,
     /// Nodes expanded across all searches.
     NodesExpanded,
-    /// Windowed searches that escalated to the full graph.
-    WindowEscalations,
-    /// Nodes expanded by escalated continuations specifically.
-    EscalationExpansions,
     /// Rip-up eviction-set trials.
     RipupAttempts,
     /// Eviction sets that stuck (target and all victims re-routed).
@@ -221,11 +211,9 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 22] = [
         Counter::Searches,
         Counter::NodesExpanded,
-        Counter::WindowEscalations,
-        Counter::EscalationExpansions,
         Counter::RipupAttempts,
         Counter::RipupCommits,
         Counter::SnapshotRestores,
@@ -253,8 +241,6 @@ impl Counter {
         match self {
             Counter::Searches => "searches",
             Counter::NodesExpanded => "nodes_expanded",
-            Counter::WindowEscalations => "window_escalations",
-            Counter::EscalationExpansions => "escalation_expansions",
             Counter::RipupAttempts => "ripup_attempts",
             Counter::RipupCommits => "ripup_commits",
             Counter::SnapshotRestores => "snapshot_restores",
@@ -487,8 +473,6 @@ pub struct NetSummary {
     pub attempts: u32,
     /// Total nodes expanded across its attempts.
     pub expansions: u64,
-    /// Attempts whose search escalated out of the window.
-    pub escalations: u32,
     /// Whether the net's last attempt committed.
     pub routed: bool,
     /// The last failure reason seen (present iff any attempt failed).
@@ -525,14 +509,12 @@ impl TelemetryReport {
                 net: rec.net,
                 attempts: 0,
                 expansions: 0,
-                escalations: 0,
                 routed: false,
                 last_failure: None,
                 victims: Vec::new(),
             });
             s.attempts += 1;
             s.expansions += rec.expansions;
-            s.escalations += u32::from(rec.escalated);
             match rec.outcome {
                 AttemptOutcome::Routed { .. } => s.routed = true,
                 AttemptOutcome::Failed(r) => {
@@ -563,8 +545,7 @@ mod tests {
         sink.record(AttemptRecord {
             net: 0,
             pass: Pass::First,
-            windowed: true,
-            escalated: false,
+            searched: true,
             expansions: 10,
             outcome: AttemptOutcome::Failed(FailureReason::Unreachable),
             victims: vec![],
@@ -618,17 +599,15 @@ mod tests {
         sink.record(AttemptRecord {
             net: 4,
             pass: Pass::First,
-            windowed: true,
-            escalated: true,
+            searched: true,
             expansions: 100,
-            outcome: AttemptOutcome::Failed(FailureReason::Congested { tile: 9 }),
+            outcome: AttemptOutcome::Failed(FailureReason::Congested { layer: 1, cell: (5, 6) }),
             victims: vec![],
         });
         sink.record(AttemptRecord {
             net: 4,
             pass: Pass::RipUp,
-            windowed: true,
-            escalated: false,
+            searched: true,
             expansions: 50,
             outcome: AttemptOutcome::Routed { f: 10.0, g: 10.0 },
             victims: vec![2, 1, 2],
@@ -636,8 +615,7 @@ mod tests {
         sink.record(AttemptRecord {
             net: 7,
             pass: Pass::Retry,
-            windowed: true,
-            escalated: false,
+            searched: true,
             expansions: 5,
             outcome: AttemptOutcome::Failed(FailureReason::ViaCapacity { cell: (3, 4) }),
             victims: vec![],
@@ -646,7 +624,7 @@ mod tests {
         let sums = rep.net_summaries();
         assert_eq!(sums.len(), 2);
         let n4 = &sums[0];
-        assert_eq!((n4.net, n4.attempts, n4.expansions, n4.escalations), (4, 2, 150, 1));
+        assert_eq!((n4.net, n4.attempts, n4.expansions), (4, 2, 150));
         assert!(n4.routed);
         assert_eq!(n4.victims, vec![1, 2]);
         let n7 = &sums[1];

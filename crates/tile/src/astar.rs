@@ -15,24 +15,9 @@
 //!   layer_hops · via_cost` is memoized per tile, keyed by the target
 //!   `(space revision, dst layer, dst point, via cost)`; rip-up retries of
 //!   the same net against the same space state reuse cached values.
-//! - **Windowed search** — each net first searches inside an inflated
-//!   bounding box of its pad pair. Edges leaving the window are pruned but
-//!   their would-be key `f = g + h` feeds a running lower bound
-//!   `pruned_min_f`. The windowed result is accepted only when it is
-//!   *provably* identical to a full-graph search (see below); otherwise
-//!   the search escalates to the full graph, so windowing is lossless by
-//!   construction.
 //!
-//! **Window fence argument.** The heuristic is consistent, so pops come
-//! off the queue in non-decreasing `f`. The windowed and full searches
-//! perform identical pops as long as every full-search-only queue entry —
-//! exactly the pruned edges, whose keys are ≥ `pruned_min_f` — stays
-//! strictly above the keys being popped. Hence if the destination pops at
-//! `f_pop < pruned_min_f`, every pop (all ≤ `f_pop`) was identical in
-//! both searches and the full search would return the same path, cost,
-//! and parent chain bit for bit. Symmetrically, if the window exhausts
-//! without pruning anything (`pruned_min_f = ∞`), the windowed search
-//! *was* the full search and its failure is authoritative.
+//! Each search is one bounded run over the whole tile graph, capped at
+//! [`MAX_EXPANSIONS`] expansions.
 //!
 //! **Refutation.** A search toward a pad walled into a small pocket
 //! exhausts the whole open side before it fails. [`refute`] proves the
@@ -43,7 +28,7 @@
 use crate::bucket::BucketQueue;
 use crate::cancel::{CancelToken, CHECK_INTERVAL};
 use crate::space::{PlanarEdge, RoutingSpace, TileId};
-use info_geom::{x_arch_len, Point, Rect};
+use info_geom::{x_arch_len, Point};
 use info_model::{NetId, WireLayer};
 use std::cell::RefCell;
 
@@ -80,9 +65,7 @@ pub enum SearchFailure {
     /// A terminal had no usable tile (blocked pad), or the search was
     /// asked to cross layers with vias disallowed.
     BlockedTerminal,
-    /// The open list went dry: provably no path in the searched graph.
-    /// Combined with [`SearchStats::window_escalations`], callers can
-    /// tell a windowed-authoritative failure from an escalated one.
+    /// The open list went dry: provably no path in the tile graph.
     Exhausted,
     /// The expansion budget tripped; `last_tile` is where the search was
     /// grinding when it gave up.
@@ -111,13 +94,10 @@ pub struct SearchStats {
     pub searches: u64,
     /// Nodes expanded (neighbor enumerations), across all searches.
     pub nodes_expanded: u64,
-    /// Windowed searches that escalated to the full graph.
+    /// Always 0: searches no longer run windowed, so none escalates. Kept
+    /// only because the benchmark crate still reads it; goes with the
+    /// benchmark's next revision.
     pub window_escalations: u64,
-    /// Nodes expanded by escalated continuations specifically (a subset
-    /// of `nodes_expanded`). An escalation no longer restarts from
-    /// scratch — it resumes from the windowed run's surviving open list —
-    /// so this measures exactly the extra work escalations cost.
-    pub escalation_expansions: u64,
     /// Largest open-list population observed.
     pub heap_peak: u64,
 }
@@ -127,8 +107,6 @@ impl SearchStats {
     pub fn absorb(&mut self, other: &SearchStats) {
         self.searches += other.searches;
         self.nodes_expanded += other.nodes_expanded;
-        self.window_escalations += other.window_escalations;
-        self.escalation_expansions += other.escalation_expansions;
         self.heap_peak = self.heap_peak.max(other.heap_peak);
     }
 }
@@ -136,24 +114,20 @@ impl SearchStats {
 /// Search behavior knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SearchOptions {
-    /// Try the pad-pair window first, escalating only when the result is
-    /// not provably identical to a full-graph search. Lossless; `false`
-    /// forces the full graph directly (the differential-test baseline).
-    pub windowed: bool,
     /// Allow layer changes through candidate via sites.
     pub allow_vias: bool,
-    /// Per-run expansion budget override; `None` uses [`MAX_EXPANSIONS`].
-    /// A windowed search and its escalation each get one budget, so a
-    /// doomed search costs at most twice this. Tests shrink it to make
-    /// searches fail cheaply on demand; shrinking it in production trades
-    /// completeness for time (nets whose paths need more expansions
-    /// report `BudgetCapped` instead of routing).
+    /// Expansion budget override; `None` uses [`MAX_EXPANSIONS`]. A
+    /// search expands at most one node past it before it reports
+    /// `BudgetCapped`. Tests shrink it to make searches fail cheaply on
+    /// demand; shrinking it in production trades completeness for time
+    /// (nets whose paths need more expansions report `BudgetCapped`
+    /// instead of routing).
     pub expansion_budget: Option<usize>,
 }
 
 impl Default for SearchOptions {
     fn default() -> Self {
-        SearchOptions { windowed: true, allow_vias: true, expansion_budget: None }
+        SearchOptions { allow_vias: true, expansion_budget: None }
     }
 }
 
@@ -161,8 +135,8 @@ impl Default for SearchOptions {
 /// tile space, returning the tile path or *why* the search failed (the
 /// telemetry journal's search-level failure taxonomy): blocked
 /// terminals, disconnected free space, an exhausted expansion budget,
-/// or cancellation. `opts` picks windowed vs full-graph search and
-/// whether layer changes through via sites are allowed (with
+/// or cancellation. `opts` sets the expansion budget and whether layer
+/// changes through via sites are allowed (with
 /// `allow_vias = false` the search stays on the source layer — the
 /// no-flexible-via regime of the prior-work baseline — so `src` and
 /// `dst` must share a layer). Search statistics accumulate into `stats`.
@@ -200,7 +174,7 @@ pub const REFUTE_LIMIT: usize = 1024;
 /// tile over [`refute_steps`] and returns `Some(tiles visited)` when the
 /// sweep exhausts within [`REFUTE_LIMIT`] tiles without reaching the
 /// source terminal tile. Then no search of `net` from `src` to `dst` can
-/// succeed — windowed or not, with any budget — so a caller that only
+/// succeed, with any budget, so a caller that only
 /// needs the verdict may skip it. `None` means no verdict: the component
 /// is too large, it holds the source, or a terminal has no passable tile
 /// (which the search itself reports as [`SearchFailure::BlockedTerminal`]).
@@ -306,11 +280,13 @@ fn for_each_refute_step(
 /// Sentinel for "no parent" in the scratch parent array.
 const NO_PARENT: u32 = u32::MAX;
 
-/// Expansion budget: keeps pathological searches bounded. Legitimate
-/// paths expand a few thousand tiles; a flat cap keeps *failing* searches
-/// (which otherwise sweep the whole reachable space) cheap on large
-/// circuits.
-pub const MAX_EXPANSIONS: usize = 60_000;
+/// Expansion budget of one search: keeps failing searches, which
+/// otherwise sweep the whole reachable space, bounded on large circuits.
+/// Legitimate paths expand a few thousand tiles. 120K is the most a
+/// search could spend when each net first ran in a pad-pair window and
+/// escalated to the full graph with a second 60K budget; one run with
+/// the sum keeps every net that routed then routable.
+pub const MAX_EXPANSIONS: usize = 120_000;
 
 /// Per-thread reusable search state. All node arrays are indexed by tile
 /// id and validated by generation stamps, so consecutive searches share
@@ -330,29 +306,11 @@ struct SearchScratch {
     h_stamp: Vec<u32>,
     h_entry: Vec<Point>,
     h_val: Vec<f64>,
-    /// Window mask over global cells, stamped like the node arrays.
-    win_gen: u32,
-    win_stamp: Vec<u32>,
     queue: BucketQueue,
     nbr: Vec<PlanarEdge>,
     vnbr: Vec<(TileId, Point)>,
-    /// Edges the windowed run pruned, kept so an escalation can re-inject
-    /// them instead of restarting the search from scratch.
-    pruned: Vec<PrunedEdge>,
     /// Work stack of [`refute`]'s sweep.
     sweep: Vec<u32>,
-}
-
-/// One edge the windowed run refused to relax because its target cell was
-/// outside the window. Everything needed to re-inject it — the would-be
-/// node state plus the queue key computed at prune time — is recorded.
-#[derive(Clone, Copy)]
-struct PrunedEdge {
-    to: u32,
-    f_bits: u64,
-    g: f64,
-    entry: Point,
-    parent: u32,
 }
 
 impl SearchScratch {
@@ -368,23 +326,19 @@ impl SearchScratch {
             h_stamp: Vec::new(),
             h_entry: Vec::new(),
             h_val: Vec::new(),
-            win_gen: 0,
-            win_stamp: Vec::new(),
             queue: BucketQueue::new(1.0),
             nbr: Vec::new(),
             vnbr: Vec::new(),
-            pruned: Vec::new(),
             sweep: Vec::new(),
         }
     }
 
-    /// Sizes every array to the space's current tile/cell counts. The
-    /// node arrays grow as the space does, and shrink (releasing their
-    /// memory) once they exceed it by a quarter, as after a
-    /// [`RoutingSpace::compact`]; the slack keeps a trial rollback, which
-    /// truncates a few tiles, from shrinking them only to regrow them.
-    /// Dropped slots lose only stamps, which a regrown slot starts
-    /// without.
+    /// Sizes the node arrays to the space's current tile slot count. They
+    /// grow as the space does, and shrink (releasing their memory) once
+    /// they exceed it by a quarter, as after a [`RoutingSpace::compact`];
+    /// the slack keeps a trial rollback, which truncates a few tiles, from
+    /// shrinking them only to regrow them. Dropped slots lose only stamps,
+    /// which a regrown slot starts without.
     fn ensure(&mut self, space: &RoutingSpace) {
         let slots = space.tile_slots();
         let shrink = self.stamp.len() > slots + slots / 4;
@@ -397,11 +351,6 @@ impl SearchScratch {
             fit(&mut self.h_stamp, slots, 0, shrink);
             fit(&mut self.h_entry, slots, origin, shrink);
             fit(&mut self.h_val, slots, 0.0, shrink);
-        }
-        let cfg = space.config();
-        let ncells = cfg.cells_x * cfg.cells_y;
-        if self.win_stamp.len() < ncells {
-            self.win_stamp.resize(ncells, 0);
         }
     }
 
@@ -449,28 +398,31 @@ impl SearchScratch {
         v
     }
 
-    /// Stamps the window mask: every global cell intersecting the
-    /// pad-pair bounding box inflated by a margin proportional to the net
-    /// span (plus a clearance-scaled floor for short nets).
-    fn set_window(&mut self, space: &RoutingSpace, a: Point, b: Point) {
-        if self.win_gen == u32::MAX {
-            self.win_stamp.iter_mut().for_each(|s| *s = 0);
-            self.win_gen = 1;
-        } else {
-            self.win_gen += 1;
-        }
-        let cfg = space.config();
-        let bbox = Rect::new(a, b);
-        let margin =
-            (bbox.width() + bbox.height()) / 6 + 10 * (cfg.clearance + cfg.via_width);
-        for (cx, cy) in space.cells_touching(bbox.inflate(margin)) {
-            self.win_stamp[cy * cfg.cells_x + cx] = self.win_gen;
-        }
-    }
-
+    /// Relaxes the edge into tile `to`, entered at `at` with path cost
+    /// `g2` from `parent`: records the node and queues it when it is new
+    /// this generation or strictly improved (stale queue entries are
+    /// skipped at pop time).
     #[inline]
-    fn in_window(&self, cells_x: usize, cell: (usize, usize)) -> bool {
-        self.win_stamp[cell.1 * cells_x + cell.0] == self.win_gen
+    #[allow(clippy::too_many_arguments)]
+    fn relax(
+        &mut self,
+        to: TileId,
+        to_layer: WireLayer,
+        at: Point,
+        g2: f64,
+        parent: u32,
+        dst: &(WireLayer, Point),
+        via_cost: f64,
+    ) {
+        let i = to.0 as usize;
+        if self.stamp[i] != self.gen || g2 < self.g[i] - 1e-9 {
+            self.stamp[i] = self.gen;
+            self.g[i] = g2;
+            self.entry[i] = at;
+            self.parent[i] = parent;
+            let f2 = g2 + self.h(to.0, at, to_layer, dst, via_cost);
+            self.queue.push(f2.to_bits(), to.0);
+        }
     }
 }
 
@@ -485,24 +437,6 @@ fn fit<T: Clone>(v: &mut Vec<T>, len: usize, fill: T, shrink: bool) {
 
 thread_local! {
     static SCRATCH: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
-}
-
-/// How one bounded A\* run over the (possibly windowed) graph ended.
-enum RunOutcome {
-    /// Destination popped: the finished result plus the queue key it
-    /// popped at (the fence compares this against `pruned_min_f`).
-    Found { result: AstarResult, f_pop: f64 },
-    /// The open list went dry (`capped: None`) or the expansion budget
-    /// was spent (`capped: Some(last popped tile)`) without reaching the
-    /// destination. Either way, if nothing was pruned the failure is
-    /// authoritative: the run explored exactly what a full-graph run
-    /// would have (including hitting the expansion cap at the same pop).
-    /// On a budget cap the capping pop is pushed back onto the queue, so
-    /// the surviving open list stays complete for a warm continuation.
-    Exhausted { capped: Option<TileId> },
-    /// The cancel token tripped at a checkpoint; the search result is
-    /// meaningless and must not be escalated or retried.
-    Cancelled,
 }
 
 #[allow(clippy::too_many_arguments)] // internal; the public surface is route_cancellable
@@ -530,140 +464,13 @@ fn search(
         return Err(SearchFailure::BlockedTerminal);
     };
     stats.searches += 1;
-    let cross_layer = src.0 != dst.0;
-
-    {
-        s.retune_h((space.revision(), dst.0, dst.1, space.config().via_cost.to_bits()));
-        s.queue.reset_peak();
-        let via_cost = space.config().via_cost;
-        // A cross-layer search that never enumerates a single via
-        // adjacency is stranded by via capacity, not by congestion.
-        let mut saw_via = false;
-        let no_path = |saw_via: bool| {
-            if cross_layer && !saw_via {
-                SearchFailure::NoViaPath { cell: space.tile(src_tile).cell }
-            } else {
-                SearchFailure::Exhausted
-            }
-        };
-        let budget = opts.expansion_budget.unwrap_or(MAX_EXPANSIONS);
-
-        if opts.windowed {
-            s.set_window(space, src.1, dst.1);
-            s.next_gen();
-            s.queue.clear(Some(bucket_width(space)));
-            seed_source(s, src, dst, src_tile, via_cost);
-            let mut pruned_min_f = f64::INFINITY;
-            let mut pruned = std::mem::take(&mut s.pruned);
-            pruned.clear();
-            let outcome = run(
-                s,
-                space,
-                net,
-                dst,
-                dst_tile,
-                opts.allow_vias,
-                true,
-                budget,
-                Some((&mut pruned_min_f, &mut pruned)),
-                cancel,
-                stats,
-                &mut saw_via,
-            );
-            let verdict = match outcome {
-                // A tripped token aborts immediately — never escalate a
-                // cancelled windowed run.
-                RunOutcome::Cancelled => Some(Err(SearchFailure::Cancelled)),
-                // Fence: every pop was ≤ f_pop < every pruned key, so the
-                // full search would have popped the identical sequence.
-                RunOutcome::Found { result, f_pop } if f_pop < pruned_min_f => Some(Ok(result)),
-                // Nothing was ever pruned: the windowed run *was* the
-                // full-graph run, so its failure is authoritative.
-                RunOutcome::Exhausted { capped: None } if pruned_min_f.is_infinite() => {
-                    Some(Err(no_path(saw_via)))
-                }
-                RunOutcome::Exhausted { capped: Some(t) } if pruned_min_f.is_infinite() => {
-                    Some(Err(SearchFailure::BudgetCapped { last_tile: t }))
-                }
-                outcome => {
-                    // Escalate — warm. The node states, heuristic cache,
-                    // and surviving open list all carry over; the pruned
-                    // edges are re-injected through the normal relax
-                    // condition (which permits improvement, so A* stays
-                    // optimal with the consistent heuristic even when a
-                    // window-interior node must be re-expanded). Only the
-                    // frontier the window actually cut off is explored
-                    // again, instead of the whole reachable graph.
-                    stats.window_escalations += 1;
-                    let before = stats.nodes_expanded;
-                    for e in &pruned {
-                        inject_pruned(s, e);
-                    }
-                    if matches!(outcome, RunOutcome::Found { .. }) {
-                        // The destination's queue entry was consumed by
-                        // the (unproven) windowed accept; restore it.
-                        let di = dst_tile.0 as usize;
-                        if s.stamp[di] == s.gen {
-                            let (g_d, e_d) = (s.g[di], s.entry[di]);
-                            let h_d = s.h(dst_tile.0, e_d, dst.0, &dst, via_cost);
-                            s.queue.push((g_d + h_d).to_bits(), dst_tile.0);
-                        }
-                    }
-                    let continued = run(
-                        s,
-                        space,
-                        net,
-                        dst,
-                        dst_tile,
-                        opts.allow_vias,
-                        false,
-                        budget,
-                        None,
-                        cancel,
-                        stats,
-                        &mut saw_via,
-                    );
-                    stats.escalation_expansions += stats.nodes_expanded - before;
-                    Some(match continued {
-                        RunOutcome::Found { result, .. } => Ok(result),
-                        RunOutcome::Exhausted { capped: Some(t) } => {
-                            Err(SearchFailure::BudgetCapped { last_tile: t })
-                        }
-                        RunOutcome::Exhausted { capped: None } => Err(no_path(saw_via)),
-                        RunOutcome::Cancelled => Err(SearchFailure::Cancelled),
-                    })
-                }
-            };
-            s.pruned = pruned;
-            if let Some(v) = verdict {
-                return v;
-            }
-        }
-        s.next_gen();
-        s.queue.clear(Some(bucket_width(space)));
-        seed_source(s, src, dst, src_tile, via_cost);
-        match run(
-            s,
-            space,
-            net,
-            dst,
-            dst_tile,
-            opts.allow_vias,
-            false,
-            budget,
-            None,
-            cancel,
-            stats,
-            &mut saw_via,
-        ) {
-            RunOutcome::Found { result, .. } => Ok(result),
-            RunOutcome::Exhausted { capped: Some(t) } => {
-                Err(SearchFailure::BudgetCapped { last_tile: t })
-            }
-            RunOutcome::Exhausted { capped: None } => Err(no_path(saw_via)),
-            RunOutcome::Cancelled => Err(SearchFailure::Cancelled),
-        }
-    }
+    s.retune_h((space.revision(), dst.0, dst.1, space.config().via_cost.to_bits()));
+    s.queue.reset_peak();
+    s.next_gen();
+    s.queue.clear(Some(bucket_width(space)));
+    let result = run(s, space, net, src, src_tile, dst, dst_tile, opts, cancel, stats);
+    stats.heap_peak = stats.heap_peak.max(s.queue.peak() as u64);
+    result
 }
 
 /// Bucket width for the open list: one via penalty (≥ one tile thickness)
@@ -673,14 +480,24 @@ fn bucket_width(space: &RoutingSpace) -> f64 {
     space.config().via_cost.max(space.config().min_thickness as f64).max(64.0)
 }
 
-/// Seeds the (freshly cleared) scratch state with the source node.
-fn seed_source(
+/// The A\* run: seeds the (freshly cleared) scratch state with the source
+/// node and expands until the destination pops, the open list goes dry,
+/// the expansion budget is spent or the cancel token trips.
+#[allow(clippy::too_many_arguments)]
+fn run(
     s: &mut SearchScratch,
+    space: &RoutingSpace,
+    net: NetId,
     src: (WireLayer, Point),
-    dst: (WireLayer, Point),
     src_tile: TileId,
-    via_cost: f64,
-) {
+    dst: (WireLayer, Point),
+    dst_tile: TileId,
+    opts: SearchOptions,
+    cancel: Option<&CancelToken>,
+    stats: &mut SearchStats,
+) -> Result<AstarResult, SearchFailure> {
+    let via_cost = space.config().via_cost;
+    let budget = opts.expansion_budget.unwrap_or(MAX_EXPANSIONS);
     let si = src_tile.0 as usize;
     s.stamp[si] = s.gen;
     s.g[si] = 0.0;
@@ -688,44 +505,9 @@ fn seed_source(
     s.parent[si] = NO_PARENT;
     let h0 = s.h(src_tile.0, src.1, src.0, &dst, via_cost);
     s.queue.push(h0.to_bits(), src_tile.0);
-}
-
-/// Re-injects one pruned edge into the live search state, through the same
-/// relax condition `run` uses (improvements win; stale entries are caught
-/// by the pop-time check).
-fn inject_pruned(s: &mut SearchScratch, e: &PrunedEdge) {
-    let to = e.to as usize;
-    if s.stamp[to] != s.gen || e.g < s.g[to] - 1e-9 {
-        s.stamp[to] = s.gen;
-        s.g[to] = e.g;
-        s.entry[to] = e.entry;
-        s.parent[to] = e.parent;
-        s.queue.push(e.f_bits, e.to);
-    }
-}
-
-/// One bounded A\* run over the tile graph, windowed or full. The caller
-/// owns generation/queue setup (`next_gen` + `clear` + [`seed_source`]),
-/// which is what lets an escalated continuation resume the same
-/// generation with the surviving open list intact.
-#[allow(clippy::too_many_arguments)]
-fn run(
-    s: &mut SearchScratch,
-    space: &RoutingSpace,
-    net: NetId,
-    dst: (WireLayer, Point),
-    dst_tile: TileId,
-    allow_vias: bool,
-    windowed: bool,
-    budget: usize,
-    mut pruned_sink: Option<(&mut f64, &mut Vec<PrunedEdge>)>,
-    cancel: Option<&CancelToken>,
-    stats: &mut SearchStats,
-    saw_via: &mut bool,
-) -> RunOutcome {
-    let via_cost = space.config().via_cost;
-    let cells_x = space.config().cells_x;
-
+    // A cross-layer search that never enumerates a single via adjacency
+    // is stranded by via capacity, not by congestion.
+    let mut saw_via = false;
     let mut expansions = 0usize;
 
     while let Some((fbits, tid_raw)) = s.queue.pop() {
@@ -740,48 +522,7 @@ fn run(
             continue;
         }
         if tid == dst_tile {
-            // Reconstruct.
-            let mut steps = Vec::new();
-            let mut cur = tid_raw;
-            loop {
-                steps.push(PathStep { tile: TileId(cur), entry: s.entry[cur as usize], via: None });
-                cur = s.parent[cur as usize];
-                if cur == NO_PARENT {
-                    break;
-                }
-            }
-            steps.reverse();
-            // Planar edges keep their layer and via edges change it, so a
-            // step changed layers exactly when its parent reached it
-            // through a via, whose site is the step's entry point.
-            for i in 1..steps.len() {
-                let from = space.tile(steps[i - 1].tile).layer;
-                let to = space.tile(steps[i].tile).layer;
-                if from != to {
-                    let (upper, lower) = if from < to { (from, to) } else { (to, from) };
-                    steps[i].via = Some((steps[i].entry, upper, lower));
-                }
-            }
-            // Cost of the path actually returned, recomputed over the
-            // final parent chain. This can differ (rarely) from the
-            // accumulated g: a tile's entry point may improve *after* a
-            // child's parent pointer was set from the old entry, and the
-            // chain snapshot is what realization consumes. The recompute
-            // makes `cost` exactly the edge-cost sum of `steps` — the
-            // invariant the search property suite pins.
-            let mut cost = 0.0;
-            for i in 1..steps.len() {
-                cost += x_arch_len(steps[i - 1].entry, steps[i].entry);
-                if steps[i].via.is_some() {
-                    cost += via_cost;
-                }
-            }
-            cost += x_arch_len(steps[steps.len() - 1].entry, dst.1);
-            stats.heap_peak = stats.heap_peak.max(s.queue.peak() as u64);
-            return RunOutcome::Found {
-                result: AstarResult { steps, cost, f_accept: f_popped, g_accept: node_g },
-                f_pop: f_popped,
-            };
+            return Ok(reconstruct(s, space, tid_raw, dst.1, f_popped, node_g));
         }
         expansions += 1;
         stats.nodes_expanded += 1;
@@ -789,20 +530,12 @@ fn run(
         // expansions (the first at expansion 1, so a post-trip run stops
         // after a single expansion). With no token — or a quiet one — the
         // pop sequence is untouched, so results stay bit-identical.
-        if expansions as u64 % CHECK_INTERVAL == 1 {
-            if let Some(c) = cancel {
-                if c.checkpoint() {
-                    stats.heap_peak = stats.heap_peak.max(s.queue.peak() as u64);
-                    return RunOutcome::Cancelled;
-                }
-            }
+        if expansions as u64 % CHECK_INTERVAL == 1 && cancel.is_some_and(CancelToken::checkpoint)
+        {
+            return Err(SearchFailure::Cancelled);
         }
         if expansions > budget {
-            // Put the capping pop back so the surviving open list is a
-            // complete frontier for a warm continuation.
-            s.queue.push(fbits, tid_raw);
-            stats.heap_peak = stats.heap_peak.max(s.queue.peak() as u64);
-            return RunOutcome::Exhausted { capped: Some(tid) };
+            return Err(SearchFailure::BudgetCapped { last_tile: tid });
         }
 
         // Planar moves.
@@ -810,74 +543,79 @@ fn run(
         space.planar_neighbors_into(tid, net, &mut nbr);
         for e in &nbr {
             let cross = e.crossing.midpoint();
-            let to = e.to.0 as usize;
-            let to_layer = space.tile(e.to).layer;
             let g2 = node_g + x_arch_len(node_entry, cross);
-            if windowed && !s.in_window(cells_x, space.tile(e.to).cell) {
-                if let Some((min_f, edges)) = pruned_sink.as_mut() {
-                    let f2 = g2 + s.h(e.to.0, cross, to_layer, &dst, via_cost);
-                    **min_f = min_f.min(f2);
-                    edges.push(PrunedEdge {
-                        to: e.to.0,
-                        f_bits: f2.to_bits(),
-                        g: g2,
-                        entry: cross,
-                        parent: tid_raw,
-                    });
-                }
-                continue;
-            }
-            if s.stamp[to] != s.gen || g2 < s.g[to] - 1e-9 {
-                s.stamp[to] = s.gen;
-                s.g[to] = g2;
-                s.entry[to] = cross;
-                s.parent[to] = tid_raw;
-                let f2 = g2 + s.h(e.to.0, cross, to_layer, &dst, via_cost);
-                s.queue.push(f2.to_bits(), e.to.0);
-            }
+            s.relax(e.to, space.tile(e.to).layer, cross, g2, tid_raw, &dst, via_cost);
         }
         s.nbr = nbr;
 
         // Via moves.
-        if !allow_vias {
+        if !opts.allow_vias {
             continue;
         }
         let mut vnbr = std::mem::take(&mut s.vnbr);
         space.via_neighbors_into(tid, net, &mut vnbr);
-        if !vnbr.is_empty() {
-            *saw_via = true;
-        }
+        saw_via |= !vnbr.is_empty();
         for &(to_tile, site) in &vnbr {
-            let to = to_tile.0 as usize;
-            let to_layer = space.tile(to_tile).layer;
             let g2 = node_g + x_arch_len(node_entry, site) + via_cost;
-            if windowed && !s.in_window(cells_x, space.tile(to_tile).cell) {
-                if let Some((min_f, edges)) = pruned_sink.as_mut() {
-                    let f2 = g2 + s.h(to_tile.0, site, to_layer, &dst, via_cost);
-                    **min_f = min_f.min(f2);
-                    edges.push(PrunedEdge {
-                        to: to_tile.0,
-                        f_bits: f2.to_bits(),
-                        g: g2,
-                        entry: site,
-                        parent: tid_raw,
-                    });
-                }
-                continue;
-            }
-            if s.stamp[to] != s.gen || g2 < s.g[to] - 1e-9 {
-                s.stamp[to] = s.gen;
-                s.g[to] = g2;
-                s.entry[to] = site;
-                s.parent[to] = tid_raw;
-                let f2 = g2 + s.h(to_tile.0, site, to_layer, &dst, via_cost);
-                s.queue.push(f2.to_bits(), to_tile.0);
-            }
+            s.relax(to_tile, space.tile(to_tile).layer, site, g2, tid_raw, &dst, via_cost);
         }
         s.vnbr = vnbr;
     }
-    stats.heap_peak = stats.heap_peak.max(s.queue.peak() as u64);
-    RunOutcome::Exhausted { capped: None }
+    if src.0 != dst.0 && !saw_via {
+        Err(SearchFailure::NoViaPath { cell: space.tile(src_tile).cell })
+    } else {
+        Err(SearchFailure::Exhausted)
+    }
+}
+
+/// Builds the result of a search whose destination tile `dst_tile`
+/// popped with key `f_accept` and path cost `g_accept`, by walking the
+/// parent chain back to the source.
+fn reconstruct(
+    s: &SearchScratch,
+    space: &RoutingSpace,
+    dst_tile: u32,
+    dst: Point,
+    f_accept: f64,
+    g_accept: f64,
+) -> AstarResult {
+    let mut steps = Vec::new();
+    let mut cur = dst_tile;
+    loop {
+        steps.push(PathStep { tile: TileId(cur), entry: s.entry[cur as usize], via: None });
+        cur = s.parent[cur as usize];
+        if cur == NO_PARENT {
+            break;
+        }
+    }
+    steps.reverse();
+    // Planar edges keep their layer and via edges change it, so a step
+    // changed layers exactly when its parent reached it through a via,
+    // whose site is the step's entry point.
+    for i in 1..steps.len() {
+        let from = space.tile(steps[i - 1].tile).layer;
+        let to = space.tile(steps[i].tile).layer;
+        if from != to {
+            let (upper, lower) = if from < to { (from, to) } else { (to, from) };
+            steps[i].via = Some((steps[i].entry, upper, lower));
+        }
+    }
+    // Cost of the path actually returned, recomputed over the final
+    // parent chain. This can differ (rarely) from the accumulated g: a
+    // tile's entry point may improve *after* a child's parent pointer was
+    // set from the old entry, and the chain snapshot is what realization
+    // consumes. The recompute makes `cost` exactly the edge-cost sum of
+    // `steps` — the invariant the search property suite pins.
+    let via_cost = space.config().via_cost;
+    let mut cost = 0.0;
+    for i in 1..steps.len() {
+        cost += x_arch_len(steps[i - 1].entry, steps[i].entry);
+        if steps[i].via.is_some() {
+            cost += via_cost;
+        }
+    }
+    cost += x_arch_len(steps[steps.len() - 1].entry, dst);
+    AstarResult { steps, cost, f_accept, g_accept }
 }
 
 #[cfg(test)]
@@ -1033,30 +771,17 @@ mod tests {
     }
 
     #[test]
-    fn windowed_matches_full_graph_and_reports_stats() {
+    fn search_reports_stats() {
         let pkg = pkg_two_layer();
         let layout = Layout::new(&pkg);
         let space = RoutingSpace::build(&pkg, &layout, cfg());
         let src = (WireLayer(0), Point::new(100_000, 100_000));
         let dst = (WireLayer(1), Point::new(300_000, 300_000));
-        let mut ws = SearchStats::default();
-        let mut fs = SearchStats::default();
-        let win =
-            route_cancellable(&space, NetId(0), src, dst, SearchOptions::default(), None, &mut ws);
-        let full = route_cancellable(
-            &space,
-            NetId(0),
-            src,
-            dst,
-            SearchOptions { windowed: false, ..SearchOptions::default() },
-            None,
-            &mut fs,
-        );
-        let win = win.expect("windowed route");
-        let full = full.expect("full route");
-        assert_eq!(win.cost.to_bits(), full.cost.to_bits(), "bit-identical cost");
-        assert_eq!(win.steps, full.steps, "identical step sequence");
-        assert!(ws.searches == 1 && fs.searches == 1);
-        assert!(ws.nodes_expanded > 0 && ws.heap_peak > 0);
+        let mut stats = SearchStats::default();
+        route_cancellable(&space, NetId(0), src, dst, SearchOptions::default(), None, &mut stats)
+            .expect("open space route");
+        assert_eq!(stats.searches, 1);
+        assert!(stats.nodes_expanded > 0 && stats.heap_peak > 0);
+        assert_eq!(stats.window_escalations, 0);
     }
 }

@@ -2,8 +2,8 @@
 //! every returned path is a genuine walk of the graph (endpoint-anchored,
 //! every hop an existing planar or via adjacency), its cost is exactly
 //! the sum of its edge costs, its realization obeys the 90°/135° turn
-//! rule, the windowed search agrees with the forced full-graph search,
-//! and unroutable instances return `None` instead of panicking. The
+//! rule, and unroutable instances return `None` instead of panicking. A
+//! search capped by its expansion budget stops one expansion past it. The
 //! rip-up refutation probe is sound: its step relation contains every
 //! reversed search edge, and each refutation it returns is a no-path the
 //! unbounded full-graph search confirms.
@@ -178,70 +178,8 @@ proptest! {
         }
     }
 
-    /// The windowed search and the forced full-graph search agree exactly:
-    /// same routability, bit-identical cost, identical step sequence.
-    fn windowed_search_is_lossless(seed in 0u64..1_000_000) {
-        let (pkg, layout) = random_instance(seed);
-        let space = RoutingSpace::build(&pkg, &layout, cfg());
-        let (src, dst) = terminals(&pkg);
-        let mut ws = astar::SearchStats::default();
-        let mut fs = astar::SearchStats::default();
-        let win = search(&space, src, dst, SearchOptions::default(), &mut ws);
-        let full = search(
-            &space, src, dst,
-            SearchOptions { windowed: false, ..SearchOptions::default() }, &mut fs,
-        );
-        match (win, full) {
-            (None, None) => {}
-            (Some(w), Some(f)) => {
-                if ws.window_escalations == 0 {
-                    // The fence accepted the windowed run, so it must be
-                    // the full-graph search bit for bit.
-                    prop_assert_eq!(w.cost.to_bits(), f.cost.to_bits());
-                    prop_assert_eq!(w.steps, f.steps);
-                } else {
-                    // An escalated continuation resumes from the windowed
-                    // run's surviving open list rather than restarting, so
-                    // tie-breaks (and hence the step sequence) may differ —
-                    // but A* optimality guarantees the same path cost, and
-                    // the path must still be a genuine graph walk.
-                    prop_assert!(
-                        (w.cost - f.cost).abs() <= 1e-6,
-                        "escalated cost {} != full-graph cost {}",
-                        w.cost,
-                        f.cost
-                    );
-                    assert_well_formed_path(&space, &w, src, dst);
-                    // The continuation only re-explores the frontier the
-                    // window cut off; it can never expand more nodes than
-                    // a from-scratch full-graph search.
-                    prop_assert!(
-                        ws.escalation_expansions <= fs.nodes_expanded,
-                        "warm continuation ({}) costlier than scratch full search ({})",
-                        ws.escalation_expansions,
-                        fs.nodes_expanded
-                    );
-                }
-            }
-            (w, f) => {
-                prop_assert!(
-                    false,
-                    "routability diverged: windowed {:?} vs full {:?}",
-                    w.is_some(),
-                    f.is_some()
-                );
-            }
-        }
-        if ws.window_escalations == 0 {
-            prop_assert_eq!(ws.escalation_expansions, 0);
-        }
-        prop_assert_eq!(ws.searches, 1);
-        prop_assert_eq!(fs.window_escalations, 0, "full-graph runs never escalate");
-        prop_assert_eq!(fs.escalation_expansions, 0, "full-graph runs never escalate");
-    }
-
     /// Fully fenced instances return `None` — never panic — with or
-    /// without the window, with or without vias.
+    /// without vias.
     fn unroutable_returns_none(seed in 0u64..1_000_000, cells in 4usize..9) {
         let mut b = PackageBuilder::new(
             Rect::new(Point::new(0, 0), Point::new(600_000, 600_000)),
@@ -272,14 +210,9 @@ proptest! {
         c.cells_y = cells;
         let space = RoutingSpace::build(&pkg, &layout, c);
         let (src, dst) = terminals(&pkg);
-        for windowed in [true, false] {
-            let mut stats = astar::SearchStats::default();
-            let got = search(
-                &space, src, dst,
-                SearchOptions { windowed, ..SearchOptions::default() }, &mut stats,
-            );
-            prop_assert!(got.is_none(), "fenced net must be unroutable (seed {})", seed);
-        }
+        let mut stats = astar::SearchStats::default();
+        let got = search(&space, src, dst, SearchOptions::default(), &mut stats);
+        prop_assert!(got.is_none(), "fenced net must be unroutable (seed {})", seed);
         // The no-via same-layer search must complete without panicking;
         // whether it routes depends on the obstacle draw, so only the
         // absence of a panic is asserted.
@@ -360,11 +293,8 @@ fn refutations_are_confirmed_by_the_unbounded_full_search() {
         let (pkg, layout) = boxed_instance(seed);
         let space = RoutingSpace::build(&pkg, &layout, cfg());
         let (src, dst) = terminals(&pkg);
-        let unbounded = SearchOptions {
-            windowed: false,
-            expansion_budget: Some(usize::MAX),
-            ..SearchOptions::default()
-        };
+        let unbounded =
+            SearchOptions { expansion_budget: Some(usize::MAX), ..SearchOptions::default() };
         let mut stats = astar::SearchStats::default();
         let full =
             astar::route_cancellable(&space, NetId(0), src, dst, unbounded, None, &mut stats);
@@ -389,88 +319,35 @@ fn refutations_are_confirmed_by_the_unbounded_full_search() {
     assert!(routed > 0, "no open draw routed, so the refutations were never contrasted");
 }
 
-/// A pad pair close together but separated by a wall (on both layers)
-/// that outspans the search window: the only path detours around the
-/// wall ends, outside the window, so the windowed run must escalate.
-fn escalation_instance() -> (Package, Layout) {
-    let mut b = PackageBuilder::new(
-        Rect::new(Point::new(0, 0), Point::new(600_000, 600_000)),
-        DesignRules::default(),
-        2,
-    );
-    let chip = b.add_chip(Rect::new(Point::new(60_000, 200_000), Point::new(180_000, 400_000)));
-    let io = b.add_io_pad(chip, Point::new(150_000, 300_000)).unwrap();
-    let bump = b.add_bump_pad(Point::new(280_000, 300_000)).unwrap();
-    b.add_net(io, bump).unwrap();
-    // The wall: x = 220k..230k, y = 60k..540k, both layers. The pad-pair
-    // window (6×6 cells, margin ≈ 112k) covers cells y1..y4 — the wall
-    // ends at y < 60k / y > 540k are in cells y0/y5, outside it.
-    for layer in [WireLayer(0), WireLayer(1)] {
-        b.add_obstacle(
-            layer,
-            Rect::new(Point::new(220_000, 60_000), Point::new(230_000, 540_000)),
-        )
-        .unwrap();
+/// A search capped by `expansion_budget: Some(n)` reports `BudgetCapped`
+/// after exactly `n + 1` expansions, the prefix of the uncapped search,
+/// within its one run: nothing searches on past the budget.
+#[test]
+fn capped_search_stops_one_expansion_past_its_budget() {
+    let mut capped = 0;
+    for seed in 0..16 {
+        let (pkg, layout) = random_instance(seed);
+        let space = RoutingSpace::build(&pkg, &layout, cfg());
+        let (src, dst) = terminals(&pkg);
+        let mut full = astar::SearchStats::default();
+        if search(&space, src, dst, SearchOptions::default(), &mut full).is_none() {
+            continue;
+        }
+        let n = full.nodes_expanded as usize / 2;
+        if n == 0 {
+            continue;
+        }
+        let opts = SearchOptions { expansion_budget: Some(n), ..SearchOptions::default() };
+        let mut stats = astar::SearchStats::default();
+        let got = astar::route_cancellable(&space, NetId(0), src, dst, opts, None, &mut stats);
+        let Err(astar::SearchFailure::BudgetCapped { last_tile }) = got else {
+            panic!("seed {seed}: budget {n} of {} did not cap the search", full.nodes_expanded);
+        };
+        assert!(space.tile(last_tile).passable_for(NetId(0)), "seed {seed}");
+        assert_eq!(stats.searches, 1, "seed {seed}");
+        assert_eq!(stats.nodes_expanded, n as u64 + 1, "seed {seed}");
+        assert_eq!(stats.window_escalations, 0, "seed {seed}");
+        capped += 1;
     }
-    let pkg = b.build().unwrap();
-    let layout = Layout::new(&pkg);
-    (pkg, layout)
-}
-
-/// A forced escalation resumes warm: it returns the full-graph-optimal
-/// cost while expanding strictly fewer continuation nodes than a
-/// from-scratch full-graph search would.
-#[test]
-fn forced_escalation_is_cost_identical_and_cheaper() {
-    let (pkg, layout) = escalation_instance();
-    let space = RoutingSpace::build(&pkg, &layout, cfg());
-    let (src, dst) = terminals(&pkg);
-    let mut ws = astar::SearchStats::default();
-    let mut fs = astar::SearchStats::default();
-    let win = search(&space, src, dst, SearchOptions::default(), &mut ws);
-    let full = search(
-        &space,
-        src,
-        dst,
-        SearchOptions { windowed: false, ..SearchOptions::default() },
-        &mut fs,
-    );
-    let win = win.expect("detour route exists around the wall ends");
-    let full = full.expect("full-graph route");
-    assert_eq!(ws.window_escalations, 1, "the wall must force an escalation");
-    assert!(
-        (win.cost - full.cost).abs() <= 1e-6,
-        "escalated cost {} != full-graph cost {}",
-        win.cost,
-        full.cost
-    );
-    assert_well_formed_path(&space, &win, src, dst);
-    assert!(ws.escalation_expansions > 0, "continuation did real work");
-    assert!(
-        ws.escalation_expansions < fs.nodes_expanded,
-        "warm continuation ({}) must be cheaper than a scratch full search ({})",
-        ws.escalation_expansions,
-        fs.nodes_expanded
-    );
-    // The total windowed+continuation work also stays bounded by the
-    // windowed attempt plus one full search (the old restart cost).
-    assert!(ws.nodes_expanded < 2 * fs.nodes_expanded);
-}
-
-/// Escalated searches are deterministic: byte-identical stats and paths
-/// across repeated runs (the scratch state fully resets between nets).
-#[test]
-fn forced_escalation_is_deterministic() {
-    let (pkg, layout) = escalation_instance();
-    let space = RoutingSpace::build(&pkg, &layout, cfg());
-    let (src, dst) = terminals(&pkg);
-    let run_once = || {
-        let mut st = astar::SearchStats::default();
-        let r = search(&space, src, dst, SearchOptions::default(), &mut st);
-        (r.expect("route").steps, st)
-    };
-    let (steps1, st1) = run_once();
-    let (steps2, st2) = run_once();
-    assert_eq!(steps1, steps2);
-    assert_eq!(st1, st2);
+    assert!(capped > 0, "no instance needed more than one expansion");
 }

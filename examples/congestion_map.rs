@@ -59,7 +59,7 @@ fn main() {
             c.detour_rate,
             c.f_max,
             c.f_avg,
-            c.weight(&cfg)
+            c.weight()
         );
     }
 }

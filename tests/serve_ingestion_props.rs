@@ -193,12 +193,12 @@ fn id_length_boundary() {
     assert!(matches!(parse_request(&mk(257)), Err(RouterError::BadInput { .. })));
 }
 
-/// The `config` object takes exactly its seven keys: all seven together
-/// are accepted, and any other key is rejected by name rather than
-/// ignored — a client still sending `congestion` or `threads` must not
+/// The `config` object takes exactly its six keys: all six together are
+/// accepted, and any other key is rejected by name rather than ignored —
+/// a client still sending `congestion`, `threads` or `window` must not
 /// silently get a different router than it asked for.
 #[test]
-fn config_accepts_its_seven_keys_and_names_any_other() {
+fn config_accepts_its_six_keys_and_names_any_other() {
     let netlist = valid_netlist();
     let mk = |config: &str| {
         format!(
@@ -208,8 +208,7 @@ fn config_accepts_its_seven_keys_and_names_any_other() {
     };
     let all = mk(
         "{\"global_cells\":8,\"lp\":false,\"concurrent\":true,\
-         \"window\":true,\"stage_budget_ms\":60000,\"deadline_ms\":120000,\
-         \"net_status\":true}",
+         \"stage_budget_ms\":60000,\"deadline_ms\":120000,\"net_status\":true}",
     );
     match parse_request(&all) {
         Ok(Request::Route(job, net_status)) => {
@@ -221,11 +220,12 @@ fn config_accepts_its_seven_keys_and_names_any_other() {
                 Some(std::time::Duration::from_millis(120_000))
             );
         }
-        other => panic!("all seven config keys must be accepted: {other:?}"),
+        other => panic!("all six config keys must be accepted: {other:?}"),
     }
     for (config, key) in [
         ("{\"global_cells\":8,\"congestion\":true}", "'congestion'"),
         ("{\"threads\":2}", "'threads'"),
+        ("{\"window\":true}", "'window'"),
     ] {
         match parse_request(&mk(config)) {
             Err(RouterError::BadInput { reason }) => assert_eq!(
