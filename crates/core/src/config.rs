@@ -1,14 +1,13 @@
 //! Router configuration.
 
 use crate::resilience::FaultPlan;
-use info_geom::Coord;
 use std::time::Duration;
 
 /// Tuning parameters of the five-stage flow.
 ///
 /// Defaults reproduce the paper's experimental setup (§IV): a 30 × 30
-/// global-cell grid. Its chord-weight parameters of Eq. (2) are constants
-/// in [`crate::preprocess`].
+/// global-cell grid. Its chord-weight parameters of Eq. (2) and the
+/// peripheral-pad margin are constants in [`crate::preprocess`].
 #[derive(Debug, Clone, Copy)]
 pub struct RouterConfig {
     /// Global cells along each axis (the paper uses 30 × 30 = 900).
@@ -21,9 +20,6 @@ pub struct RouterConfig {
     pub weighted_mpsc: bool,
     /// Run stage 5 (LP-based layout optimization).
     pub lp_enabled: bool,
-    /// Pads closer than this to their chip boundary count as peripheral
-    /// I/O, in multiples of the pad pitch heuristic (nm).
-    pub peripheral_margin: Coord,
     /// Ignored: the router runs every job on the caller's thread. Kept,
     /// with [`RouterConfig::with_threads`], only because the benchmark
     /// crate still sets it; both go with the benchmark's next revision.
@@ -51,7 +47,6 @@ impl Default for RouterConfig {
             concurrent_enabled: true,
             weighted_mpsc: true,
             lp_enabled: true,
-            peripheral_margin: 40_000,
             threads: 1,
             stage_budget: None,
             fault_plan: FaultPlan::none(),

@@ -531,8 +531,11 @@ pub(crate) fn reroute_delta(
         });
     }
 
-    // Start layout: kept geometry only, in universe ids.
-    let mut layout = Layout::new(uni);
+    // Start layout: kept prior geometry only, in universe ids. The prior
+    // already holds each kept net's fixed vias, so the layout is not
+    // seeded from `uni`, whose base-mode via list still names removed
+    // nets.
+    let mut layout = Layout::with_layer_count(uni.wire_layer_count());
     for r in prior.layout.routes() {
         if let Some(&u) = keep.get(&r.net) {
             layout.add_route(u, r.layer, r.path.clone());
@@ -732,7 +735,7 @@ pub(crate) fn reroute_delta(
 
     // Re-label into the edited package's ids and verify.
     let final_layout = if plan.union_is_base {
-        let mut out = Layout::new(&plan.package);
+        let mut out = Layout::with_layer_count(plan.package.wire_layer_count());
         for r in layout.routes() {
             out.add_route(plan.net_map[&r.net], r.layer, r.path.clone());
         }

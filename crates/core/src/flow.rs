@@ -312,7 +312,6 @@ impl InfoRouter {
         }
 
         diagnostics.faults_fired = ctx.faults_fired();
-        diagnostics.timings = timings;
 
         // Search-layer counters come from the stage totals.
         tel.count(Counter::Searches, seq.search.searches);
@@ -386,11 +385,12 @@ impl InfoRouter {
     ///
     /// `changes` — net removals, additions, and re-pairings — is applied
     /// against `package` (the design `prior` was routed on). Untouched
-    /// nets keep their prior geometry byte for byte; only the dirty-rect
-    /// cells of the routing space are invalidated (epoch-stamped
-    /// [`rebuild_dirty_multi`]); only impacted nets (fresh nets, prior
-    /// failures, and nets whose segments intersect the dirty rects) go
-    /// back through the sequential machinery; and the LP re-runs only on
+    /// nets keep their prior geometry byte for byte; when some net needs
+    /// a search, the edited layout's routing space is [`derive`]d,
+    /// reusing every unchanged `(layer, cell)` slot of the prior's warm
+    /// space; only impacted nets (fresh nets, prior failures, and nets
+    /// whose segments intersect the dirty rects) go back through the
+    /// sequential machinery; and the LP re-runs only on
     /// components touched by the edit. The returned outcome is expressed
     /// over the *edited* package ([`EcoChangeSet::plan`] exposes it and
     /// the net-id mapping), with [`RouteOutcome::eco`] carrying the
@@ -399,7 +399,8 @@ impl InfoRouter {
     /// An invalid change set (unknown ids, overlapping edits, a pad used
     /// twice) is a typed [`RouterError::BadInput`]; nothing is routed.
     ///
-    /// [`rebuild_dirty_multi`]: info_tile::RoutingSpace::rebuild_dirty_multi
+    /// [`derive`]: info_tile::RoutingSpace::derive
+    /// [`RouterError::BadInput`]: crate::resilience::RouterError::BadInput
     /// [`EcoChangeSet::plan`]: crate::eco::EcoChangeSet::plan
     pub fn reroute_delta(
         &self,

@@ -229,10 +229,6 @@ pub struct FlowDiagnostics {
     pub net_failures: Vec<(NetId, RouterError)>,
     /// Fault-plan sites that actually fired, with trigger counts.
     pub faults_fired: Vec<(FaultSite, u32)>,
-    /// Wall-clock time spent per stage (perf counters; identical to
-    /// `RouteOutcome::timings`, surfaced here so diagnostics alone carry
-    /// the full story of a run).
-    pub timings: crate::flow::StageTimings,
 }
 
 impl FlowDiagnostics {
@@ -253,27 +249,6 @@ impl FlowDiagnostics {
             (Stage::Sequential, &self.sequential),
             (Stage::LpFinal, &self.lp_final),
         ]
-    }
-
-    /// Mutable access to the slot for `stage`.
-    pub fn slot_mut(&mut self, stage: Stage) -> &mut StageOutcome {
-        match stage {
-            Stage::Preprocess => &mut self.preprocess,
-            Stage::Assign => &mut self.assign,
-            Stage::Concurrent => &mut self.concurrent,
-            Stage::LpMid => &mut self.lp_mid,
-            Stage::Sequential => &mut self.sequential,
-            Stage::LpFinal => &mut self.lp_final,
-        }
-    }
-
-    /// Stages that did not end [`StageOutcome::Ok`].
-    pub fn degraded_stages(&self) -> Vec<(Stage, StageOutcome)> {
-        self.stages()
-            .iter()
-            .filter(|(_, o)| !o.is_ok())
-            .map(|(s, o)| (*s, (*o).clone()))
-            .collect()
     }
 }
 

@@ -454,8 +454,8 @@ fn corridor_victims(
 /// layout **and the routing space** are restored exactly — the layout
 /// from a clone, the space by rolling back its trial journal, which
 /// undoes only the cells the trial rebuilt and leaves the pre-trial
-/// state, revision tag included. Every attempt inside a trial tries the
-/// bounded refutation sweep before its search (see [`try_route_net`]).
+/// state. Every attempt inside a trial tries the bounded refutation sweep
+/// before its search (see [`try_route_net`]).
 #[allow(clippy::too_many_arguments)]
 fn ripup_and_reroute(
     package: &Package,
@@ -779,17 +779,17 @@ mod tests {
         assert!(drc::is_connected(&pkg, &layout, NetId(1)));
         assert!(
             observe(&space) == space_before,
-            "failed rip-up must roll the space back exactly, revision included"
+            "failed rip-up must roll the space back exactly"
         );
     }
 
-    /// Everything a search observes of a space: tile slots, revision,
-    /// every live tile, every `(layer, cell)` tile list, every cell's via
-    /// sites, and the planar neighbors of every live tile for every net.
+    /// Everything a search observes of a space: tile slots, every live
+    /// tile, every `(layer, cell)` tile list, every cell's via sites, and
+    /// the planar neighbors of every live tile for every net.
     #[allow(clippy::type_complexity)]
     fn observe(
         space: &RoutingSpace,
-    ) -> (usize, u64, Vec<(u32, String)>, Vec<Vec<u32>>, Vec<String>, Vec<String>) {
+    ) -> (usize, Vec<(u32, String)>, Vec<Vec<u32>>, Vec<String>, Vec<String>) {
         let tiles: Vec<(u32, String)> =
             space.live_tiles().map(|(id, t)| (id.0, format!("{t:?}"))).collect();
         let (cells_x, cells_y) = (space.config().cells_x, space.config().cells_y);
@@ -809,7 +809,7 @@ mod tests {
             .flat_map(|&(id, _)| [NetId(0), NetId(1)].map(|net| (id, net)))
             .map(|(id, net)| format!("{:?}", space.planar_neighbors(info_tile::TileId(id), net)))
             .collect();
-        (space.tile_slots(), space.revision(), tiles, cells, sites, neighbors)
+        (space.tile_slots(), tiles, cells, sites, neighbors)
     }
 
     /// Each `(layer, cell)`'s tiles as `(shape, blockers)`, in cell order.

@@ -34,7 +34,8 @@ impl Layout {
         layout
     }
 
-    /// An empty layout with an explicit wire layer count (for tests).
+    /// An empty layout with an explicit wire layer count: no fixed vias
+    /// seeded.
     pub fn with_layer_count(wire_layer_count: usize) -> Self {
         Layout { wire_layer_count, routes: Vec::new(), vias: Vec::new() }
     }

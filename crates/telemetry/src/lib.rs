@@ -270,8 +270,7 @@ impl Counter {
 pub enum Metric {
     /// Nodes expanded per journaled attempt.
     ExpansionsPerAttempt,
-    /// Items per DRC layer sweep (the quantity the index cutoff splits
-    /// on).
+    /// Items (wire segments, vias, pads) per DRC layer sweep.
     DrcItemsPerSweep,
     /// Victims per rip-up eviction set.
     RipupVictims,

@@ -8,13 +8,11 @@
 //!   of a binary heap; pop order, including `(f_bits, tile_id)`
 //!   tie-breaks, is identical to the historical
 //!   `BinaryHeap<Reverse<(u64, u32)>>`.
-//! - **Node state** — generation-stamped flat arrays ([`SearchScratch`],
-//!   one per thread, reused across every net) instead of a per-net
-//!   `HashMap`.
-//! - **Heuristic cache** — `h(tile) = x_arch_len(entry, dst) +
-//!   layer_hops · via_cost` is memoized per tile, keyed by the target
-//!   `(space revision, dst layer, dst point, via cost)`; rip-up retries of
-//!   the same net against the same space state reuse cached values.
+//! - **Node state** — generation-stamped flat arrays (one scratch per
+//!   thread, reused across every net) instead of a per-net `HashMap`.
+//! - **Heuristic** — `h = x_arch_len(entry, dst) + layer_hops · via_cost`,
+//!   a few arithmetic operations computed where a node is pushed and at the
+//!   stale-pop check.
 //!
 //! Each search is one bounded run over the whole tile graph, capped at
 //! [`MAX_EXPANSIONS`] expansions.
@@ -290,9 +288,7 @@ pub const MAX_EXPANSIONS: usize = 120_000;
 
 /// Per-thread reusable search state. All node arrays are indexed by tile
 /// id and validated by generation stamps, so consecutive searches share
-/// allocations without clearing; the heuristic cache has its own
-/// generation that survives across searches aimed at the same target over
-/// the same space revision.
+/// allocations without clearing.
 struct SearchScratch {
     /// Node-state generation; `stamp[i] == gen` means slot `i` is live.
     gen: u32,
@@ -300,12 +296,6 @@ struct SearchScratch {
     g: Vec<f64>,
     entry: Vec<Point>,
     parent: Vec<u32>,
-    /// Heuristic-cache generation and key (space revision + target).
-    h_gen: u32,
-    h_key: Option<(u64, WireLayer, Point, u64)>,
-    h_stamp: Vec<u32>,
-    h_entry: Vec<Point>,
-    h_val: Vec<f64>,
     queue: BucketQueue,
     nbr: Vec<PlanarEdge>,
     vnbr: Vec<(TileId, Point)>,
@@ -321,11 +311,6 @@ impl SearchScratch {
             g: Vec::new(),
             entry: Vec::new(),
             parent: Vec::new(),
-            h_gen: 0,
-            h_key: None,
-            h_stamp: Vec::new(),
-            h_entry: Vec::new(),
-            h_val: Vec::new(),
             queue: BucketQueue::new(1.0),
             nbr: Vec::new(),
             vnbr: Vec::new(),
@@ -348,9 +333,6 @@ impl SearchScratch {
             fit(&mut self.g, slots, 0.0, shrink);
             fit(&mut self.entry, slots, origin, shrink);
             fit(&mut self.parent, slots, NO_PARENT, shrink);
-            fit(&mut self.h_stamp, slots, 0, shrink);
-            fit(&mut self.h_entry, slots, origin, shrink);
-            fit(&mut self.h_val, slots, 0.0, shrink);
         }
     }
 
@@ -362,40 +344,6 @@ impl SearchScratch {
         } else {
             self.gen += 1;
         }
-    }
-
-    /// Keeps the heuristic cache when the target (and space state) is
-    /// unchanged since the previous search; otherwise starts a fresh
-    /// heuristic generation.
-    fn retune_h(&mut self, key: (u64, WireLayer, Point, u64)) {
-        if self.h_key == Some(key) {
-            return;
-        }
-        self.h_key = Some(key);
-        if self.h_gen == u32::MAX {
-            self.h_stamp.iter_mut().for_each(|s| *s = 0);
-            self.h_gen = 1;
-        } else {
-            self.h_gen += 1;
-        }
-    }
-
-    /// The consistent heuristic, memoized per tile: straight-line
-    /// X-architecture length to the target plus the via penalty of the
-    /// remaining layer hops. A cached value is valid only for the same
-    /// entry point (re-entries at a new point recompute and re-cache).
-    #[inline]
-    fn h(&mut self, tile: u32, p: Point, layer: WireLayer, dst: &(WireLayer, Point), via_cost: f64) -> f64 {
-        let i = tile as usize;
-        if self.h_stamp[i] == self.h_gen && self.h_entry[i] == p {
-            return self.h_val[i];
-        }
-        let hops = layer.index().abs_diff(dst.0.index()) as f64;
-        let v = x_arch_len(p, dst.1) + hops * via_cost;
-        self.h_stamp[i] = self.h_gen;
-        self.h_entry[i] = p;
-        self.h_val[i] = v;
-        v
     }
 
     /// Relaxes the edge into tile `to`, entered at `at` with path cost
@@ -420,10 +368,19 @@ impl SearchScratch {
             self.g[i] = g2;
             self.entry[i] = at;
             self.parent[i] = parent;
-            let f2 = g2 + self.h(to.0, at, to_layer, dst, via_cost);
+            let f2 = g2 + heuristic(at, to_layer, dst, via_cost);
             self.queue.push(f2.to_bits(), to.0);
         }
     }
+}
+
+/// The consistent heuristic of a node entered at `entry` on `layer`:
+/// straight-line X-architecture length to the target plus the via penalty
+/// of the remaining layer hops.
+#[inline]
+fn heuristic(entry: Point, layer: WireLayer, dst: &(WireLayer, Point), via_cost: f64) -> f64 {
+    let hops = layer.index().abs_diff(dst.0.index()) as f64;
+    x_arch_len(entry, dst.1) + hops * via_cost
 }
 
 /// Resizes `v` to `len`, filling new slots with `fill`, and with `shrink`
@@ -464,7 +421,6 @@ fn search(
         return Err(SearchFailure::BlockedTerminal);
     };
     stats.searches += 1;
-    s.retune_h((space.revision(), dst.0, dst.1, space.config().via_cost.to_bits()));
     s.queue.reset_peak();
     s.next_gen();
     s.queue.clear(Some(bucket_width(space)));
@@ -503,7 +459,7 @@ fn run(
     s.g[si] = 0.0;
     s.entry[si] = src.1;
     s.parent[si] = NO_PARENT;
-    let h0 = s.h(src_tile.0, src.1, src.0, &dst, via_cost);
+    let h0 = heuristic(src.1, src.0, &dst, via_cost);
     s.queue.push(h0.to_bits(), src_tile.0);
     // A cross-layer search that never enumerates a single via adjacency
     // is stranded by via capacity, not by congestion.
@@ -518,7 +474,7 @@ fn run(
         let node_entry = s.entry[ti];
         let layer = space.tile(tid).layer;
         // Stale heap entry?
-        if f_popped > node_g + s.h(tid_raw, node_entry, layer, &dst, via_cost) + 1e-6 {
+        if f_popped > node_g + heuristic(node_entry, layer, &dst, via_cost) + 1e-6 {
             continue;
         }
         if tid == dst_tile {

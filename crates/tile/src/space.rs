@@ -16,14 +16,7 @@ use info_geom::{Coord, GridIndex, Octagon, Orient4, Point, Rect, Segment, XLine}
 use info_model::{Layout, NetId, Package, WireLayer};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Monotone source of space revisions: every (re)build of any space takes
-/// a fresh value, so two spaces with equal revisions hold identical tiles
-/// (a clone carries its original's revision, and a rolled-back trial
-/// restores the pre-trial revision because it restores that exact state).
-static REVISION: AtomicU64 = AtomicU64::new(1);
 
 /// Identifier of a tile in a [`RoutingSpace`] (invalidated by rebuilds of
 /// the tile's global cell and by [`RoutingSpace::compact`]).
@@ -250,9 +243,6 @@ pub struct RoutingSpace {
     /// Source of fresh adjacency epochs (per space; clones keep counting,
     /// and a trial rollback never rewinds it).
     epoch_counter: u64,
-    /// Monotone state tag: two spaces with equal revisions are identical.
-    /// Search-side caches (the per-target heuristic cache) key on it.
-    revision: u64,
     /// Live tiles: the summed length of `cell_tiles`. `tiles.len() - live`
     /// slots are retired.
     live: usize,
@@ -290,7 +280,6 @@ struct Trial {
     tile_len: usize,
     /// Live tiles at the checkpoint.
     live: usize,
-    revision: u64,
     adj_epoch: Vec<u64>,
     /// Adjacency-cache tallies at the checkpoint.
     hits: u64,
@@ -546,12 +535,12 @@ impl RoutingSpace {
     }
 
     /// Builds the space of `(package, layout)`, taking every `(layer,
-    /// cell)` slot whose [`LayerInputs`] equal the same slot's stored
+    /// cell)` slot whose `LayerInputs` equal the same slot's stored
     /// inputs in `memo` from the memo instead of re-partitioning it.
     ///
     /// Cells are visited row-major, layers in order, and ids are handed
     /// out in that order, exactly as a build without a memo does; since
-    /// [`tile_layer`] is a pure function of the slot and its inputs, and
+    /// `tile_layer` is a pure function of the slot and its inputs, and
     /// a cell's via sites a pure function of its tiles, the result equals
     /// `build(package, layout, cfg)` in every tile, id, input and via
     /// site whatever `memo` holds. The memo only saves time. A memo built
@@ -583,7 +572,6 @@ impl RoutingSpace {
             tile_index: vec![empty_index; ncells * layers],
             adj_epoch: vec![0; ncells * layers],
             epoch_counter: 0,
-            revision: REVISION.fetch_add(1, Ordering::Relaxed),
             live: 0,
             slots_peak: 0,
             live_peak: 0,
@@ -673,12 +661,11 @@ impl RoutingSpace {
     /// Renumbers the live tiles densely, keeping their id order, and frees
     /// the retired slots, so `tile_slots()` falls to `live_tile_count()`.
     ///
-    /// Every id the space hands out changes, so the revision is fresh
-    /// afterwards, but the relative order of any two live ids is kept.
-    /// A search that breaks ties by tile id (the open list's `(f, id)`
-    /// keys) therefore pops, expands and returns the same tiles, and
-    /// tiles installed later still get ids above every live one, as
-    /// without the compaction. Adjacency-cache entries whose epoch is
+    /// Every id the space hands out changes, but the relative order of
+    /// any two live ids is kept. A search that breaks ties by tile id (the
+    /// open list's `(f, id)` keys) therefore pops, expands and returns the
+    /// same tiles, and tiles installed later still get ids above every
+    /// live one, as without the compaction. Adjacency-cache entries whose epoch is
     /// stale are dropped (after a rollback their edges can name
     /// truncated ids); the valid ones are renumbered and stay valid, so
     /// the cache answers every later lookup as it would have.
@@ -725,15 +712,6 @@ impl RoutingSpace {
             }
             state.map.insert(new_id, (stamp, edges));
         }
-        self.revision = REVISION.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The space's state revision: strictly fresh after every rebuild and
-    /// compaction, and equal only between value-identical spaces
-    /// (clones/restores). Caches
-    /// outside the space key their validity on it.
-    pub fn revision(&self) -> u64 {
-        self.revision
     }
 
     /// The rectangle of global cell `(cx, cy)`.
@@ -834,23 +812,21 @@ impl RoutingSpace {
         for &(cx, cy) in &cells {
             layers_reused += self.rebuild_cell(package, layout, &mut scratch, cx, cy);
         }
-        self.revision = REVISION.fetch_add(1, Ordering::Relaxed);
         Rebuilt { cells, layers_reused }
     }
 
     /// Opens a trial: until [`RoutingSpace::commit_trial`] or
     /// [`RoutingSpace::rollback_trial`], every rebuild journals the
     /// pre-trial state of the cells it replaces, so a rollback restores
-    /// the space exactly (tiles, tile ids, via sites, revision, cache
-    /// tallies) at a cost proportional to the cells the trial rebuilt,
-    /// not to the whole space. Trials do not nest.
+    /// the space exactly (tiles, tile ids, via sites, cache tallies) at a
+    /// cost proportional to the cells the trial rebuilt, not to the whole
+    /// space. Trials do not nest.
     pub fn begin_trial(&mut self) {
         debug_assert!(self.trial.is_none(), "nested trials are not supported");
         let (hits, misses) = self.adjacency_cache_stats();
         self.trial = Some(Box::new(Trial {
             tile_len: self.tiles.len(),
             live: self.live,
-            revision: self.revision,
             adj_epoch: self.adj_epoch.clone(),
             hits,
             misses,
@@ -893,7 +869,6 @@ impl RoutingSpace {
         adj.misses = trial.misses;
         drop(adj);
         self.adj_epoch = trial.adj_epoch;
-        self.revision = trial.revision;
         self.live = trial.live;
     }
 
@@ -1650,8 +1625,7 @@ mod tests {
     /// One live tile: id, layer, cell, shape and blockers.
     type TileRow = (TileId, WireLayer, (usize, usize), Octagon, Vec<Blocker>);
 
-    /// Everything a search reads from a space, tile ids included (the
-    /// revision excluded: every rebuild takes a globally fresh one).
+    /// Everything a search reads from a space, tile ids included.
     #[derive(Debug, PartialEq)]
     struct Seen {
         slots: usize,
